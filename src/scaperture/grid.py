@@ -45,20 +45,23 @@ def snap_symmetric(coords, values):
     """Snap +-v pairs onto the nearest coordinates of a symmetric axis.
 
     Replaces existing points (count preserved); each anchor consumes a
-    distinct mirror pair of indices.
+    distinct mirror pair of indices.  An anchor at 0 has no mirror partner
+    on an axis without a point at 0, so it is rejected.
     """
     out = np.array(coords, dtype=float)
     n = len(out)
     used: set[int] = set()
     for v in sorted({float(v) for v in values}):
+        if v == 0.0:
+            raise ConfigurationError(
+                "cannot snap an anchor at 0: symmetric axes have no point at 0"
+            )
         for i in np.argsort(np.abs(out - v)):
             if i in used or (n - 1 - i) in used:
                 continue
             out[i] = v
-            used.add(int(i))
-            if v != 0.0:
-                out[n - 1 - i] = -v
-                used.add(int(n - 1 - i))
+            out[n - 1 - i] = -v
+            used.update((int(i), int(n - 1 - i)))
             break
     out = np.sort(out)
     if not np.all(np.diff(out) > 0):

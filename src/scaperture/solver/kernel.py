@@ -50,29 +50,41 @@ def _corner(u, v):
     return np.where((u == 0.0) | (v == 0.0), 0.0, f)
 
 
+def kernel_rows(grid: Grid, rows) -> np.ndarray:
+    """Rows `rows` (flat point indices) of the cell-integrated kernel.
+
+    Entry (i, j) is minus the integral of 1/(4 pi s^3) over cell j seen from
+    point i; each row's self entry carries the sum rule.  A cell integral is
+    the second difference of `_corner` over the cell's four corners, and
+    neighboring cells share corners, so every (corner, point) value is
+    evaluated once and differenced column strip by column strip.
+    """
+    rows = np.asarray(rows)
+    X = grid.half_extent
+    xm = np.concatenate([[-X], 0.5 * (grid.x[1:] + grid.x[:-1]), [X]])
+    ym = np.concatenate([[-X], 0.5 * (grid.y[1:] + grid.y[:-1]), [X]])
+    pts = grid.points[rows]
+    px, py = pts[:, 0], pts[:, 1]
+    v = ym[None, :] - py[:, None]
+    ny = grid.n_y
+    out = np.empty((len(rows), grid.n_points))
+    left = _corner((xm[0] - px)[:, None], v)
+    for jx in range(grid.n_x):
+        right = _corner((xm[jx + 1] - px)[:, None], v)
+        block = -(right[:, 1:] - left[:, 1:] - right[:, :-1] + left[:, :-1])
+        out[:, jx * ny:(jx + 1) * ny] = -block / (4 * np.pi)
+        left = right
+    own = (np.arange(len(rows)), rows)
+    out[own] = 0.0
+    out[own] = boundary_correction(grid)[rows] - out.sum(axis=1)
+    return out
+
+
 def cell_integrated_kernel(grid: Grid) -> np.ndarray:
     """Kernel integrated exactly over every Voronoi cell (the solver's form).
 
-    Entry (i, j) is minus the integral of 1/(4 pi s^3) over cell j seen from
-    point i; the diagonal again carries the sum rule.  Near-singular entries
-    are exact, which the edge fields need: midpoint quadrature noise there
-    swamps the transmitted signal.
+    Every row of `kernel_rows`.  Near-singular entries are exact, which the
+    edge fields need: midpoint quadrature noise there swamps the
+    transmitted signal.
     """
-    x, y = grid.x, grid.y
-    X = grid.half_extent
-    nx, ny = grid.n_x, grid.n_y
-    xm = np.concatenate([[-X], 0.5 * (x[1:] + x[:-1]), [X]])
-    ym = np.concatenate([[-X], 0.5 * (y[1:] + y[:-1]), [X]])
-    pts = grid.points
-    px, py = pts[:, 0], pts[:, 1]
-    v1 = ym[None, :-1] - py[:, None]
-    v2 = ym[None, 1:] - py[:, None]
-    out = np.empty((grid.n_points, grid.n_points))
-    for jx in range(nx):
-        u1 = (xm[jx] - px)[:, None]
-        u2 = (xm[jx + 1] - px)[:, None]
-        block = -(_corner(u2, v2) - _corner(u1, v2) - _corner(u2, v1) + _corner(u1, v1))
-        out[:, jx * ny:(jx + 1) * ny] = -block / (4 * np.pi)
-    np.fill_diagonal(out, 0.0)
-    np.fill_diagonal(out, boundary_correction(grid) - out.sum(axis=1))
-    return out
+    return kernel_rows(grid, np.arange(grid.n_points))

@@ -6,6 +6,12 @@ perpendicular field follows by the discretized Ampere sum.  Apertures stay
 in the system with a hugely boosted local screening length, which drives g
 to the constant circulating-current value there; exterior points carry
 g = 0 and are eliminated.
+
+Grid and aperture are mirror-symmetric in x and in y, so the system
+commutes with both reflections and splits into four independent blocks,
+one per parity (even/odd in x times even/odd in y), each over the +x,+y
+quadrant.  Any source is split into its four parity parts, each part is
+solved in its block, and the parts are recombined on the whole grid.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import scipy.linalg as la
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
-from scaperture.solver.kernel import cell_integrated_kernel
+from scaperture.solver.kernel import kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
 
 APERTURE_LAMBDA_BOOST = 1e6
@@ -57,23 +63,6 @@ def _z_moment(dipole: Dipole) -> float:
     if abs(m[2]) < 0.999999 * np.linalg.norm(m):
         raise ConfigurationError("the numeric engine requires a z-oriented dipole")
     return float(m[2])
-
-
-def _axis_clearance(geometry: ApertureGeometry, x0: float, y0: float, axis: int) -> float:
-    """Distance from (x0, y0) to the aperture boundary along +-axis, by bisection."""
-    best = np.inf
-    for sgn in (-1.0, 1.0):
-        lo, hi = 0.0, geometry.edge_x + geometry.edge_y
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            p = [x0, y0]
-            p[axis] += sgn * mid
-            if geometry.contains(p[0], p[1]):
-                lo = mid
-            else:
-                hi = mid
-        best = min(best, lo)
-    return best
 
 
 def _local_spacing(coords: np.ndarray, value: float) -> float:
@@ -131,6 +120,63 @@ def compensated_source(
     return FieldMap(grid, values)
 
 
+def _scaled_grid(grid: Grid, scale: float) -> Grid:
+    """The grid with lengths in units of `scale`."""
+    return Grid(
+        x=grid.x / scale,
+        y=grid.y / scale,
+        half_extent=grid.half_extent / scale,
+        region=grid.region,
+        weights=grid.weights / scale**2,
+    )
+
+
+def _check_mirror_symmetric(grid: Grid) -> None:
+    for name, axis in (("x", grid.x), ("y", grid.y)):
+        if not (np.array_equal(axis, -axis[::-1]) and np.all(axis != 0.0)):
+            raise ConfigurationError(
+                f"grid {name} axis must be the exact negation of itself with no "
+                "point at 0; the solver splits the system by mirror parity"
+            )
+    region = grid.region.reshape(grid.n_x, grid.n_y)
+    if not (np.array_equal(region, region[::-1, :]) and np.array_equal(region, region[:, ::-1])):
+        raise ConfigurationError("grid region labels must be mirror-symmetric in x and y")
+
+
+def _mirror_views(a: np.ndarray):
+    """Views of the last two (x, y) axes on the +x,+y quadrant and on its
+    images under x -> -x, y -> -y and both, each indexed outward from the axes."""
+    hx, hy = a.shape[-2] // 2, a.shape[-1] // 2
+    px, mx = slice(hx, None), slice(hx - 1, None, -1)
+    py, my = slice(hy, None), slice(hy - 1, None, -1)
+    return a[..., px, py], a[..., mx, py], a[..., px, my], a[..., mx, my]
+
+
+def _hadamard(q, qx, qy, qxy):
+    """Signed sums q + sx qx + sy qy + sx sy qxy of four quadrant arrays.
+
+    Returned for (sx, sy) = (+, +), (-, +), (+, -), (-, -): even x even y,
+    odd x even y, even x odd y, odd x odd y.  Applied to the four mirror
+    images (the order of _mirror_views) it folds them into parity blocks;
+    the sign table is symmetric, so applied to the four parity parts it
+    unfolds them into mirror images.
+    """
+    s, d = q + qx, q - qx
+    sy, dy = qy + qxy, qy - qxy
+    even_x, odd_x = s + sy, d + dy
+    s -= sy
+    d -= dy
+    return even_x, odd_x, s, d
+
+
+def _unfold(parts, shape) -> np.ndarray:
+    """Whole-grid values (flat) from the four parity parts on the quadrant."""
+    out = np.empty(shape)
+    for view, values in zip(_mirror_views(out), _hadamard(*parts)):
+        view[...] = values
+    return out.ravel()
+
+
 @dataclass(frozen=True)
 class StreamSolution:
     """Stream function g, reconstructed field and diagnostics."""
@@ -159,6 +205,7 @@ class BrandtSystem:
         aperture_lambda_boost: float = APERTURE_LAMBDA_BOOST,
     ):
         film.check_against(geometry)
+        _check_mirror_symmetric(grid)
         lam_film = film.pearl_length
         if lam_film <= 0:
             raise ConfigurationError("pearl length must be positive")
@@ -177,30 +224,43 @@ class BrandtSystem:
             )
 
         # dimensionless assembly: lengths in units of scale
-        sgrid = Grid(
-            x=grid.x / self.scale,
-            y=grid.y / self.scale,
-            half_extent=grid.half_extent / self.scale,
-            region=grid.region,
-            weights=grid.weights / self.scale**2,
-        )
-        self._kernel_w = cell_integrated_kernel(sgrid)
+        sgrid = _scaled_grid(grid, self.scale)
         lam_hat = np.full(grid.n_points, lam_film / self.scale)
         lam_hat[grid.region == REGION_APERTURE] *= aperture_lambda_boost
         lattice = div_lambda_grad(sgrid, lam_hat)
 
-        self.solve_idx = np.where(grid.region != REGION_EXTERIOR)[0]
-        s = self.solve_idx
-        system = self._kernel_w[np.ix_(s, s)] - lattice[np.ix_(s, s)].toarray()
-        self._row_scale = np.max(np.abs(system), axis=1)
-        if np.any(self._row_scale == 0.0):
-            raise SolverError("system has an empty row; grid is degenerate")
-        system /= self._row_scale[:, None]
-        try:
-            self._lu, self._piv = la.lu_factor(system, check_finite=True)
-        except la.LinAlgError as exc:
-            raise SolverError(f"factorization failed: {exc}") from exc
-        rcond = _reciprocal_condition(system, self._lu, self._piv)
+        self.solve_idx = np.flatnonzero(grid.region != REGION_EXTERIOR)
+        flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
+        images = [v.ravel() for v in _mirror_views(flat)]
+        quad = images[0]
+        sq = self._solve_q = np.flatnonzero(grid.region[quad] != REGION_EXTERIOR)
+        # kernel rows of the quadrant, columns folded into the four blocks;
+        # kept unscaled for h_z = h_a + K g
+        rows = kernel_rows(sgrid, quad).reshape(len(quad), grid.n_x, grid.n_y)
+        self._kernel = [k.reshape(len(quad), -1) for k in _hadamard(*_mirror_views(rows))]
+        del rows
+        lattice_q = lattice[quad]
+        lattice_blocks = _hadamard(*(lattice_q[:, cols] for cols in images))
+
+        self._factors = []
+        rconds = []
+        for kernel, lat in zip(self._kernel, lattice_blocks):
+            # gathered through the transpose: Fortran order, factored in place
+            system = kernel.T[np.ix_(sq, sq)].T
+            lat = lat[sq][:, sq].tocoo()  # exterior g is 0
+            np.subtract.at(system, (lat.row, lat.col), lat.data)
+            row_scale = np.max(np.abs(system), axis=1)
+            if np.any(row_scale == 0.0):
+                raise SolverError("system has an empty row; grid is degenerate")
+            system /= row_scale[:, None]
+            anorm = np.linalg.norm(system, 1)
+            try:
+                lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=True)
+            except la.LinAlgError as exc:
+                raise SolverError(f"factorization failed: {exc}") from exc
+            rconds.append(_reciprocal_condition(lu_piv[0], anorm))
+            self._factors.append((lu_piv, row_scale))
+        rcond = min(rconds)
         self.condition_estimate = 1.0 / max(rcond, 1e-300)
         if rcond < 1e-14:
             raise SolverError(
@@ -209,12 +269,19 @@ class BrandtSystem:
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
-        s = self.solve_idx
-        rhs = -h_a.values[s] / self._row_scale
-        g_hat = np.zeros(self.grid.n_points)
-        g_hat[s] = la.lu_solve((self._lu, self._piv), rhs)
+        grid = self.grid
+        shape = (grid.n_x, grid.n_y)
+        parts = _hadamard(*_mirror_views(h_a.values.reshape(shape)))
+        g_parts, kg_parts = [], []
+        for part, (lu_piv, row_scale), kernel in zip(parts, self._factors, self._kernel):
+            g_part = np.zeros(kernel.shape[0])
+            rhs = -0.25 * part.ravel()[self._solve_q] / row_scale
+            g_part[self._solve_q] = la.lu_solve(lu_piv, rhs)
+            g_parts.append(g_part.reshape(part.shape))
+            kg_parts.append((kernel @ g_part).reshape(part.shape))
+        g_hat = _unfold(g_parts, shape)
         g = g_hat * self.scale  # amperes
-        hz = h_a.values + (self._kernel_w @ g_hat)
+        hz = h_a.values + _unfold(kg_parts, shape)
 
         ap = self.grid.region == REGION_APERTURE
         film_pts = self.grid.region == REGION_FILM
@@ -242,14 +309,7 @@ class BrandtSystem:
         interface faces, not the plain London relation, and are excluded.
         """
         lam_hat = np.full(self.grid.n_points, self.film.pearl_length / self.scale)
-        sgrid = Grid(
-            x=self.grid.x / self.scale,
-            y=self.grid.y / self.scale,
-            half_extent=self.grid.half_extent / self.scale,
-            region=self.grid.region,
-            weights=self.grid.weights / self.scale**2,
-        )
-        london = div_lambda_grad(sgrid, lam_hat) @ g_hat
+        london = div_lambda_grad(_scaled_grid(self.grid, self.scale), lam_hat) @ g_hat
         film2d = film_pts.reshape(self.grid.n_x, self.grid.n_y)
         ap2d = (self.grid.region == REGION_APERTURE).reshape(self.grid.n_x, self.grid.n_y)
         near_ap = np.zeros_like(ap2d)
@@ -287,9 +347,9 @@ class BrandtSystem:
         )
 
 
-def _reciprocal_condition(system, lu, piv) -> float:
-    gecon = la.get_lapack_funcs("gecon", (system,))
-    anorm = np.linalg.norm(system, 1)
+def _reciprocal_condition(lu, anorm) -> float:
+    """LAPACK 1-norm estimate from the LU factors and the matrix's 1-norm."""
+    gecon = la.get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm, norm="1")
     return float(rcond)
 

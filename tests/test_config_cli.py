@@ -129,6 +129,20 @@ def test_cli_solve_and_manifest_determinism(tmp_path):
     assert (out3 / "manifest.json").read_bytes() == (out1 / "manifest.json").read_bytes()
 
 
+def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):
+    # d equal to the x semi-axis puts the probe anchor at x = 0
+    cfgdoc = {
+        "geometry": {"kind": "circle", "radius_nm": 1000},
+        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "sweep": {"d_nm": 1000},
+    }
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfgdoc))
+    for command in ("solve", "coupling"):
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)])
+        assert code == EXIT_CONFIG
+
+
 def test_cli_grid_override(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},

@@ -105,6 +105,16 @@ def test_snap_rejects_duplicates():
     assert np.all(np.diff(out) > 0)
 
 
+def test_snap_rejects_anchor_at_zero():
+    # a single 0 has no mirror partner and would leave the axis asymmetric
+    coords = np.array([-2.0, -1.0, 1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="anchor at 0"):
+        snap_symmetric(coords, [0.0])
+    geom = Circle(1e-6)
+    with pytest.raises(ConfigurationError, match="anchor at 0"):
+        make_grid(geom, default_film(geom), 24, 24, 10.0, anchor_x=[0.0])
+
+
 def test_min_point_count_enforced():
     geom = Circle(1e-6)
     film = default_film(geom)
