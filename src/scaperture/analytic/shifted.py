@@ -23,11 +23,17 @@ _ONESIDED6 = {
 
 
 def _step_scale(r, x0, radius):
-    """Safe differentiation scale: distance to the dipole and the edge ring."""
-    rho = np.hypot(r[0], r[1])
-    ring = np.hypot(rho - radius, r[2])
-    src = np.linalg.norm(r - np.array([x0, 0.0, 0.0]))
-    return min(src, ring), rho
+    """Safe differentiation scale: distance to the dipole and the edge ring.
+
+    Vectorized over points (..., 3).  The distance to the dipole is taken
+    with the same dot product np.linalg.norm uses for one point, so a batch
+    gets the steps of single-point calls bit for bit.
+    """
+    rho = np.hypot(r[..., 0], r[..., 1])
+    ring = np.hypot(rho - radius, r[..., 2])
+    d = r - np.array([x0, 0.0, 0.0])
+    src = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    return np.minimum(src, ring), rho
 
 
 def _mixed_hessian(x0, r, radius, rel_step):
@@ -87,32 +93,27 @@ def field_shifted_bz_plane(m: float, x0: float, x, y: float, radius: float,
     """Bz (tesla) of a z-dipole of magnitude m at in-plane points (x, y, 0).
 
     Only the in-plane mixed partials enter, so the whole evaluation stays in
-    the film plane; vectorized over x for sweep use.
+    the film plane.  Vectorized over x: the eighth-order stencils of every
+    point along both in-plane axes go into one kernel-gradient call.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    src = np.array([x0, 0.0, 0.0])
-    out = np.empty(len(x))
-    for i, xv in enumerate(x):
-        r = np.array([xv, y, 0.0])
-        scale, _ = _step_scale(r, x0, radius)
-        if scale == 0.0:
-            raise SingularityError("field evaluation at the dipole or on the edge ring")
-        h = rel_step * scale
-        acc = 0.0
-        for axis in (0, 1):
-            e = np.zeros(3)
-            e[axis] = 1.0
-            pts = []
-            for k in (1, 2, 3, 4):
-                pts.append(r + k * h * e)
-                pts.append(r - k * h * e)
-            grads = green_source_gradient(np.array(pts), src, radius)
-            der = np.zeros(3)
-            for kidx in range(4):
-                der += _C8[kidx] * (grads[2 * kidx] - grads[2 * kidx + 1])
-            acc += der[axis] / h
-        out[i] = MU0 * m * acc
-    return out
+    r = np.stack([x, np.full_like(x, y), np.zeros_like(x)], axis=-1)
+    scale, _ = _step_scale(r, x0, radius)
+    if np.any(scale == 0.0):
+        raise SingularityError("field evaluation at the dipole or on the edge ring")
+    h = rel_step * scale
+    # offsets[p, axis, k - 1] = k h_p along the axis; stencil order +h, -h, +2h, -2h, ...
+    offsets = (np.arange(1, 5) * h[:, None])[:, None, :, None] * np.eye(3)[None, :2, None, :]
+    r = r[:, None, None, :]
+    pts = np.stack([r + offsets, r - offsets], axis=3).reshape(len(x), 2, 8, 3)
+    grads = green_source_gradient(pts, np.array([x0, 0.0, 0.0]), radius)
+    der = np.zeros((len(x), 2, 3))
+    for k in range(4):
+        der += _C8[k] * (grads[:, :, 2 * k] - grads[:, :, 2 * k + 1])
+    acc = np.zeros(len(x))
+    for axis in (0, 1):
+        acc += der[:, axis, axis] / h
+    return MU0 * m * acc
 
 
 def field_shifted_fd(moment, x0: float, r, radius: float, h: float) -> np.ndarray:

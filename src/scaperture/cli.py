@@ -58,7 +58,6 @@ def _apply_threads(threads: int | None) -> int | None:
 
 def _resolve_config(args, command):
     from scaperture.io.config import load_config, parse_config, preset_config
-    from scaperture.io.config import PRESETS  # noqa: F401  (import check)
 
     if args.preset and args.config:
         raise SystemExit("use --preset or --config, not both")
@@ -136,26 +135,18 @@ def _cmd_analytic(args) -> int:
         )
         print(f"curve: {out / 'curve.csv'}")
     else:
-        n = cfg.analytic_samples
-        span = np.linspace(-2.0 * radius, 2.0 * radius, n)
-        xs, zs, bxs, bzs = [], [], [], []
-        for zv in span:
-            for xv in span:
-                if np.hypot(xv, zv) < 0.05 * radius:
-                    continue
-                if zv == 0.0 and abs(xv) >= radius:
-                    bx = bz = 0.0
-                else:
-                    b = field_centered([0, 0, cfg.moment], [xv, 0.0, zv], radius)
-                    bx, bz = b[0], b[2]
-                xs.append(xv)
-                zs.append(zv)
-                bxs.append(bx)
-                bzs.append(bz)
+        span = np.linspace(-2.0 * radius, 2.0 * radius, cfg.analytic_samples)
+        zs, xs = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
+        keep = np.hypot(xs, zs) >= 0.05 * radius  # the core around the dipole is left out
+        xs, zs = xs[keep], zs[keep]
+        # on the film the field is 0; everywhere else it comes from one call
+        free = ~((zs == 0.0) & (np.abs(xs) >= radius))
+        pts = np.column_stack([xs[free], np.zeros(free.sum()), zs[free]])
+        b = np.zeros((len(xs), 3))
+        b[free] = field_centered([0, 0, cfg.moment], pts, radius)
         write_csv_atomic(
             out / "map.csv",
-            {"x_m": np.array(xs), "z_m": np.array(zs),
-             "bx_t": np.array(bxs), "bz_t": np.array(bzs)},
+            {"x_m": xs, "z_m": zs, "bx_t": b[:, 0], "bz_t": b[:, 2]},
             header_comments=["field unit: tesla (x-z plane through a centered z dipole)"],
         )
         print(f"map: {out / 'map.csv'}")
@@ -340,8 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.threads_resolved = _apply_threads(args.threads)
 
-    from scaperture.geometry import ConfigurationError
-    from scaperture.solver.system import SolverError
+    from scaperture.geometry import ConfigurationError, SolverError
 
     try:
         return _HANDLERS[args.command](args)

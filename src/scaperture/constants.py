@@ -1,12 +1,12 @@
 """Physical constants and default parameters (SI units throughout)."""
 
 import numpy as np
-from scipy import constants as _const
 
-MU0 = _const.mu_0
-PLANCK = _const.h
-BOHR_MAGNETON = _const.physical_constants["Bohr magneton"][0]
-ELECTRON_G = abs(_const.physical_constants["electron g factor"][0])
+# CODATA 2022, written out so that importing the package loads no scipy
+MU0 = 1.25663706127e-06           # vacuum permeability, N/A^2
+PLANCK = 6.62607015e-34           # J s
+BOHR_MAGNETON = 9.2740100657e-24  # J/T
+ELECTRON_G = 2.00231930436092     # |g_e|
 
 # moment of a single spin-1 particle, m = 2 g mu_B
 DEFAULT_MOMENT = 2.0 * ELECTRON_G * BOHR_MAGNETON

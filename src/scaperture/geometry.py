@@ -18,6 +18,10 @@ class ConfigurationError(ValueError):
     """Inconsistent geometry, film or scenario parameters."""
 
 
+class SolverError(RuntimeError):
+    """Linear system could not be solved reliably."""
+
+
 def _vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):

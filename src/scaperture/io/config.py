@@ -118,6 +118,9 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
         raise ConfigurationError("the analytic engine requires a circular aperture")
     if cfg.db_convention not in ("amplitude20", "power10"):
         raise ConfigurationError("db_convention must be amplitude20 or power10")
+    if cfg.n_x != cfg.n_y:
+        # every engine builds square grids from n_x
+        raise ConfigurationError(f"grid: n_x = {cfg.n_x} and n_y = {cfg.n_y} must be equal")
     if command == "sweep":
         if len(cfg.sweep_radii) < 2:
             raise ConfigurationError("sweep.radii_nm: need at least two radii")

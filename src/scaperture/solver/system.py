@@ -22,17 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec
+from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
 from scaperture.solver.kernel import kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
 
 APERTURE_LAMBDA_BOOST = 1e6
 _SCALE_DIVISOR = 100.0  # internal coordinates span about +-100
-
-
-class SolverError(RuntimeError):
-    """Linear system could not be solved reliably."""
 
 
 def applied_field(dipole: Dipole, grid: Grid) -> FieldMap:
@@ -143,6 +139,26 @@ def _check_mirror_symmetric(grid: Grid) -> None:
         raise ConfigurationError("grid region labels must be mirror-symmetric in x and y")
 
 
+def _inner_film_points(grid: Grid) -> np.ndarray:
+    """Indices of the film points where the London residual is read.
+
+    Rows adjacent to the aperture discretize the edge condition through
+    interface faces, not the plain London relation, and are excluded, as
+    are the grid-boundary rows.
+    """
+    film2d = (grid.region == REGION_FILM).reshape(grid.n_x, grid.n_y)
+    ap2d = (grid.region == REGION_APERTURE).reshape(grid.n_x, grid.n_y)
+    near_ap = np.zeros_like(ap2d)
+    near_ap[1:, :] |= ap2d[:-1, :]
+    near_ap[:-1, :] |= ap2d[1:, :]
+    near_ap[:, 1:] |= ap2d[:, :-1]
+    near_ap[:, :-1] |= ap2d[:, 1:]
+    inner = film2d & ~near_ap
+    inner[0, :] = inner[-1, :] = False
+    inner[:, 0] = inner[:, -1] = False
+    return np.flatnonzero(inner)
+
+
 def _mirror_views(a: np.ndarray):
     """Views of the last two (x, y) axes on the +x,+y quadrant and on its
     images under x -> -x, y -> -y and both, each indexed outward from the axes."""
@@ -228,6 +244,10 @@ class BrandtSystem:
         lam_hat = np.full(grid.n_points, lam_film / self.scale)
         lam_hat[grid.region == REGION_APERTURE] *= aperture_lambda_boost
         lattice = div_lambda_grad(sgrid, lam_hat)
+        # Lambda is uniform around the film points the London residual reads,
+        # so the build's rows there are the plain London operator's
+        self._inner = _inner_film_points(grid)
+        self._london_rows = lattice[self._inner]
 
         self.solve_idx = np.flatnonzero(grid.region != REGION_EXTERIOR)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
@@ -284,14 +304,14 @@ class BrandtSystem:
         hz = h_a.values + _unfold(kg_parts, shape)
 
         ap = self.grid.region == REGION_APERTURE
-        film_pts = self.grid.region == REGION_FILM
         if ap.any():
             current = float(np.mean(g[ap]))
             flatness = float(np.std(g[ap]) / max(abs(current), 1e-300))
         else:
             current = 0.0
             flatness = 0.0
-        residual = self._london_residual(g_hat, hz, film_pts)
+        peak = np.max(np.abs(hz)) or 1.0
+        residual = float(np.max(np.abs(hz[self._inner] - self._london_rows @ g_hat)) / peak)
         return StreamSolution(
             grid=self.grid,
             g=FieldMap(self.grid, g),
@@ -301,28 +321,6 @@ class BrandtSystem:
             aperture_flatness=flatness,
             london_residual=residual,
         )
-
-    def _london_residual(self, g_hat, hz, film_pts) -> float:
-        """|H_z - Lambda lap(g)| on film points away from the aperture ring.
-
-        Rows adjacent to the aperture discretize the edge condition through
-        interface faces, not the plain London relation, and are excluded.
-        """
-        lam_hat = np.full(self.grid.n_points, self.film.pearl_length / self.scale)
-        london = div_lambda_grad(_scaled_grid(self.grid, self.scale), lam_hat) @ g_hat
-        film2d = film_pts.reshape(self.grid.n_x, self.grid.n_y)
-        ap2d = (self.grid.region == REGION_APERTURE).reshape(self.grid.n_x, self.grid.n_y)
-        near_ap = np.zeros_like(ap2d)
-        near_ap[1:, :] |= ap2d[:-1, :]
-        near_ap[:-1, :] |= ap2d[1:, :]
-        near_ap[:, 1:] |= ap2d[:, :-1]
-        near_ap[:, :-1] |= ap2d[:, 1:]
-        inner = film2d & ~near_ap
-        inner[0, :] = inner[-1, :] = False
-        inner[:, 0] = inner[:, -1] = False
-        inner = inner.ravel()
-        scale = np.max(np.abs(hz)) or 1.0
-        return float(np.max(np.abs(hz[inner] - london[inner])) / scale)
 
     def solve(self, dipole: Dipole, core_radii=None) -> StreamSolution:
         if not self.geometry.contains(dipole.position[0], dipole.position[1]):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
 from scaperture.io.config import PRESETS, load_config, parse_config, preset_config
@@ -172,3 +173,67 @@ def test_cli_sweep_analytic_json(tmp_path):
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["fit"]["slope"] == pytest.approx(-2.5, abs=0.02)
     assert len(payload["points"]) == 8
+
+
+def test_cli_non_square_grid_is_config_error(tmp_path):
+    # every engine builds its grid from n_x, so n_y != n_x would be recorded
+    # in the manifest but never used
+    cfgdoc = {
+        "geometry": {"kind": "circle", "radius_nm": 1000},
+        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "sweep": {"d_nm": 100},
+    }
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfgdoc))
+    assert main(["solve", "--config", str(cfgfile), "--grid", "24x32",
+                 "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    with pytest.raises(ConfigurationError, match="n_y"):
+        parse_config(dict(cfgdoc, grid={"n_x": 24, "n_y": 32}), "sweep")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfgfile), "--grid", "20",
+                 "--out", str(out)]) == EXIT_OK
+    grid = json.loads((out / "manifest.json").read_text())["config"]["grid"]
+    assert grid["n_x"] == grid["n_y"] == 20
+    assert len((out / "hz.csv").read_text().splitlines()) == 2 + 1 + 20 * 20
+
+
+def _map_loop(moment, radius, samples):
+    """Per-point reference for the analytic map: rows (x, z, bx, bz)."""
+    span = np.linspace(-2.0 * radius, 2.0 * radius, samples)
+    rows = []
+    for zv in span:
+        for xv in span:
+            if np.hypot(xv, zv) < 0.05 * radius:
+                continue
+            if zv == 0.0 and abs(xv) >= radius:
+                bx = bz = 0.0
+            else:
+                b = field_centered([0, 0, moment], [xv, 0.0, zv], radius)
+                bx, bz = b[0], b[2]
+            rows.append((xv, zv, bx, bz))
+    return np.array(rows)
+
+
+def test_cli_analytic_map_matches_pointwise_loop(tmp_path):
+    cfgdoc = {
+        "geometry": {"kind": "circle", "radius_nm": 1000},
+        "engine": "analytic",
+        "analytic": {"kind": "map", "samples": 21},
+    }
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfgdoc))
+    out = tmp_path / "map"
+    assert main(["analytic", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    lines = [line for line in (out / "map.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "x_m,z_m,bx_t,bz_t"
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    from scaperture.constants import DEFAULT_MOMENT
+
+    radius = 1000 * 1e-9  # as the config converts nanometers
+    assert np.array_equal(data, _map_loop(DEFAULT_MOMENT, radius, 21))
+    # the origin is the one point in the excluded core; the film points
+    # outside the aperture carry zeros
+    assert len(data) == 21 * 21 - 1
+    on_film = (data[:, 1] == 0.0) & (np.abs(data[:, 0]) >= radius)
+    assert on_film.sum() == 12 and np.all(data[on_film, 2:] == 0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scaperture.analytic.centered import field_centered
+from scaperture.analytic.green import SingularityError, green_source_gradient
 from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.shifted import (
     field_shifted,
@@ -90,3 +91,52 @@ def test_on_film_plane_bz_is_screened():
     b = field_shifted([0, 0, 1.0], 0.4, [1.7, 0.0, 0.0], R)
     scale = MU0 / (4 * np.pi**2)
     assert abs(b[2]) < 1e-9 * scale
+
+
+C8 = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])  # eighth-order central weights
+
+
+def _bz_plane_loop(m, x0, x, y, radius, rel_step=1e-2):
+    """Per-point reference for field_shifted_bz_plane: one stencil call per
+    point and axis, the step from the single-point norm."""
+    src = np.array([x0, 0.0, 0.0])
+    out = np.empty(len(x))
+    for i, xv in enumerate(x):
+        r = np.array([xv, y, 0.0])
+        scale = min(np.linalg.norm(r - src), np.hypot(np.hypot(r[0], r[1]) - radius, r[2]))
+        if scale == 0.0:
+            raise SingularityError("field evaluation at the dipole or on the edge ring")
+        h = rel_step * scale
+        acc = 0.0
+        for axis in (0, 1):
+            e = np.zeros(3)
+            e[axis] = 1.0
+            pts = []
+            for k in (1, 2, 3, 4):
+                pts.append(r + k * h * e)
+                pts.append(r - k * h * e)
+            grads = green_source_gradient(np.array(pts), src, radius)
+            der = np.zeros(3)
+            for kidx in range(4):
+                der += C8[kidx] * (grads[2 * kidx] - grads[2 * kidx + 1])
+            acc += der[axis] / h
+        out[i] = MU0 * m * acc
+    return out
+
+
+def test_bz_plane_matches_pointwise_loop_exactly():
+    rng = np.random.default_rng(4)
+    for radius in (1.0, 1e-6, 3e-5):
+        for y in (0.0, 5e-3 * radius, -0.3 * radius):
+            x0 = rng.uniform(-0.9, 0.9) * radius
+            # inside and outside the aperture, both sides of the dipole
+            xs = np.concatenate([rng.uniform(-3, 3, 60) * radius, [x0 + 1e-3 * radius]])
+            got = field_shifted_bz_plane(2.1e-23, x0, xs, y, radius)
+            assert np.array_equal(got, _bz_plane_loop(2.1e-23, x0, xs, y, radius))
+
+
+def test_bz_plane_rejects_dipole_and_edge_ring():
+    with pytest.raises(SingularityError):
+        field_shifted_bz_plane(1.0, -0.4, [0.2, -0.4], 0.0, R)
+    with pytest.raises(SingularityError):
+        field_shifted_bz_plane(1.0, -0.4, [0.2, R], 0.0, R)

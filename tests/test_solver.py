@@ -4,9 +4,12 @@ import pytest
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, default_film
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
+from scaperture.solver import system as system_module
 from scaperture.solver.kernel import cell_integrated_kernel
+from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import (
     BrandtSystem,
+    _scaled_grid,
     applied_field,
     compensated_source,
     reconstruct_field,
@@ -168,6 +171,25 @@ def test_london_residual_small():
     geom, film, grid = centered_grid(n=32)
     sol = solve_stream(z_dipole(), geom, film, grid)
     assert sol.london_residual < 1e-6
+
+
+def test_london_residual_reuses_build_rows(monkeypatch):
+    # the rows kept from the build equal the uniform-Lambda London operator's
+    # at the points the residual reads, entry for entry, so the residual is
+    # what a fresh operator gives, without one per solve
+    geom, film, grid = centered_grid(n=32)
+    system = BrandtSystem(geom, film, grid)
+    lam = np.full(grid.n_points, film.pearl_length / system.scale)
+    london = div_lambda_grad(_scaled_grid(grid, system.scale), lam)[system._inner]
+    kept = system._london_rows
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(kept, attr), getattr(london, attr))
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("solve rebuilt the London operator")
+
+    monkeypatch.setattr(system_module, "div_lambda_grad", no_rebuild)
+    assert system.solve(z_dipole()).london_residual < 1e-6
 
 
 def test_reconstruct_identity_and_far_field():

@@ -1,0 +1,54 @@
+"""What the package loads at start-up, its constants and its error classes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.constants
+
+import scaperture
+import scaperture.solver
+import scaperture.solver.system
+from scaperture import constants, geometry
+from scaperture.cli import EXIT_SOLVER, main
+
+
+def test_constants_equal_scipy_codata():
+    assert constants.MU0 == scipy.constants.mu_0
+    assert constants.PLANCK == scipy.constants.h
+    assert constants.BOHR_MAGNETON == scipy.constants.physical_constants["Bohr magneton"][0]
+    assert constants.ELECTRON_G == abs(scipy.constants.physical_constants["electron g factor"][0])
+
+
+def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
+    # the manifest's version field needs only the bare scipy package
+    script = (
+        "import json, sys\n"
+        "from scaperture.cli import main\n"
+        "for preset in ('fig4', 'fig3'):\n"
+        "    assert main(['analytic', '--preset', preset, '--out', sys.argv[1] + preset]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out-")],
+                         capture_output=True, text=True, env=env, timeout=120, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "scipy" in loaded
+    for heavy in ("scipy.constants", "scipy.linalg", "scipy.sparse"):
+        assert heavy not in loaded
+
+
+def test_solver_error_is_one_class_and_exits_3(tmp_path, monkeypatch):
+    assert scaperture.solver.SolverError is scaperture.solver.system.SolverError
+    assert scaperture.solver.system.SolverError is geometry.SolverError
+
+    class Failing:
+        def __init__(self, *args, **kwargs):
+            raise scaperture.solver.system.SolverError("singular")
+
+    monkeypatch.setattr(scaperture.solver.system, "BrandtSystem", Failing)
+    code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+
