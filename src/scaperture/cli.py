@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+from scaperture.errors import ConfigurationError, SolverError
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -49,8 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_threads(threads: int | None) -> int | None:
     if threads is None and os.environ.get(THREADS_ENV):
-        threads = int(os.environ[THREADS_ENV])
+        try:
+            threads = int(os.environ[THREADS_ENV])
+        except ValueError:
+            raise ConfigurationError(
+                f"{THREADS_ENV}: expected a thread count, got {os.environ[THREADS_ENV]!r}"
+            ) from None
     if threads is not None:
+        if threads < 1:
+            raise ConfigurationError(f"thread count must be at least 1, got {threads}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
     return threads
@@ -69,10 +78,12 @@ def _resolve_config(args, command):
         raise SystemExit(f"{command}: provide --preset or --config")
     if args.grid:
         nx, _, ny = args.grid.partition("x")
+        try:
+            n_x, n_y = int(nx), int(ny or nx)
+        except ValueError:
+            raise ConfigurationError(f"--grid: expected N or NxM, got {args.grid!r}") from None
         doc = dict(cfg.raw)
-        doc["grid"] = dict(doc.get("grid", {}))
-        doc["grid"]["n_x"] = int(nx)
-        doc["grid"]["n_y"] = int(ny or nx)
+        doc["grid"] = dict(doc.get("grid", {}), n_x=n_x, n_y=n_y)
         cfg = parse_config(doc, command)
     return cfg
 
@@ -83,23 +94,19 @@ def _outdir(args, command) -> Path:
     return out
 
 
-def _db_factor(convention: str) -> float:
-    return 20.0 if convention == "amplitude20" else 10.0
-
-
-def _field_csv(path, grid, values, unit, cfg):
+def _value_csv(path, coords: dict, values, unit, cfg):
+    """The coordinate columns, then the values and their level in dB."""
     import numpy as np
 
     from scaperture.constants import GAUSS
     from scaperture.io.writers import write_csv_atomic
 
-    pts = grid.points
-    factor = _db_factor(cfg.db_convention)
+    factor = 20.0 if cfg.db_convention == "amplitude20" else 10.0
     with np.errstate(divide="ignore"):
         db = factor * np.log10(np.abs(values) / GAUSS)
     write_csv_atomic(
         path,
-        {"x_m": pts[:, 0], "y_m": pts[:, 1], "value": values, "value_db": db},
+        {**coords, "value": values, "value_db": db},
         header_comments=[
             f"value unit: {unit}",
             f"value_db: {factor} log10(|value| / 1 gauss), convention {cfg.db_convention}",
@@ -120,19 +127,8 @@ def _cmd_analytic(args) -> int:
     if cfg.analytic_kind == "curve":
         xs = np.linspace(0.02 * radius, 3.0 * radius, cfg.analytic_samples)
         bz = field_inplane("z", cfg.moment, xs, radius)[:, 2]
-        factor = _db_factor(cfg.db_convention)
-        from scaperture.constants import GAUSS
-
-        with np.errstate(divide="ignore"):
-            db = factor * np.log10(np.abs(bz) / GAUSS)
-        write_csv_atomic(
-            out / "curve.csv",
-            {"x_m": xs, "value": bz, "value_db": db},
-            header_comments=[
-                "value unit: tesla (Bz of a z dipole at the aperture center, z = 0)",
-                f"value_db: {factor} log10(|value| / 1 gauss), convention {cfg.db_convention}",
-            ],
-        )
+        _value_csv(out / "curve.csv", {"x_m": xs}, bz,
+                   "tesla (Bz of a z dipole at the aperture center, z = 0)", cfg)
         print(f"curve: {out / 'curve.csv'}")
     else:
         span = np.linspace(-2.0 * radius, 2.0 * radius, cfg.analytic_samples)
@@ -154,37 +150,28 @@ def _cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(cfg):
-    from scaperture.experiments.grids import scenario_grid
-    from scaperture.geometry import Dipole
-    from scaperture.solver.system import BrandtSystem
-
-    probe_x = cfg.geometry.edge_x - cfg.sweep_d
-    grid = scenario_grid(
-        cfg.geometry, cfg.film, cfg.n_x,
-        dipole_x=cfg.dipole_x, probe_x=probe_x, y_line=cfg.y_offset, ratio=cfg.ratio,
-    )
-    dipole = Dipole(position=[cfg.dipole_x, cfg.dipole_y, 0.0],
-                    moment=[0.0, 0.0, cfg.moment])
-    system = BrandtSystem(cfg.geometry, cfg.film, grid)
-    return grid, system.solve(dipole), system
-
-
 def _cmd_solve(args) -> int:
+    from scaperture.experiments.grids import solve_scenario
     from scaperture.io.writers import write_json_atomic, write_manifest
 
     cfg = _resolve_config(args, "solve")
     out = _outdir(args, "solve")
-    grid, sol, system = _solve_common(cfg)
-    _field_csv(out / "hz.csv", grid, sol.h_z.values, "A/m (perpendicular field)", cfg)
-    _field_csv(out / "g.csv", grid, sol.g.values, "A (stream function)", cfg)
+    solved = solve_scenario(
+        cfg.geometry, cfg.film, cfg.n_x, ratio=cfg.ratio,
+        dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
+        probe_x=cfg.geometry.edge_x - cfg.sweep_d, y_line=cfg.y_offset,
+    )
+    sol, pts = solved.solution, solved.grid.points
+    xy = {"x_m": pts[:, 0], "y_m": pts[:, 1]}
+    _value_csv(out / "hz.csv", xy, sol.h_z.values, "A/m (perpendicular field)", cfg)
+    _value_csv(out / "g.csv", xy, sol.g.values, "A (stream function)", cfg)
     write_json_atomic(
         out / "summary.json",
         {
             "aperture_current_A": sol.aperture_current,
             "aperture_flatness": sol.aperture_flatness,
             "london_residual": sol.london_residual,
-            "condition_estimate": system.condition_estimate,
+            "condition_estimate": solved.system.condition_estimate,
         },
     )
     write_manifest(out / "manifest.json", "solve", cfg.raw, args.threads_resolved)
@@ -197,19 +184,24 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from scaperture.experiments.sweeps import sweep
-    from scaperture.geometry import Ellipse
+    from scaperture.geometry import Ellipse, default_film
     from scaperture.io.writers import write_json_atomic, write_manifest
 
     cfg = _resolve_config(args, "sweep")
     out = _outdir(args, "sweep")
+    spec, scale = cfg.film, cfg.geometry.scale_radius
+
+    def film(geometry):  # the config's film and extent factors at every radius
+        return default_film(geometry, spec.london_depth, spec.thickness,
+                            spec.film_half_extent / scale, spec.grid_half_extent / scale)
+
     kwargs = dict(
         moment=cfg.moment,
         y_offset=cfg.y_offset if cfg.engine == "numeric" else 0.0,
         n=cfg.n_x,
         ratio=cfg.ratio,
         smooth_window=cfg.smooth_window,
-        london_depth=cfg.film.london_depth,
-        thickness=cfg.film.thickness,
+        film=film,
     )
     if isinstance(cfg.geometry, Ellipse):
         kwargs["b"] = cfg.geometry.b
@@ -253,8 +245,7 @@ def _cmd_compare(args) -> int:
         n=cfg.n_x,
         ratio=cfg.ratio,
         y_line=cfg.y_offset,
-        london_depth=cfg.film.london_depth,
-        thickness=cfg.film.thickness,
+        film=cfg.film,
     )
     write_csv_atomic(
         out / "compare.csv",
@@ -301,8 +292,7 @@ def _cmd_coupling(args) -> int:
         n=cfg.n_x,
         ratio=cfg.ratio,
         y_line=cfg.y_offset,
-        london_depth=cfg.film.london_depth,
-        thickness=cfg.film.thickness,
+        film=cfg.film,
     )
     write_json_atomic(
         out / "coupling.json",
@@ -329,11 +319,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.threads_resolved = _apply_threads(args.threads)
-
-    from scaperture.geometry import ConfigurationError, SolverError
-
     try:
+        args.threads_resolved = _apply_threads(args.threads)
         return _HANDLERS[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

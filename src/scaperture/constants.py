@@ -1,7 +1,5 @@
 """Physical constants and default parameters (SI units throughout)."""
 
-import numpy as np
-
 # CODATA 2022, written out so that importing the package loads no scipy
 MU0 = 1.25663706127e-06           # vacuum permeability, N/A^2
 PLANCK = 6.62607015e-34           # J s
@@ -18,7 +16,3 @@ DEFAULT_LONDON_DEPTH = 50e-9
 DEFAULT_THICKNESS = 80e-9
 DEFAULT_FILM_FACTOR = 90.0   # film half-extent in units of the aperture radius
 DEFAULT_GRID_FACTOR = 100.0  # grid half-extent in units of the aperture radius
-
-
-def zhat_moment(m: float = DEFAULT_MOMENT) -> np.ndarray:
-    return np.array([0.0, 0.0, m])

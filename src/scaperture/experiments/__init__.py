@@ -1,7 +1,7 @@
 from scaperture.experiments.compare import DeviationReport, compare_engines
 from scaperture.experiments.coupling import CouplingEstimate, coupling_estimate, numeric_coupling
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
-from scaperture.experiments.grids import scenario_grid
+from scaperture.experiments.grids import ScenarioSolution, scenario_grid, solve_scenario
 from scaperture.experiments.smoothing import smooth
 from scaperture.experiments.sweeps import SweepResult, sweep
 
@@ -9,6 +9,7 @@ __all__ = [
     "CouplingEstimate",
     "DeviationReport",
     "PowerLawFit",
+    "ScenarioSolution",
     "SweepResult",
     "compare_engines",
     "coupling_estimate",
@@ -16,5 +17,6 @@ __all__ = [
     "numeric_coupling",
     "scenario_grid",
     "smooth",
+    "solve_scenario",
     "sweep",
 ]

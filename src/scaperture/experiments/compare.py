@@ -1,9 +1,8 @@
 """Point-by-point comparison of the two engines on circular apertures.
 
-The numeric engine follows the applied-field convention of its source
-formula, which differs from the physical in-plane dipole field by a factor
-of -2; deviations are reported after converting the numeric field to the
-physical convention, and the raw conventional offset is kept alongside.
+Both fields are physical.  The solver's source formula is -2x the physical
+in-plane dipole field, and the offset that skipping the conversion in
+`solve_scenario` would add is reported alongside.
 """
 
 from __future__ import annotations
@@ -14,13 +13,10 @@ import numpy as np
 
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, GAUSS, MU0
-from scaperture.experiments.grids import DEFAULT_RATIO, scenario_grid
-from scaperture.geometry import Circle, ConfigurationError, Dipole, default_film
-from scaperture.solver.system import BrandtSystem, default_core_radii
-
-# numeric H_z (applied-formula convention) -> physical B_z
-CONVENTION_FACTOR = -0.5
+from scaperture.constants import DEFAULT_MOMENT, GAUSS
+from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
+from scaperture.geometry import Circle, ConfigurationError, FilmSpec
+from scaperture.solver.system import core_radii
 
 
 def field_db(b_tesla) -> np.ndarray:
@@ -35,7 +31,7 @@ class DeviationReport:
     d: float
     y_line: float
     x_positions: np.ndarray
-    numeric_bz: np.ndarray       # physical convention, tesla
+    numeric_bz: np.ndarray       # tesla
     analytic_bz: np.ndarray      # tesla
     delta_db: np.ndarray
     median_abs_db: float
@@ -55,36 +51,30 @@ def compare_engines(
     ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
     band=(0.1, 0.8),
-    london_depth: float = 50e-9,
-    thickness: float = 80e-9,
+    film: FilmSpec | None = None,
 ) -> DeviationReport:
-    """Compare both engines along the evaluation line y = y_line."""
+    """Compare both engines along the evaluation line y = y_line.
+
+    `film` defaults to `default_film(geometry)`.
+    """
     if not isinstance(geometry, Circle):
         raise ConfigurationError("the analytic engine covers circular apertures only")
     if scenario not in ("centered", "shifted"):
         raise ConfigurationError("comparison scenarios: centered, shifted")
     radius = geometry.radius
     x0 = 0.0 if scenario == "centered" else -(radius - d)
-    film = default_film(geometry, london_depth=london_depth, thickness=thickness)
-    grid = scenario_grid(
-        geometry, film, n,
-        dipole_x=x0, probe_x=radius - d, y_line=y_line, ratio=ratio,
-    )
-    dipole = Dipole(position=[x0, 0.0, 0.0], moment=[0.0, 0.0, moment])
-    system = BrandtSystem(geometry, film, grid)
-    sol = system.solve(dipole)
+    solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
+                            probe_x=radius - d, y_line=y_line)
+    xs, y_actual = solved.grid.x, solved.y_line
+    hz = solved.solution.h_z.values[solved.line]
 
-    line, y_actual = grid.x_line(y_line)
-    xs = grid.points[line, 0]
-    hz = sol.h_z.values[line]
-
-    core = default_core_radii(geometry, grid, dipole)
+    core = core_radii(solved.grid, solved.dipole)
     rho = np.hypot(xs, y_actual)
     in_band = (rho > band[0] * radius) & (rho < band[1] * radius)
     # keep clear of the zeroed return-flux core around the dipole
     in_band &= np.hypot(xs - x0, y_actual) > 1.5 * max(core)
 
-    numeric_bz = CONVENTION_FACTOR * MU0 * hz[in_band]
+    numeric_bz = solved.b_z[in_band]
     if scenario == "centered":
         pts = np.column_stack([xs[in_band], np.full(in_band.sum(), y_actual),
                                np.zeros(in_band.sum())])
@@ -114,5 +104,5 @@ def compare_engines(
         },
         sign_agreement=sign_agreement,
         exterior_peak_ratio=exterior_peak_ratio,
-        convention_offset_db=float(20.0 * np.log10(1.0 / abs(CONVENTION_FACTOR))),
+        convention_offset_db=float(20.0 * np.log10(2.0)),
     )

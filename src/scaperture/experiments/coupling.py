@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
-from scaperture.experiments.compare import CONVENTION_FACTOR
-from scaperture.experiments.grids import DEFAULT_RATIO, scenario_grid
-from scaperture.geometry import ApertureGeometry, Dipole, default_film
-from scaperture.solver.system import BrandtSystem
+from scaperture.constants import DEFAULT_MOMENT, PLANCK
+from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
+from scaperture.geometry import ApertureGeometry, FilmSpec
 
 
 @dataclass(frozen=True)
@@ -41,22 +37,15 @@ def numeric_coupling(
     n: int = 60,
     ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
-    london_depth: float = 50e-9,
-    thickness: float = 80e-9,
+    film: FilmSpec | None = None,
 ) -> CouplingEstimate:
     """Solve the geometry with a dipole d inside the left edge and estimate
     the coupling at the mirror site d inside the right edge.
 
-    The field is converted to the physical in-plane dipole convention.
+    `film` defaults to `default_film(geometry)`.
     """
     x0 = -(geometry.edge_x - d)
     probe = geometry.edge_x - d
-    film = default_film(geometry, london_depth=london_depth, thickness=thickness)
-    grid = scenario_grid(
-        geometry, film, n, dipole_x=x0, probe_x=probe, y_line=y_line, ratio=ratio,
-    )
-    dipole = Dipole(position=[x0, 0.0, 0.0], moment=[0.0, 0.0, moment])
-    system = BrandtSystem(geometry, film, grid)
-    sol = system.solve(dipole)
-    b = CONVENTION_FACTOR * MU0 * sol.h_z.values[grid.index_of(probe, y_line)]
-    return coupling_estimate(moment, b, probe - x0)
+    solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
+                            probe_x=probe, y_line=y_line)
+    return coupling_estimate(moment, solved.b_probe, probe - x0)

@@ -1,14 +1,27 @@
-"""Scenario grids for the numeric engine.
+"""Scenario grids and the one scenario pipeline of the numeric engine.
 
 One self-similar rule for all scenarios: grading features at the aperture
 edges, the midline (for the evaluation line) and the dipole abscissa, with
 the probe position and evaluation line snapped onto exact coordinates.
+
+`solve_scenario` runs geometry -> grid -> system -> solve -> probe for every
+numeric caller and is the one place where the solver's field becomes the
+physical one.
 """
 
 from __future__ import annotations
 
-from scaperture.geometry import ApertureGeometry, FilmSpec
+from dataclasses import dataclass
+
+import numpy as np
+
+from scaperture.constants import MU0
+from scaperture.geometry import ApertureGeometry, Dipole, FilmSpec, default_film
 from scaperture.grid import Grid, make_grid
+
+# the module, not the class: BrandtSystem is looked up when a scenario is
+# solved, so a substitute patched into scaperture.solver.system is used
+from scaperture.solver import system as solver
 
 DEFAULT_RATIO = 125.0
 DEFAULT_SLOPE = 0.4
@@ -23,12 +36,11 @@ def scenario_grid(
     probe_x: float | None = None,
     y_line: float = 5e-9,
     ratio: float = DEFAULT_RATIO,
-    slope: float = DEFAULT_SLOPE,
 ) -> Grid:
     h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
     h_edge = h_cap / ratio
-    extra_x = [(abs(dipole_x), h_edge, slope)]
-    extra_y = [(0.0, h_edge, slope)]
+    extra_x = [(abs(dipole_x), h_edge, DEFAULT_SLOPE)]
+    extra_y = [(0.0, h_edge, DEFAULT_SLOPE)]
     anchor_x = [probe_x] if probe_x is not None else []
     anchor_y = [y_line] if y_line else []
     return make_grid(
@@ -37,9 +49,63 @@ def scenario_grid(
         n,
         n,
         ratio,
-        grading_slope=slope,
+        grading_slope=DEFAULT_SLOPE,
         extra_x_features=extra_x,
         extra_y_features=extra_y,
         anchor_x=anchor_x,
         anchor_y=anchor_y,
+    )
+
+
+@dataclass(frozen=True)
+class ScenarioSolution:
+    """A solved scenario and its physical field along the evaluation line."""
+
+    grid: Grid
+    system: solver.BrandtSystem
+    solution: solver.StreamSolution  # h_z in the solver's source convention, A/m
+    dipole: Dipole
+    line: np.ndarray    # flat grid indices of the evaluation line, by increasing x
+    y_line: float       # height of that line on the grid, m
+    b_z: np.ndarray     # physical B_z on the line, tesla
+    b_probe: float      # physical B_z at the probe, tesla
+
+
+def solve_scenario(
+    geometry: ApertureGeometry,
+    film: FilmSpec | None,
+    n: int,
+    *,
+    ratio: float,
+    dipole_x: float,
+    dipole_y: float = 0.0,
+    moment: float,
+    probe_x: float,
+    y_line: float,
+) -> ScenarioSolution:
+    """Solve a z dipole of `moment` at (dipole_x, dipole_y) on the scenario
+    grid and read B_z along y = y_line and at the probe (probe_x, y_line).
+
+    `film` None stands for `default_film(geometry)`.
+    """
+    if film is None:
+        film = default_film(geometry)
+    grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x,
+                         y_line=y_line, ratio=ratio)
+    dipole = Dipole(position=[dipole_x, dipole_y, 0.0], moment=[0.0, 0.0, moment])
+    system = solver.BrandtSystem(geometry, film, grid)
+    solution = system.solve(dipole)
+    line, y_actual = grid.x_line(y_line)
+    # the source formula H_a = m / (2 pi r^3) is -2x the physical in-plane
+    # field of a z dipole, and so is every H_z the solver returns
+    b_z = -0.5 * MU0 * solution.h_z.values[line]
+    return ScenarioSolution(
+        grid=grid,
+        system=system,
+        solution=solution,
+        dipole=dipole,
+        line=line,
+        y_line=float(y_actual),
+        b_z=b_z,
+        b_probe=float(b_z[np.argmin(np.abs(grid.x - probe_x))]),
     )

@@ -2,26 +2,32 @@
 
 Each sweep places the dipole (center, or distance d from the left edge),
 evaluates Bz at distance d inside the right edge, and records the value
-against the dipole-to-probe separation L.  Numeric values are reported in
-the solver's applied-field convention; power-law fits are insensitive to
-the overall factor.
+against the dipole-to-probe separation L.  Both engines report the
+physical field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, MU0
+from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
-from scaperture.experiments.grids import DEFAULT_RATIO, scenario_grid
+from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
 from scaperture.experiments.smoothing import smooth
-from scaperture.geometry import Circle, ConfigurationError, Dipole, Ellipse, default_film
-from scaperture.solver.system import BrandtSystem
+from scaperture.geometry import (
+    ApertureGeometry,
+    Circle,
+    ConfigurationError,
+    Ellipse,
+    FilmSpec,
+    default_film,
+)
 
 SCENARIOS = ("centered", "shifted", "ellipse")
 ENGINES = ("analytic", "numeric")
@@ -60,26 +66,6 @@ def _analytic_point(scenario, m, radius, d, y_offset):
     raise ConfigurationError("no closed form for elliptical apertures")
 
 
-def _numeric_point(scenario, m, radius, d, y_offset, n, ratio, b,
-                   london_depth, thickness):
-    if scenario == "ellipse":
-        geometry = Ellipse(a=radius, b=b)
-    else:
-        geometry = Circle(radius)
-    film = default_film(geometry, london_depth=london_depth, thickness=thickness)
-    x0 = 0.0 if scenario == "centered" else -(radius - d)
-    probe_x = radius - d
-    grid = scenario_grid(
-        geometry, film, n,
-        dipole_x=x0, probe_x=probe_x, y_line=y_offset, ratio=ratio,
-    )
-    dipole = Dipole(position=[x0, 0.0, 0.0], moment=[0.0, 0.0, m])
-    system = BrandtSystem(geometry, film, grid)
-    sol = system.solve(dipole)
-    p = grid.index_of(probe_x, y_offset)
-    return MU0 * sol.h_z.values[p], sol
-
-
 def sweep(
     scenario: str,
     d: float,
@@ -91,15 +77,15 @@ def sweep(
     n: int = 60,
     ratio: float = DEFAULT_RATIO,
     b: float = 100e-9,
-    london_depth: float = 50e-9,
-    thickness: float = 80e-9,
+    film: Callable[[ApertureGeometry], FilmSpec] = default_film,
     smooth_window: int = 1,
 ) -> SweepResult:
     """Evaluate the probe field across aperture radii and fit the decay.
 
     centered: dipole at the center, R = L + d.  shifted: dipole at distance
     d from the left edge, R = L/2 + d.  ellipse: like shifted with the x
-    semi-axis varying at fixed b.
+    semi-axis varying at fixed b.  `film` sizes the film for each radius's
+    aperture (numeric engine).
     """
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"scenario must be one of {SCENARIOS}")
@@ -122,11 +108,15 @@ def sweep(
         if engine == "analytic":
             fields[i] = _analytic_point(scenario, moment, radius, d, y_offset)
         else:
-            fields[i], sol = _numeric_point(
-                scenario, moment, radius, d, y_offset, n, ratio, b,
-                london_depth, thickness,
+            geometry = Ellipse(a=radius, b=b) if scenario == "ellipse" else Circle(radius)
+            solved = solve_scenario(
+                geometry, film(geometry), n, ratio=ratio,
+                dipole_x=0.0 if scenario == "centered" else -(radius - d),
+                moment=moment, probe_x=radius - d, y_line=y_offset,
             )
-            flatness.append(sol.aperture_flatness)
+            fields[i] = solved.b_probe
+            flatness.append(solved.solution.aperture_flatness)
+            del solved  # so the next radius's system is not built beside this one
 
     if smooth_window > 1:
         smoothed, sigma = smooth(fields, smooth_window)
@@ -135,11 +125,7 @@ def sweep(
         sigma = np.zeros_like(fields)
 
     fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= 5 else None
-    meta = {
-        "engine": engine,
-        "field_convention": "solver-applied" if engine == "numeric" else "physical",
-        "smooth_window": smooth_window,
-    }
+    meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}
     if engine == "numeric":
         meta.update({"n": n, "ratio": ratio, "max_aperture_flatness": max(flatness)})
         if scenario == "ellipse":

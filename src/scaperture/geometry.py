@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,14 +12,7 @@ from scaperture.constants import (
     DEFAULT_LONDON_DEPTH,
     DEFAULT_THICKNESS,
 )
-
-
-class ConfigurationError(ValueError):
-    """Inconsistent geometry, film or scenario parameters."""
-
-
-class SolverError(RuntimeError):
-    """Linear system could not be solved reliably."""
+from scaperture.errors import ConfigurationError, SolverError  # noqa: F401  (re-exported)
 
 
 def _vec3(v) -> np.ndarray:
@@ -102,11 +95,6 @@ class Ellipse:
     def scale_radius(self) -> float:
         return max(self.a, self.b)
 
-    def half_height(self, x) -> np.ndarray:
-        """Aperture half-height at abscissa x (0 outside [-a, a])."""
-        t = 1.0 - (np.asarray(x, dtype=float) / self.a) ** 2
-        return self.b * np.sqrt(np.maximum(t, 0.0))
-
 
 @dataclass(frozen=True)
 class DogBone:
@@ -145,16 +133,9 @@ class DogBone:
         return self.edge_x
 
 
+# every shape's contains(x, y) is true strictly inside the aperture: the
+# boundary belongs to the superconductor side
 ApertureGeometry = Circle | Ellipse | DogBone
-
-
-def point_in_aperture(geometry: ApertureGeometry, p) -> bool:
-    """True iff p = (x, y) lies strictly inside the aperture region.
-
-    The boundary belongs to the superconductor side.
-    """
-    x, y = float(p[0]), float(p[1])
-    return bool(geometry.contains(x, y))
 
 
 @dataclass(frozen=True)
@@ -165,15 +146,6 @@ class FilmSpec:
     thickness: float = DEFAULT_THICKNESS
     film_half_extent: float = 0.0
     grid_half_extent: float = 0.0
-    # validity notes, recorded but not enforced: applied field well below the
-    # upper critical field; film dimensions large against the coherence length
-    validity_notes: tuple = field(
-        default=(
-            "applied field << Hc2",
-            "film dimensions >> coherence length",
-        ),
-        repr=False,
-    )
 
     def __post_init__(self):
         if not (self.london_depth > 0 and self.thickness > 0):

@@ -1,12 +1,1 @@
-from scaperture.io.config import PRESETS, ScenarioConfig, load_config, preset_config
-from scaperture.io.writers import write_csv_atomic, write_json_atomic, write_manifest
-
-__all__ = [
-    "PRESETS",
-    "ScenarioConfig",
-    "load_config",
-    "preset_config",
-    "write_csv_atomic",
-    "write_json_atomic",
-    "write_manifest",
-]
+"""Scenario configuration (`config`) and deterministic artifact writers (`writers`)."""

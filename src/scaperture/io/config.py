@@ -43,7 +43,6 @@ class ScenarioConfig:
     smooth_window: int
     y_offset: float
     db_convention: str
-    seed: int
     analytic_kind: str
     analytic_samples: int
     raw: dict = field(repr=False, default_factory=dict)
@@ -96,7 +95,6 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
             smooth_window=int(sweep_doc.get("smooth_window", 1)),
             y_offset=doc.get("y_offset_nm", 5.0) * _NM,
             db_convention=doc.get("db_convention", "amplitude20"),
-            seed=int(doc.get("seed", 0)),
             analytic_kind=analytic_doc.get("kind", "curve"),
             analytic_samples=int(analytic_doc.get("samples", 200)),
             raw=doc,

@@ -53,7 +53,7 @@ def _versions() -> dict:
     }
 
 
-def write_manifest(path, command: str, config_doc: dict, threads, extra=None) -> None:
+def write_manifest(path, command: str, config_doc: dict, threads) -> None:
     """Resolved config plus versions; deterministic byte-for-byte on rerun."""
     payload = {
         "command": command,
@@ -61,6 +61,4 @@ def write_manifest(path, command: str, config_doc: dict, threads, extra=None) ->
         "threads": threads,
         "versions": _versions(),
     }
-    if extra:
-        payload.update(extra)
     write_json_atomic(path, payload)

@@ -1,28 +1,12 @@
-from scaperture.solver.kernel import (
-    assemble_kernel,
-    boundary_correction,
-    cell_integrated_kernel,
-)
-from scaperture.solver.laplacian import assemble_laplacian, div_lambda_grad
-from scaperture.solver.system import (
-    BrandtSystem,
-    SolverError,
-    StreamSolution,
-    applied_field,
-    reconstruct_field,
-    solve_stream,
-)
+from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel
+from scaperture.solver.laplacian import div_lambda_grad
+from scaperture.solver.system import BrandtSystem, SolverError, StreamSolution
 
 __all__ = [
     "BrandtSystem",
     "SolverError",
     "StreamSolution",
-    "applied_field",
-    "assemble_kernel",
-    "assemble_laplacian",
     "boundary_correction",
     "cell_integrated_kernel",
     "div_lambda_grad",
-    "reconstruct_field",
-    "solve_stream",
 ]

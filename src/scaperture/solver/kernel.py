@@ -24,21 +24,6 @@ def boundary_correction(grid: Grid) -> np.ndarray:
     return out / (4 * np.pi)
 
 
-def assemble_kernel(grid: Grid) -> np.ndarray:
-    """Point-sampled kernel times cell weights (midpoint quadrature).
-
-    Off-diagonal entries are -w_j / (4 pi |r_i - r_j|^3); the diagonal
-    carries the sum rule.
-    """
-    pts = grid.points
-    d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
-    np.fill_diagonal(d2, 1.0)
-    qw = -grid.weights[None, :] / (4 * np.pi * d2**1.5)
-    np.fill_diagonal(qw, 0.0)
-    np.fill_diagonal(qw, boundary_correction(grid) - qw.sum(axis=1))
-    return qw
-
-
 def _corner(u, v):
     """Antiderivative corner term of the cell-integrated 1/s^3 kernel.
 

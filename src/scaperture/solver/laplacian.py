@@ -8,49 +8,6 @@ import scipy.sparse as sp
 from scaperture.grid import Grid
 
 
-def _stencil_1d(coords):
-    """(left, center, right) second-derivative coefficients per interior point."""
-    n = len(coords)
-    out = np.zeros((n, 3))
-    h = np.diff(coords)
-    hl, hr = h[:-1], h[1:]
-    out[1:-1, 0] = 2.0 / (hl * (hl + hr))
-    out[1:-1, 1] = -2.0 / (hl * hr)
-    out[1:-1, 2] = 2.0 / (hr * (hl + hr))
-    return out
-
-
-def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Five-point Laplacian, exact for separable quadratics on any spacing.
-
-    Grid-boundary points get empty rows; they are eliminated from every
-    solve as exterior points.
-    """
-    nx, ny = grid.n_x, grid.n_y
-    sx = _stencil_1d(grid.x)
-    sy = _stencil_1d(grid.y)
-    rows, cols, vals = [], [], []
-    ix = np.arange(1, nx - 1)
-    iy = np.arange(1, ny - 1)
-    ixg, iyg = np.meshgrid(ix, iy, indexing="ij")
-    p = (ixg * ny + iyg).ravel()
-    ixf, iyf = ixg.ravel(), iyg.ravel()
-    for dcol, val in (
-        (-ny, sx[ixf, 0]),
-        (0, sx[ixf, 1] + sy[iyf, 1]),
-        (ny, sx[ixf, 2]),
-        (-1, sy[iyf, 0]),
-        (1, sy[iyf, 2]),
-    ):
-        rows.append(p)
-        cols.append(p + dcol)
-        vals.append(val)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_points, grid.n_points))
-
-
 def div_lambda_grad(grid: Grid, lam: np.ndarray) -> sp.csr_matrix:
     """Flux-form operator div(Lambda grad g) with harmonic face means.
 

@@ -31,29 +31,6 @@ APERTURE_LAMBDA_BOOST = 1e6
 _SCALE_DIVISOR = 100.0  # internal coordinates span about +-100
 
 
-def applied_field(dipole: Dipole, grid: Grid) -> FieldMap:
-    """Applied perpendicular field m / (2 pi r^3) at every grid point (A/m).
-
-    r is the in-plane distance to the dipole.  A grid point coinciding with
-    the dipole is capped at the value of its nearest neighbor distance and
-    flagged with a warning.
-    """
-    if dipole.position[2] != 0.0:
-        raise ConfigurationError("the numeric engine takes in-plane sources (z = 0)")
-    m = _z_moment(dipole)
-    pts = grid.points
-    r = np.hypot(pts[:, 0] - dipole.position[0], pts[:, 1] - dipole.position[1])
-    if np.any(r == 0.0):
-        r_nn = np.partition(r, 1)[1]
-        warnings.warn(
-            "dipole coincides with a grid point; its applied field is capped "
-            f"at the nearest-neighbor distance {r_nn:.3e} m",
-            stacklevel=2,
-        )
-        r = np.maximum(r, r_nn)
-    return FieldMap(grid, m / (2 * np.pi * r**3))
-
-
 def _z_moment(dipole: Dipole) -> float:
     m = dipole.moment
     if abs(m[2]) < 0.999999 * np.linalg.norm(m):
@@ -67,7 +44,7 @@ def _local_spacing(coords: np.ndarray, value: float) -> float:
     return float(coords[i + 1] - coords[i])
 
 
-def default_core_radii(geometry: ApertureGeometry, grid: Grid, dipole: Dipole):
+def core_radii(grid: Grid, dipole: Dipole):
     """Return-flux core semi-axes: as small as grid support allows.
 
     The raw tail should survive everywhere the physics is read off, so the
@@ -80,25 +57,19 @@ def default_core_radii(geometry: ApertureGeometry, grid: Grid, dipole: Dipole):
     return 2.2 * hx, 2.2 * hy
 
 
-def compensated_source(
-    dipole: Dipole,
-    geometry: ApertureGeometry,
-    grid: Grid,
-    core_radii=None,
-) -> FieldMap:
-    """Applied field with the dipole's return flux restored.
+def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
+    """Applied field m / (2 pi r^3) (A/m) with the dipole's return flux restored.
 
-    The raw 1/r^3 sample has grid-dependent net flux, while the true
-    in-plane dipole carries none; the field inside an elliptical core around
-    the dipole is replaced by a smooth bump over aperture points sized so
-    the sampled source has exactly zero net flux.
+    r is the in-plane distance to the dipole.  The raw 1/r^3 sample has
+    grid-dependent net flux, while the true in-plane dipole carries none;
+    the field inside an elliptical core around the dipole is replaced by a
+    smooth bump over aperture points sized so the sampled source has
+    exactly zero net flux.
     """
     if dipole.position[2] != 0.0:
         raise ConfigurationError("the numeric engine takes in-plane sources (z = 0)")
     m = _z_moment(dipole)
-    if core_radii is None:
-        core_radii = default_core_radii(geometry, grid, dipole)
-    rcx, rcy = core_radii
+    rcx, rcy = core_radii(grid, dipole)
     pts = grid.points
     dx = pts[:, 0] - dipole.position[0]
     dy = pts[:, 1] - dipole.position[1]
@@ -110,7 +81,7 @@ def compensated_source(
     if not support > 0:
         raise ConfigurationError(
             "return-flux core has no aperture grid points; refine the grid "
-            "near the dipole or enlarge core_radii"
+            "near the dipole"
         )
     values = values - (values @ grid.weights) * bump / support
     return FieldMap(grid, values)
@@ -197,7 +168,6 @@ def _unfold(parts, shape) -> np.ndarray:
 class StreamSolution:
     """Stream function g, reconstructed field and diagnostics."""
 
-    grid: Grid
     g: FieldMap                  # amperes
     h_z: FieldMap                # A/m
     h_a: FieldMap                # the source actually applied, A/m
@@ -213,13 +183,7 @@ class BrandtSystem:
     immutable after construction and safe to share across threads.
     """
 
-    def __init__(
-        self,
-        geometry: ApertureGeometry,
-        film: FilmSpec,
-        grid: Grid,
-        aperture_lambda_boost: float = APERTURE_LAMBDA_BOOST,
-    ):
+    def __init__(self, geometry: ApertureGeometry, film: FilmSpec, grid: Grid):
         film.check_against(geometry)
         _check_mirror_symmetric(grid)
         lam_film = film.pearl_length
@@ -242,7 +206,7 @@ class BrandtSystem:
         # dimensionless assembly: lengths in units of scale
         sgrid = _scaled_grid(grid, self.scale)
         lam_hat = np.full(grid.n_points, lam_film / self.scale)
-        lam_hat[grid.region == REGION_APERTURE] *= aperture_lambda_boost
+        lam_hat[grid.region == REGION_APERTURE] *= APERTURE_LAMBDA_BOOST
         lattice = div_lambda_grad(sgrid, lam_hat)
         # Lambda is uniform around the film points the London residual reads,
         # so the build's rows there are the plain London operator's
@@ -313,7 +277,6 @@ class BrandtSystem:
         peak = np.max(np.abs(hz)) or 1.0
         residual = float(np.max(np.abs(hz[self._inner] - self._london_rows @ g_hat)) / peak)
         return StreamSolution(
-            grid=self.grid,
             g=FieldMap(self.grid, g),
             h_z=FieldMap(self.grid, hz),
             h_a=h_a,
@@ -322,20 +285,17 @@ class BrandtSystem:
             london_residual=residual,
         )
 
-    def solve(self, dipole: Dipole, core_radii=None) -> StreamSolution:
+    def solve(self, dipole: Dipole) -> StreamSolution:
         if not self.geometry.contains(dipole.position[0], dipole.position[1]):
             raise ConfigurationError("dipole must sit inside the aperture")
         # solve at unit moment and scale afterwards: makes the solution
         # exactly linear in the moment (a few ulp), which repeated-position
         # solves rely on
         m = _z_moment(dipole)
-        if core_radii is None:
-            core_radii = default_core_radii(self.geometry, self.grid, dipole)
         unit = Dipole(position=dipole.position, moment=[0.0, 0.0, 1.0])
-        h_a = compensated_source(unit, self.geometry, self.grid, core_radii)
+        h_a = compensated_source(unit, self.grid)
         sol = self.solve_applied(h_a)
         return StreamSolution(
-            grid=sol.grid,
             g=FieldMap(self.grid, m * sol.g.values),
             h_z=FieldMap(self.grid, m * sol.h_z.values),
             h_a=FieldMap(self.grid, m * sol.h_a.values),
@@ -350,25 +310,3 @@ def _reciprocal_condition(lu, anorm) -> float:
     gecon = la.get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm, norm="1")
     return float(rcond)
-
-
-def reconstruct_field(g: FieldMap, h_a: FieldMap, kernel_w: np.ndarray) -> FieldMap:
-    """Discretized Ampere sum H_z = H_a + (Q w) g.
-
-    `kernel_w` must be the cell-integrated kernel of the same grid in SI
-    units (entries 1/m); g in amperes.
-    """
-    return FieldMap(g.grid, h_a.values + kernel_w @ g.values)
-
-
-def solve_stream(
-    dipole: Dipole,
-    geometry: ApertureGeometry,
-    film: FilmSpec,
-    grid: Grid,
-    aperture_lambda_boost: float = APERTURE_LAMBDA_BOOST,
-    core_radii=None,
-) -> StreamSolution:
-    """One-shot solve; build a BrandtSystem directly to reuse factorization."""
-    system = BrandtSystem(geometry, film, grid, aperture_lambda_boost)
-    return system.solve(dipole, core_radii)

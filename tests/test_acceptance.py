@@ -115,6 +115,18 @@ def test_criterion_08_engine_cross_validation():
             f"band points")
 
 
+def test_sweep_engines_share_one_field_convention():
+    # not a numbered criterion: the numeric sweep reports the physical field,
+    # so both engines agree in sign and within criterion 8's tolerance
+    radii = np.geomspace(0.5e-6, 2e-6, 5)
+    numeric = sweep("centered", D_EDGE, radii, "numeric", n=40, y_offset=5e-9)
+    analytic = sweep("centered", D_EDGE, radii, "analytic", y_offset=5e-9)
+    assert numeric.metadata["field_convention"] == analytic.metadata["field_convention"]
+    assert np.all(np.sign(numeric.fields) == np.sign(analytic.fields))
+    delta_db = np.abs(20.0 * np.log10(numeric.fields / analytic.fields))
+    assert delta_db.max() < ENGINE_DB_TOL, delta_db
+
+
 def _centered_solution(n=60):
     geometry = Circle(R_UM)
     film = default_film(geometry)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -237,3 +238,32 @@ def test_cli_analytic_map_matches_pointwise_loop(tmp_path):
     assert len(data) == 21 * 21 - 1
     on_film = (data[:, 1] == 0.0) & (np.abs(data[:, 0]) >= radius)
     assert on_film.sum() == 12 and np.all(data[on_film, 2:] == 0.0)
+
+
+def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "o")
+    assert main(["solve", "--preset", "fig7a", "--grid", "abc", "--out", out]) == EXIT_CONFIG
+    # a rejected count must not reach the backend's environment either
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    monkeypatch.setenv("SCAPERTURE_THREADS", "x")
+    assert main(["solve", "--preset", "fig7a", "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("configuration error") == 3
+
+
+def test_cli_numeric_commands_honour_film_factors(tmp_path):
+    # a smaller film and grid around the same aperture move the partner field
+    for command, output in (("coupling", "coupling.json"), ("sweep", "sweep.json")):
+        results = []
+        for film_factor, grid_factor in ((90, 100), (40, 50)):
+            doc = json.loads(json.dumps(PRESETS["coupling300"]))
+            doc["film"].update(film_factor=film_factor, grid_factor=grid_factor)
+            doc["grid"]["n_x"] = doc["grid"]["n_y"] = 24
+            doc["sweep"]["radii_nm"] = [300, 400, 500, 600, 700]
+            cfgfile = tmp_path / f"{command}{film_factor}.json"
+            cfgfile.write_text(json.dumps(doc))
+            out = tmp_path / f"{command}{film_factor}"
+            assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+            results.append((out / output).read_bytes())
+        assert results[0] != results[1], command

@@ -10,7 +10,6 @@ from scaperture.geometry import (
     Ellipse,
     FilmSpec,
     default_film,
-    point_in_aperture,
 )
 
 
@@ -22,18 +21,18 @@ def test_dipole_requires_nonzero_moment():
 
 
 def test_circle_center_inside():
-    assert point_in_aperture(Circle(1.0), (0.0, 0.0))
+    assert Circle(1.0).contains(0.0, 0.0)
 
 
 def test_circle_boundary_is_superconductor():
     # the boundary belongs to the film side
-    assert not point_in_aperture(Circle(1.0), (1.0, 0.0))
+    assert not Circle(1.0).contains(1.0, 0.0)
 
 
 def test_dogbone_channel_membership():
     db = DogBone(end_radius=1.0, center_distance=10.0, channel_half_width=0.1)
-    assert point_in_aperture(db, (0.0, 0.05))
-    assert not point_in_aperture(db, (0.0, 0.5))
+    assert db.contains(0.0, 0.05)
+    assert not db.contains(0.0, 0.5)
 
 
 def test_dogbone_requires_nonoverlap():
@@ -70,7 +69,7 @@ def test_dogbone_union_matches_predicate():
             or (x - 5) ** 2 + y**2 < 1
             or (abs(x) < 5 and abs(y) < 0.1)
         )
-        assert point_in_aperture(db, (x, y)) == expect
+        assert db.contains(x, y) == expect
 
 
 def test_pearl_length():

@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 
 from scaperture.geometry import Circle, FilmSpec
-from scaperture.grid import make_grid
-from scaperture.solver.kernel import (
-    assemble_kernel,
-    boundary_correction,
-    cell_integrated_kernel,
-)
+from scaperture.grid import Grid, make_grid
+from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel
+
+
+def assemble_kernel(grid: Grid) -> np.ndarray:
+    """Point-sampled kernel times cell weights (midpoint quadrature).
+
+    Off-diagonal entries are -w_j / (4 pi |r_i - r_j|^3); the diagonal
+    carries the sum rule.
+    """
+    pts = grid.points
+    d2 = (pts[:, None, 0] - pts[None, :, 0]) ** 2 + (pts[:, None, 1] - pts[None, :, 1]) ** 2
+    np.fill_diagonal(d2, 1.0)
+    qw = -grid.weights[None, :] / (4 * np.pi * d2**1.5)
+    np.fill_diagonal(qw, 0.0)
+    np.fill_diagonal(qw, boundary_correction(grid) - qw.sum(axis=1))
+    return qw
 
 
 def small_grid(n=16, ratio=1.0):

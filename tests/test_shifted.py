@@ -2,17 +2,35 @@ import numpy as np
 import pytest
 
 from scaperture.analytic.centered import field_centered
-from scaperture.analytic.green import SingularityError, green_source_gradient
+from scaperture.analytic.green import SingularityError, green_circular, green_source_gradient
 from scaperture.analytic.inplane import field_inplane
-from scaperture.analytic.shifted import (
-    field_shifted,
-    field_shifted_bz_plane,
-    field_shifted_fd,
-)
+from scaperture.analytic.shifted import field_shifted, field_shifted_bz_plane
 from scaperture.constants import MU0
 from scaperture.geometry import ConfigurationError
 
 R = 1.0
+
+
+def field_shifted_fd(moment, x0: float, r, radius: float, h: float) -> np.ndarray:
+    """Cross-check oracle: both derivative levels by central differences of
+    plain kernel values (independent of the analytic gradient path)."""
+    moment = np.asarray(moment, dtype=float)
+    r = np.asarray(r, dtype=float)
+    src = np.array([x0, 0.0, 0.0])
+    mixed = np.zeros((3, 3))
+    for a in range(3):
+        ea = np.zeros(3)
+        ea[a] = h
+        for b in range(3):
+            eb = np.zeros(3)
+            eb[b] = h
+            mixed[a, b] = (
+                green_circular(r + ea, src + eb, radius).value
+                - green_circular(r + ea, src - eb, radius).value
+                - green_circular(r - ea, src + eb, radius).value
+                + green_circular(r - ea, src - eb, radius).value
+            ) / (4 * h * h)
+    return MU0 * (moment * np.trace(mixed) - moment @ mixed)
 
 
 def test_reduces_to_centered_at_zero_shift():

@@ -3,18 +3,11 @@ import pytest
 
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, default_film
-from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
+from scaperture.grid import REGION_EXTERIOR, FieldMap, make_grid
 from scaperture.solver import system as system_module
 from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.laplacian import div_lambda_grad
-from scaperture.solver.system import (
-    BrandtSystem,
-    _scaled_grid,
-    applied_field,
-    compensated_source,
-    reconstruct_field,
-    solve_stream,
-)
+from scaperture.solver.system import BrandtSystem, _scaled_grid, compensated_source
 
 R = 1e-6
 D_PROBE = 100e-9
@@ -44,11 +37,12 @@ def centered_grid(n=40, ratio=125.0):
 
 
 def test_applied_field_magnitude():
-    # independent constants arithmetic: m = 2 g mu_B evaluated directly
+    # independent constants arithmetic: m = 2 g mu_B evaluated directly;
+    # outside the return-flux core the source is m / (2 pi r^3)
     m = 2 * ELECTRON_G * BOHR_MAGNETON
     assert m == pytest.approx(3.7139e-23, rel=1e-4)
     geom, film, grid = centered_grid(n=24)
-    ha = applied_field(z_dipole(m), grid)
+    ha = compensated_source(z_dipole(m), grid)
     p = grid.index_of(1e-6, 0.0)
     r = np.hypot(*grid.points[p])
     assert ha.values[p] == pytest.approx(m / (2 * np.pi * r**3), rel=1e-12)
@@ -56,7 +50,7 @@ def test_applied_field_magnitude():
 
 def test_applied_field_inverse_cube():
     geom, film, grid = centered_grid(n=24)
-    ha = applied_field(z_dipole(), grid).values
+    ha = compensated_source(z_dipole(), grid).values
     pts = grid.points
     r = np.hypot(pts[:, 0], pts[:, 1])
     i = np.argmin(np.abs(r - 2e-6))
@@ -67,26 +61,15 @@ def test_applied_field_inverse_cube():
 
 def test_applied_field_azimuthal_symmetry():
     geom, film, grid = centered_grid(n=24)
-    ha = applied_field(z_dipole(), grid).values.reshape(grid.n_x, grid.n_y)
+    ha = compensated_source(z_dipole(), grid).values.reshape(grid.n_x, grid.n_y)
     # symmetric grid: mirror symmetry in both axes
     assert np.allclose(ha, ha[::-1, :], rtol=1e-12)
     assert np.allclose(ha, ha[:, ::-1], rtol=1e-12)
 
 
-def test_applied_field_coincident_point_capped():
-    geom = Circle(R)
-    film = default_film(geom)
-    # anchors snap as +- pairs and an anchor at 0 is rejected, so the
-    # coincident point sits off the x axis
-    grid = make_grid(geom, film, 24, 24, 10.0, anchor_x=[0.5 * R], anchor_y=[5e-9])
-    with pytest.warns(UserWarning, match="capped"):
-        ha = applied_field(z_dipole(x=0.5 * R, y=5e-9), grid)
-    assert np.all(np.isfinite(ha.values))
-
-
 def test_compensated_source_zero_net_flux():
     geom, film, grid = centered_grid()
-    src = compensated_source(z_dipole(), geom, grid)
+    src = compensated_source(z_dipole(), grid)
     total = src.values @ grid.weights
     scale = np.abs(src.values) @ grid.weights
     assert abs(total) < 1e-12 * scale
@@ -102,7 +85,7 @@ def test_zero_applied_gives_zero_solution():
 
 def test_exterior_g_exactly_zero():
     geom, film, grid = centered_grid(n=32)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     ext = grid.region == REGION_EXTERIOR
     assert ext.any()
     assert np.all(sol.g.values[ext] == 0.0)
@@ -124,7 +107,7 @@ def test_linearity_in_moment():
 
 def test_mirror_symmetry():
     geom, film, grid = centered_grid(n=32)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     g = sol.g.values.reshape(grid.n_x, grid.n_y)
     hz = sol.h_z.values.reshape(grid.n_x, grid.n_y)
     gmax = np.abs(g).max()
@@ -137,7 +120,7 @@ def test_mirror_symmetry():
 
 def test_aperture_stream_constant():
     geom, film, grid = centered_grid(n=40)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     assert sol.aperture_flatness < 0.05
     assert sol.aperture_current != 0.0
 
@@ -146,7 +129,7 @@ def test_current_conservation_exact():
     # J = (dg/dy, -dg/dx): tensor-product difference operators commute, so
     # the discrete divergence vanishes identically
     geom, film, grid = centered_grid(n=32)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     g = sol.g.values.reshape(grid.n_x, grid.n_y)
 
     def ddx(f):
@@ -169,7 +152,7 @@ def test_current_conservation_exact():
 
 def test_london_residual_small():
     geom, film, grid = centered_grid(n=32)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     assert sol.london_residual < 1e-6
 
 
@@ -194,10 +177,10 @@ def test_london_residual_reuses_build_rows(monkeypatch):
 
 def test_reconstruct_identity_and_far_field():
     geom, film, grid = centered_grid(n=32)
-    sol = solve_stream(z_dipole(), geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     kernel_si = cell_integrated_kernel(grid)
-    rebuilt = reconstruct_field(sol.g, sol.h_a, kernel_si)
-    assert np.allclose(rebuilt.values, sol.h_z.values, rtol=1e-9, atol=1e-18)
+    rebuilt = sol.h_a.values + kernel_si @ sol.g.values
+    assert np.allclose(rebuilt, sol.h_z.values, rtol=1e-9, atol=1e-18)
 
 
 def test_far_field_approaches_applied_for_isolated_patch():
@@ -231,7 +214,7 @@ def test_pearl_length_trend():
             extra_y_features=[(0.0, h_cap / 125.0, 0.4)],
             anchor_y=[5e-9],
         )
-        sol = solve_stream(z_dipole(), geom, film, grid)
+        sol = BrandtSystem(geom, film, grid).solve(z_dipole())
         line, _ = grid.x_line(5e-9)
         xs = grid.points[line, 0]
         inside = (xs > 0.2 * R) & (xs < R)
@@ -255,7 +238,7 @@ def test_convergence_cauchy():
             anchor_x=[R - D_PROBE],
             anchor_y=[5e-9],
         )
-        sol = solve_stream(z_dipole(), geom, film, grid)
+        sol = BrandtSystem(geom, film, grid).solve(z_dipole())
         p = grid.index_of(R - D_PROBE, 5e-9)
         vals.append(sol.h_z.values[p])
     d1 = abs(vals[1] - vals[0])
@@ -274,7 +257,7 @@ def test_off_plane_dipole_rejected():
     geom, film, grid = centered_grid(n=24)
     dipole = Dipole(position=[0.0, 0.0, 1e-9], moment=[0.0, 0.0, DEFAULT_MOMENT])
     with pytest.raises(ConfigurationError):
-        applied_field(dipole, grid)
+        compensated_source(dipole, grid)
 
 
 def test_dogbone_solve_smoke():
@@ -288,15 +271,14 @@ def test_dogbone_solve_smoke():
     grid = scenario_grid(geom, film, 40, dipole_x=x0,
                          probe_x=geom.edge_x - 100e-9, y_line=5e-9)
     dipole = Dipole(position=[x0, 0.0, 0.0], moment=[0, 0, DEFAULT_MOMENT])
-    sol = solve_stream(dipole, geom, film, grid)
+    sol = BrandtSystem(geom, film, grid).solve(dipole)
     assert sol.aperture_flatness < 0.05
     assert np.all(np.isfinite(sol.h_z.values))
 
 
 def test_reconstruct_zero_stream_returns_applied():
     geom, film, grid = centered_grid(n=24)
-    ha = applied_field(z_dipole(), grid)
-    zero_g = FieldMap(grid, np.zeros(grid.n_points))
+    ha = compensated_source(z_dipole(), grid)
     kernel_si = cell_integrated_kernel(grid)
-    out = reconstruct_field(zero_g, ha, kernel_si)
-    assert np.array_equal(out.values, ha.values)
+    out = ha.values + kernel_si @ np.zeros(grid.n_points)
+    assert np.array_equal(out, ha.values)

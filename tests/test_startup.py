@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants
 
 import scaperture
@@ -20,6 +21,31 @@ def test_constants_equal_scipy_codata():
     assert constants.PLANCK == scipy.constants.h
     assert constants.BOHR_MAGNETON == scipy.constants.physical_constants["Bohr magneton"][0]
     assert constants.ELECTRON_G == abs(scipy.constants.physical_constants["electron g factor"][0])
+
+
+def test_cli_import_loads_no_numpy():
+    # --threads is applied after the import and must precede numpy's BLAS
+    script = (
+        "import sys\n"
+        "import scaperture.cli\n"
+        "assert scaperture.cli.EXIT_OK == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_package_names_load_on_access():
+    from scaperture import Circle, ConfigurationError
+
+    assert Circle is geometry.Circle
+    assert ConfigurationError is geometry.ConfigurationError
+    for name in scaperture.__all__:
+        assert getattr(scaperture, name) is not None
+    with pytest.raises(AttributeError):
+        scaperture.point_in_aperture
 
 
 def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
