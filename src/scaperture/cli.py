@@ -69,13 +69,13 @@ def _resolve_config(args, command):
     from scaperture.io.config import load_config, parse_config, preset_config
 
     if args.preset and args.config:
-        raise SystemExit("use --preset or --config, not both")
+        raise ConfigurationError("use --preset or --config, not both")
     if args.preset:
         cfg = preset_config(args.preset, command)
     elif args.config:
         cfg = load_config(args.config, command)
     else:
-        raise SystemExit(f"{command}: provide --preset or --config")
+        raise ConfigurationError(f"{command}: provide --preset or --config")
     if args.grid:
         nx, _, ny = args.grid.partition("x")
         try:
@@ -170,7 +170,6 @@ def _cmd_solve(args) -> int:
         {
             "aperture_current_A": sol.aperture_current,
             "aperture_flatness": sol.aperture_flatness,
-            "london_residual": sol.london_residual,
             "condition_estimate": solved.system.condition_estimate,
         },
     )

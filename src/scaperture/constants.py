@@ -10,6 +10,7 @@ ELECTRON_G = 2.00231930436092     # |g_e|
 DEFAULT_MOMENT = 2.0 * ELECTRON_G * BOHR_MAGNETON
 
 GAUSS = 1e-4  # tesla
+MIN_FIT_RADII = 5  # fewest sweep radii the power-law fit is made from
 
 # thin-film material defaults: clean Nb layer
 DEFAULT_LONDON_DEPTH = 50e-9

@@ -13,15 +13,10 @@ import numpy as np
 
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, GAUSS
+from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
 from scaperture.solver.system import core_radii
-
-
-def field_db(b_tesla) -> np.ndarray:
-    """Field magnitude in dB relative to 1 gauss (amplitude convention)."""
-    return 20.0 * np.log10(np.abs(np.asarray(b_tesla)) / GAUSS)
 
 
 @dataclass(frozen=True)

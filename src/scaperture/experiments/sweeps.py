@@ -16,7 +16,7 @@ import numpy as np
 from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT
+from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
 from scaperture.experiments.smoothing import smooth
@@ -124,7 +124,7 @@ def sweep(
     else:
         sigma = np.zeros_like(fields)
 
-    fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= 5 else None
+    fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= MIN_FIT_RADII else None
     meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}
     if engine == "numeric":
         meta.update({"n": n, "ratio": ratio, "max_aperture_flatness": max(flatness)})

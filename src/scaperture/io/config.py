@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scaperture.constants import DEFAULT_MOMENT
+from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
 from scaperture.geometry import (
     ApertureGeometry,
     Circle,
@@ -120,8 +120,8 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
         # every engine builds square grids from n_x
         raise ConfigurationError(f"grid: n_x = {cfg.n_x} and n_y = {cfg.n_y} must be equal")
     if command == "sweep":
-        if len(cfg.sweep_radii) < 2:
-            raise ConfigurationError("sweep.radii_nm: need at least two radii")
+        if len(cfg.sweep_radii) < MIN_FIT_RADII:
+            raise ConfigurationError(f"sweep.radii_nm: the fit needs at least {MIN_FIT_RADII} radii")
         if cfg.sweep_d <= 0:
             raise ConfigurationError("sweep.d_nm must be positive")
     if command in ("solve", "compare", "coupling"):

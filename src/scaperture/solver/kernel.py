@@ -24,15 +24,15 @@ def boundary_correction(grid: Grid) -> np.ndarray:
     return out / (4 * np.pi)
 
 
-def _corner(u, v):
+def _corner(u, v, vv, v_zero):
     """Antiderivative corner term of the cell-integrated 1/s^3 kernel.
 
-    The zero value on the axes is the correct limit: corner differences
-    across u = 0 or v = 0 vanish.
+    `vv` is v * v and `v_zero` is v == 0.  The zero value on the axes is the
+    correct limit: corner differences across u = 0 or v = 0 vanish.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.sqrt(u * u + v * v) / (u * v)
-    return np.where((u == 0.0) | (v == 0.0), 0.0, f)
+        f = np.sqrt(u * u + vv) / (u * v)
+    return np.where((u == 0.0) | v_zero, 0.0, f)
 
 
 def kernel_rows(grid: Grid, rows) -> np.ndarray:
@@ -51,13 +51,16 @@ def kernel_rows(grid: Grid, rows) -> np.ndarray:
     pts = grid.points[rows]
     px, py = pts[:, 0], pts[:, 1]
     v = ym[None, :] - py[:, None]
+    vv, v_zero = v * v, v == 0.0
     ny = grid.n_y
     out = np.empty((len(rows), grid.n_points))
-    left = _corner((xm[0] - px)[:, None], v)
+    left = _corner((xm[0] - px)[:, None], v, vv, v_zero)
     for jx in range(grid.n_x):
-        right = _corner((xm[jx + 1] - px)[:, None], v)
-        block = -(right[:, 1:] - left[:, 1:] - right[:, :-1] + left[:, :-1])
-        out[:, jx * ny:(jx + 1) * ny] = -block / (4 * np.pi)
+        right = _corner((xm[jx + 1] - px)[:, None], v, vv, v_zero)
+        strip = right[:, 1:] - left[:, 1:]
+        strip -= right[:, :-1]
+        strip += left[:, :-1]
+        np.divide(strip, 4 * np.pi, out=out[:, jx * ny:(jx + 1) * ny])
         left = right
     own = (np.arange(len(rows)), rows)
     out[own] = 0.0
@@ -66,10 +69,6 @@ def kernel_rows(grid: Grid, rows) -> np.ndarray:
 
 
 def cell_integrated_kernel(grid: Grid) -> np.ndarray:
-    """Kernel integrated exactly over every Voronoi cell (the solver's form).
-
-    Every row of `kernel_rows`.  Near-singular entries are exact, which the
-    edge fields need: midpoint quadrature noise there swamps the
-    transmitted signal.
-    """
+    """Every row of `kernel_rows`: the kernel integrated exactly over every
+    Voronoi cell, whose exact near-singular entries the edge fields need."""
     return kernel_rows(grid, np.arange(grid.n_points))

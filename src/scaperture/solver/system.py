@@ -10,8 +10,13 @@ g = 0 and are eliminated.
 Grid and aperture are mirror-symmetric in x and in y, so the system
 commutes with both reflections and splits into four independent blocks,
 one per parity (even/odd in x times even/odd in y), each over the +x,+y
-quadrant.  Any source is split into its four parity parts, each part is
-solved in its block, and the parts are recombined on the whole grid.
+quadrant.  The quadrant's kernel rows are folded into the blocks' system
+buffers a few rows at a time, and the blocks are factored in place.  Any
+source is split into its four parity parts, each solved in its block, and
+the parts are recombined on the whole grid.  On a film row the system row
+is the London relation (E. H. Brandt, PRB 72, 024529 (2005)), so h_z there
+is the sparse operator applied to g; unscaled kernel rows, for
+h_z = h_a + K g, are kept only at the other points.
 """
 
 from __future__ import annotations
@@ -110,26 +115,6 @@ def _check_mirror_symmetric(grid: Grid) -> None:
         raise ConfigurationError("grid region labels must be mirror-symmetric in x and y")
 
 
-def _inner_film_points(grid: Grid) -> np.ndarray:
-    """Indices of the film points where the London residual is read.
-
-    Rows adjacent to the aperture discretize the edge condition through
-    interface faces, not the plain London relation, and are excluded, as
-    are the grid-boundary rows.
-    """
-    film2d = (grid.region == REGION_FILM).reshape(grid.n_x, grid.n_y)
-    ap2d = (grid.region == REGION_APERTURE).reshape(grid.n_x, grid.n_y)
-    near_ap = np.zeros_like(ap2d)
-    near_ap[1:, :] |= ap2d[:-1, :]
-    near_ap[:-1, :] |= ap2d[1:, :]
-    near_ap[:, 1:] |= ap2d[:, :-1]
-    near_ap[:, :-1] |= ap2d[:, 1:]
-    inner = film2d & ~near_ap
-    inner[0, :] = inner[-1, :] = False
-    inner[:, 0] = inner[:, -1] = False
-    return np.flatnonzero(inner)
-
-
 def _mirror_views(a: np.ndarray):
     """Views of the last two (x, y) axes on the +x,+y quadrant and on its
     images under x -> -x, y -> -y and both, each indexed outward from the axes."""
@@ -164,6 +149,31 @@ def _unfold(parts, shape) -> np.ndarray:
     return out.ravel()
 
 
+def _fold_kernel(sgrid: Grid, quad: np.ndarray, sq: np.ndarray, keep: np.ndarray):
+    """Kernel rows of the quadrant points `quad`, folded into the parity blocks.
+
+    Returns each block's rows and columns `sq` in a Fortran-order system
+    buffer and its rows `keep` (all columns, unscaled).  A row's sum-rule
+    self entry needs the whole unfolded row: rows are made n_y at a time.
+    """
+    nq, chunk, shape = len(quad), sgrid.n_y, (-1, sgrid.n_x, sgrid.n_y)
+    systems = [np.empty((len(sq), len(sq)), order="F") for _ in range(4)]
+    # zero rows pad the kept rows to whole groups of four, the unit in which
+    # OpenBLAS's matrix-vector kernel rounds: h_z = h_a + K g on those rows
+    # then rounds exactly as a product with the whole block would
+    kept = [np.zeros((-(-len(keep) // 4) * 4, nq)) for _ in range(4)]
+    for a in range(0, nq, chunk):
+        blocks = _hadamard(*_mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape)))
+        # the chunk's rows of sq and of keep are consecutive in the buffers
+        s0, s1 = np.searchsorted(sq, [a, a + chunk])
+        k0, k1 = np.searchsorted(keep, [a, a + chunk])
+        for block, system, kept_rows in zip(blocks, systems, kept):
+            block = block.reshape(-1, nq)
+            system[s0:s1] = np.take(block[sq[s0:s1] - a], sq, axis=1)
+            kept_rows[k0:k1] = block[keep[k0:k1] - a]
+    return systems, kept
+
+
 @dataclass(frozen=True)
 class StreamSolution:
     """Stream function g, reconstructed field and diagnostics."""
@@ -173,7 +183,6 @@ class StreamSolution:
     h_a: FieldMap                # the source actually applied, A/m
     aperture_current: float      # mean g over aperture points, amperes
     aperture_flatness: float     # std/|mean| of g over aperture points
-    london_residual: float       # max |H_z - div(Lambda grad g)| / max|H_z| on film
 
 
 class BrandtSystem:
@@ -208,36 +217,34 @@ class BrandtSystem:
         lam_hat = np.full(grid.n_points, lam_film / self.scale)
         lam_hat[grid.region == REGION_APERTURE] *= APERTURE_LAMBDA_BOOST
         lattice = div_lambda_grad(sgrid, lam_hat)
-        # Lambda is uniform around the film points the London residual reads,
-        # so the build's rows there are the plain London operator's
-        self._inner = _inner_film_points(grid)
-        self._london_rows = lattice[self._inner]
+        # the system row of a film point with an operator row is the London
+        # relation, so h_z there is the operator applied to g
+        film_rows = (grid.region == REGION_FILM) & (np.diff(lattice.indptr) > 0)
+        self._film = np.flatnonzero(film_rows)
+        self._london = lattice[self._film]
 
         self.solve_idx = np.flatnonzero(grid.region != REGION_EXTERIOR)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
         images = [v.ravel() for v in _mirror_views(flat)]
         quad = images[0]
         sq = self._solve_q = np.flatnonzero(grid.region[quad] != REGION_EXTERIOR)
-        # kernel rows of the quadrant, columns folded into the four blocks;
-        # kept unscaled for h_z = h_a + K g
-        rows = kernel_rows(sgrid, quad).reshape(len(quad), grid.n_x, grid.n_y)
-        self._kernel = [k.reshape(len(quad), -1) for k in _hadamard(*_mirror_views(rows))]
-        del rows
+        keep = self._keep = np.flatnonzero(~film_rows[quad])
+        systems, self._kernel = _fold_kernel(sgrid, quad, sq, keep)
         lattice_q = lattice[quad]
         lattice_blocks = _hadamard(*(lattice_q[:, cols] for cols in images))
 
         self._factors = []
         rconds = []
-        for kernel, lat in zip(self._kernel, lattice_blocks):
-            # gathered through the transpose: Fortran order, factored in place
-            system = kernel.T[np.ix_(sq, sq)].T
+        for system, lat in zip(systems, lattice_blocks):
             lat = lat[sq][:, sq].tocoo()  # exterior g is 0
-            np.subtract.at(system, (lat.row, lat.col), lat.data)
-            row_scale = np.max(np.abs(system), axis=1)
+            system[lat.row, lat.col] -= lat.data  # canonical: no repeated entry
+            row_scale = np.maximum(system.max(axis=1), -system.min(axis=1))
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
             system /= row_scale[:, None]
-            anorm = np.linalg.norm(system, 1)
+            # np.linalg.norm(system, 1), without a temporary |system|
+            anorm = max(np.abs(system[:, j:j + 256]).sum(axis=0).max()
+                        for j in range(0, len(system), 256))
             try:
                 lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=True)
             except la.LinAlgError as exc:
@@ -253,36 +260,31 @@ class BrandtSystem:
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
-        grid = self.grid
-        shape = (grid.n_x, grid.n_y)
+        shape = (self.grid.n_x, self.grid.n_y)
         parts = _hadamard(*_mirror_views(h_a.values.reshape(shape)))
         g_parts, kg_parts = [], []
         for part, (lu_piv, row_scale), kernel in zip(parts, self._factors, self._kernel):
-            g_part = np.zeros(kernel.shape[0])
+            g_part = np.zeros(kernel.shape[1])
             rhs = -0.25 * part.ravel()[self._solve_q] / row_scale
             g_part[self._solve_q] = la.lu_solve(lu_piv, rhs)
             g_parts.append(g_part.reshape(part.shape))
-            kg_parts.append((kernel @ g_part).reshape(part.shape))
+            kg_part = np.zeros(kernel.shape[1])
+            kg_part[self._keep] = (kernel @ g_part)[:len(self._keep)]
+            kg_parts.append(kg_part.reshape(part.shape))
         g_hat = _unfold(g_parts, shape)
         g = g_hat * self.scale  # amperes
         hz = h_a.values + _unfold(kg_parts, shape)
+        hz[self._film] = self._london @ g_hat
 
-        ap = self.grid.region == REGION_APERTURE
-        if ap.any():
-            current = float(np.mean(g[ap]))
-            flatness = float(np.std(g[ap]) / max(abs(current), 1e-300))
-        else:
-            current = 0.0
-            flatness = 0.0
-        peak = np.max(np.abs(hz)) or 1.0
-        residual = float(np.max(np.abs(hz[self._inner] - self._london_rows @ g_hat)) / peak)
+        g_ap = g[self.grid.region == REGION_APERTURE]
+        current = float(np.mean(g_ap)) if g_ap.size else 0.0
+        flatness = float(np.std(g_ap) / max(abs(current), 1e-300)) if g_ap.size else 0.0
         return StreamSolution(
             g=FieldMap(self.grid, g),
             h_z=FieldMap(self.grid, hz),
             h_a=h_a,
             aperture_current=current,
             aperture_flatness=flatness,
-            london_residual=residual,
         )
 
     def solve(self, dipole: Dipole) -> StreamSolution:
@@ -301,7 +303,6 @@ class BrandtSystem:
             h_a=FieldMap(self.grid, m * sol.h_a.values),
             aperture_current=m * sol.aperture_current,
             aperture_flatness=sol.aperture_flatness,
-            london_residual=sol.london_residual,
         )
 
 

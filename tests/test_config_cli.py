@@ -55,13 +55,24 @@ def test_empty_config_rejected(tmp_path):
 
 
 def test_cli_usage_and_config_exit_codes(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep"])  # no preset/config
-    assert exc.value.code not in (EXIT_OK, None)
+    assert main(["sweep"]) == EXIT_CONFIG  # no preset/config
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
+    assert main(["sweep", "--preset", "fig5c", "--config", str(empty)]) == EXIT_CONFIG
     code = main(["sweep", "--config", str(empty), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+def test_cli_sweep_with_too_few_radii_is_config_error(tmp_path, capsys):
+    # the power-law fit needs five radii; fewer used to end in an AttributeError
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(
+        {"engine": "analytic", "sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000]}}
+    ))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "radii" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
 
 
 def test_cli_analytic_fig4_curve(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
-from scaperture.experiments.compare import compare_engines, field_db
+from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
@@ -71,11 +71,6 @@ def test_compare_engines_centered_smoke():
     assert rep.sign_agreement > 0.95
     assert rep.exterior_peak_ratio < 0.01
     assert rep.convention_offset_db == pytest.approx(6.0206, abs=1e-3)
-
-
-def test_field_db_reference():
-    assert field_db(1e-4) == pytest.approx(0.0, abs=1e-12)
-    assert field_db(1e-3) == pytest.approx(20.0, abs=1e-9)
 
 
 def test_coupling_estimate_zero_field():

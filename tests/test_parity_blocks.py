@@ -3,7 +3,8 @@
 The oracle assembles the full system from `cell_integrated_kernel` and
 `div_lambda_grad`, scales every row by its largest entry and solves it
 densely, which is how the solver worked before it was split into parity
-blocks.
+blocks.  The field check rebuilds h_z = h_a + K g from the whole-grid
+kernel on every row, film rows included.
 """
 
 import numpy as np
@@ -16,7 +17,13 @@ from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ell
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid, build_grid
 from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.laplacian import div_lambda_grad
-from scaperture.solver.system import APERTURE_LAMBDA_BOOST, BrandtSystem
+from scaperture.solver.system import (
+    APERTURE_LAMBDA_BOOST,
+    BrandtSystem,
+    _fold_kernel,
+    _hadamard,
+    _mirror_views,
+)
 
 # (geometry, dipole x, dipole y); the probe sits 100 nm inside the right edge
 CASES = {
@@ -57,8 +64,10 @@ def dense_solve(system, h_a):
     return g_hat * scale, h_a + kernel @ g_hat
 
 
-@pytest.mark.parametrize("name,n", [("centered", 40), ("shifted", 40), ("off_axis", 36),
-                                    ("coupling300", 40), ("dogbone", 32)])
+SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40), ("dogbone", 32)]
+
+
+@pytest.mark.parametrize("name,n", SIZES)
 def test_blocks_match_dense_oracle(name, n):
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
@@ -69,24 +78,52 @@ def test_blocks_match_dense_oracle(name, n):
     assert np.all(sol.g.values[system.grid.region == REGION_EXTERIOR] == 0.0)
 
 
+@pytest.mark.parametrize("name,n", SIZES)
+def test_hz_matches_kernel_oracle_on_every_row(name, n):
+    # the solver reads film h_z off the London operator and keeps kernel rows
+    # only elsewhere; on every row h_z must be h_a + K g with the whole-grid K
+    system, dipole = build_case(name, n)
+    sol = system.solve(dipole)
+    kernel = cell_integrated_kernel(scaled_grid(system.grid, system.scale))
+    want = sol.h_a.values + kernel @ (sol.g.values / system.scale)
+    assert np.abs(sol.h_z.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     system, _ = build_case("off_axis", 32)
     grid = system.grid
+    sgrid = scaled_grid(grid, system.scale)
     nx, ny = grid.n_x, grid.n_y
     hx, hy = nx // 2, ny // 2
+    quad_rows = ((hx + np.arange(hx))[:, None] * ny + hy + np.arange(hy)[None, :]).ravel()
+    sq = system._solve_q
+    # the assembly with every quadrant row kept: 8 chunks of kernel rows here
+    systems, kept = _fold_kernel(sgrid, quad_rows, sq, np.arange(hx * hy))
+
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     x_image, y_image = (ix < hx).ravel(), (iy < hy).ravel()
     quad_col = (np.where(ix < hx, hx - 1 - ix, ix - hx) * hy
                 + np.where(iy < hy, hy - 1 - iy, iy - hy)).ravel()
     # blocks in the order (even x, even y), (odd x, even y), (even x, odd y), (odd x, odd y)
     rows = np.zeros((hx * hy, grid.n_points))
-    for block, (px, py) in zip(system._kernel, [(1, 1), (-1, 1), (1, -1), (-1, -1)]):
+    for block, (px, py) in zip(kept, [(1, 1), (-1, 1), (1, -1), (-1, -1)]):
         sign = np.where(x_image, px, 1) * np.where(y_image, py, 1)
         rows += 0.25 * sign * block[:, quad_col]
-    quad_rows = ((hx + np.arange(hx))[:, None] * ny + hy + np.arange(hy)[None, :]).ravel()
-    want = cell_integrated_kernel(scaled_grid(grid, system.scale))[quad_rows]
-    err = np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)
+    full = cell_integrated_kernel(sgrid)[quad_rows]
+    err = np.abs(rows - full).max(axis=1) / np.abs(full).max(axis=1)
     assert err.max() <= 1e-12
+
+    # entry for entry the fold of the whole-grid rows, in the same order of
+    # additions; the system buffers hold rows and columns sq of it
+    folded = _hadamard(*_mirror_views(full.reshape(hx * hy, nx, ny)))
+    for block, want, buffer in zip(kept, folded, systems):
+        assert np.array_equal(block, want.reshape(hx * hy, hx * hy))
+        assert buffer.flags.f_contiguous
+        assert np.array_equal(buffer, block[np.ix_(sq, sq)])
+    # and the build kept exactly its rows `_keep`
+    for block, want in zip(system._kernel, kept):
+        assert np.array_equal(block[:len(system._keep)], want[system._keep])
+        assert not block[len(system._keep):].any()
 
 
 def test_rejects_grid_without_mirror_symmetry():

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
+from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, default_film
-from scaperture.grid import REGION_EXTERIOR, FieldMap, make_grid
-from scaperture.solver import system as system_module
+from scaperture.grid import REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
+from scaperture.io.config import preset_config
 from scaperture.solver.kernel import cell_integrated_kernel
-from scaperture.solver.laplacian import div_lambda_grad
-from scaperture.solver.system import BrandtSystem, _scaled_grid, compensated_source
+from scaperture.solver.system import BrandtSystem, compensated_source
 
 R = 1e-6
 D_PROBE = 100e-9
@@ -150,29 +152,51 @@ def test_current_conservation_exact():
     assert np.abs(div).max() * width < 1e-9 * jscale
 
 
-def test_london_residual_small():
-    geom, film, grid = centered_grid(n=32)
-    sol = BrandtSystem(geom, film, grid).solve(z_dipole())
-    assert sol.london_residual < 1e-6
+def kept_kernel_rows(grid):
+    """Quadrant points whose h_z needs a kernel row: aperture and exterior
+    points, and grid-boundary points, where div_lambda_grad has no row."""
+    h = grid.n_x // 2
+    region = grid.region.reshape(grid.n_x, grid.n_y)[h:, h:]
+    boundary = np.zeros((h, h), dtype=bool)
+    boundary[-1, :] = boundary[:, -1] = True
+    return np.flatnonzero((region != REGION_FILM) | boundary)
 
 
-def test_london_residual_reuses_build_rows(monkeypatch):
-    # the rows kept from the build equal the uniform-Lambda London operator's
-    # at the points the residual reads, entry for entry, so the residual is
-    # what a fresh operator gives, without one per solve
-    geom, film, grid = centered_grid(n=32)
+def test_build_memory_and_kept_kernel_rows():
+    # fig7a scene at n = 60: four 784^2 system blocks are 18.8 MiB; the
+    # build used to peak at 62 MiB with a quadrant-by-grid row strip and
+    # four unscaled quadrant kernel blocks
+    cfg = preset_config("fig7a", "solve")
+    grid = scenario_grid(cfg.geometry, cfg.film, cfg.n_x, dipole_x=cfg.dipole_x,
+                         probe_x=cfg.geometry.edge_x - cfg.sweep_d, y_line=cfg.y_offset,
+                         ratio=cfg.ratio)
+    tracemalloc.start()
+    try:
+        system = BrandtSystem(cfg.geometry, cfg.film, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+    want = kept_kernel_rows(grid)
+    assert np.array_equal(system._keep, want)
+    assert len(want) < 0.2 * (grid.n_x // 2) ** 2
+    for kernel in system._kernel:
+        assert len(want) <= kernel.shape[0] < len(want) + 4
+
+
+def test_kernel_rows_kept_for_film_on_the_grid_edge():
+    # a film reaching the grid edge has film points without an operator row
+    geom = Circle(R)
+    film = FilmSpec(film_half_extent=20 * R, grid_half_extent=20 * R)
+    grid = make_grid(geom, film, 24, 24, 40.0)
+    assert not np.any(grid.region == REGION_EXTERIOR)
     system = BrandtSystem(geom, film, grid)
-    lam = np.full(grid.n_points, film.pearl_length / system.scale)
-    london = div_lambda_grad(_scaled_grid(grid, system.scale), lam)[system._inner]
-    kept = system._london_rows
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(kept, attr), getattr(london, attr))
+    assert np.array_equal(system._keep, kept_kernel_rows(grid))
 
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("solve rebuilt the London operator")
-
-    monkeypatch.setattr(system_module, "div_lambda_grad", no_rebuild)
-    assert system.solve(z_dipole()).london_residual < 1e-6
+    sol = system.solve(z_dipole())
+    rebuilt = sol.h_a.values + cell_integrated_kernel(grid) @ sol.g.values
+    assert np.abs(sol.h_z.values - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
 
 
 def test_reconstruct_identity_and_far_field():
