@@ -169,15 +169,13 @@ def _cmd_solve(args) -> int:
         out / "summary.json",
         {
             "aperture_current_A": sol.aperture_current,
-            "aperture_flatness": sol.aperture_flatness,
             "condition_estimate": solved.system.condition_estimate,
         },
     )
     write_manifest(out / "manifest.json", "solve", cfg.raw, args.threads_resolved)
     print(f"hz: {out / 'hz.csv'}")
     print(f"g: {out / 'g.csv'}")
-    print(f"aperture current: {sol.aperture_current:.6e} A "
-          f"(flatness {sol.aperture_flatness:.2e})")
+    print(f"aperture current: {sol.aperture_current:.6e} A")
     return EXIT_OK
 
 

@@ -103,20 +103,17 @@ def sweep(
 
     lengths = np.array([_separation(scenario, r, d) for r in radii])
     fields = np.empty_like(lengths)
-    flatness = []
     for i, radius in enumerate(radii):
         if engine == "analytic":
             fields[i] = _analytic_point(scenario, moment, radius, d, y_offset)
         else:
             geometry = Ellipse(a=radius, b=b) if scenario == "ellipse" else Circle(radius)
-            solved = solve_scenario(
+            # only the probe value outlives the call, so no two systems coexist
+            fields[i] = solve_scenario(
                 geometry, film(geometry), n, ratio=ratio,
                 dipole_x=0.0 if scenario == "centered" else -(radius - d),
                 moment=moment, probe_x=radius - d, y_line=y_offset,
-            )
-            fields[i] = solved.b_probe
-            flatness.append(solved.solution.aperture_flatness)
-            del solved  # so the next radius's system is not built beside this one
+            ).b_probe
 
     if smooth_window > 1:
         smoothed, sigma = smooth(fields, smooth_window)
@@ -127,7 +124,7 @@ def sweep(
     fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= MIN_FIT_RADII else None
     meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}
     if engine == "numeric":
-        meta.update({"n": n, "ratio": ratio, "max_aperture_flatness": max(flatness)})
+        meta.update({"n": n, "ratio": ratio})
         if scenario == "ellipse":
             meta["b"] = b
     return SweepResult(

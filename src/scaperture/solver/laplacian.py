@@ -12,47 +12,44 @@ def div_lambda_grad(grid: Grid, lam: np.ndarray) -> sp.csr_matrix:
     """Flux-form operator div(Lambda grad g) with harmonic face means.
 
     For uniform Lambda this equals Lambda times the five-point Laplacian on
-    any spacing.  The divergence form is what suppresses currents inside
-    huge-Lambda regions (apertures); scaling Laplacian rows by a per-point
-    Lambda would only penalize curvature and let current leak through.
+    any spacing.  Lambda may be infinite (on an aperture): a face mean
+    2 / (1/Lambda + 1/Lambda') is then 2 Lambda' toward a finite neighbor
+    and 0 between two infinite points, so the matrix stays finite.
     """
     nx, ny = grid.n_x, grid.n_y
-    lamg = np.asarray(lam, dtype=float).reshape(nx, ny)
+    inv = 1.0 / np.asarray(lam, dtype=float).reshape(nx, ny)
     hx = np.diff(grid.x)
     hy = np.diff(grid.y)
 
-    rows, cols, vals = [], [], []
     ix = np.arange(1, nx - 1)
     iy = np.arange(1, ny - 1)
     ixg, iyg = np.meshgrid(ix, iy, indexing="ij")
     p = (ixg * ny + iyg).ravel()
     ixf, iyf = ixg.ravel(), iyg.ravel()
 
-    lc = lamg[ixf, iyf]
+    inv_c = inv[ixf, iyf]
 
-    def face(lother):
-        return 2.0 * lc * lother / (lc + lother)
+    def face(inv_other):
+        total = inv_c + inv_other
+        return np.divide(2.0, total, out=np.zeros_like(total), where=total > 0)
 
     hxl, hxr = hx[ixf - 1], hx[ixf]
     wx = 0.5 * (hxl + hxr)
-    lfl = face(lamg[ixf - 1, iyf])
-    lfr = face(lamg[ixf + 1, iyf])
+    lfl = face(inv[ixf - 1, iyf])
+    lfr = face(inv[ixf + 1, iyf])
     hyl, hyr = hy[iyf - 1], hy[iyf]
     wy = 0.5 * (hyl + hyr)
-    lfd = face(lamg[ixf, iyf - 1])
-    lfu = face(lamg[ixf, iyf + 1])
+    lfd = face(inv[ixf, iyf - 1])
+    lfu = face(inv[ixf, iyf + 1])
 
-    for dcol, val in (
-        (-ny, lfl / (hxl * wx)),
-        (ny, lfr / (hxr * wx)),
-        (-1, lfd / (hyl * wy)),
-        (1, lfu / (hyr * wy)),
-        (0, -(lfl / hxl + lfr / hxr) / wx - (lfd / hyl + lfu / hyr) / wy),
-    ):
-        rows.append(p)
-        cols.append(p + dcol)
-        vals.append(val)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_points, grid.n_points))
+    offsets = (-ny, ny, -1, 1, 0)
+    vals = (
+        lfl / (hxl * wx),
+        lfr / (hxr * wx),
+        lfd / (hyl * wy),
+        lfu / (hyr * wy),
+        -(lfl / hxl + lfr / hxr) / wx - (lfd / hyl + lfu / hyr) / wy,
+    )
+    cols = np.concatenate([p + d for d in offsets])
+    return sp.csr_matrix((np.concatenate(vals), (np.tile(p, len(offsets)), cols)),
+                         shape=(grid.n_points, grid.n_points))

@@ -2,37 +2,35 @@
 
 Builds the dense system coupling the sheet-current kernel with the 2D
 London relation and solves for the stream function g, from which the
-perpendicular field follows by the discretized Ampere sum.  Apertures stay
-in the system with a hugely boosted local screening length, which drives g
-to the constant circulating-current value there; exterior points carry
-g = 0 and are eliminated.
+perpendicular field follows by the discretized Ampere sum.  As in Brandt's
+treatment of holes in thin films (E. H. Brandt, PRB 72, 024529 (2005)), g
+on the aperture is one unknown constant, the circulating current I, closed
+by one fluxoid row: the cell-area-weighted sum of the aperture rows.
+Exterior points carry g = 0 and are eliminated.
 
-Grid and aperture are mirror-symmetric in x and in y, so the system
-commutes with both reflections and splits into four independent blocks,
-one per parity (even/odd in x times even/odd in y), each over the +x,+y
-quadrant.  The quadrant's kernel rows are folded into the blocks' system
-buffers a few rows at a time, and the blocks are factored in place.  Any
-source is split into its four parity parts, each solved in its block, and
-the parts are recombined on the whole grid.  On a film row the system row
-is the London relation (E. H. Brandt, PRB 72, 024529 (2005)), so h_z there
-is the sparse operator applied to g; unscaled kernel rows, for
-h_z = h_a + K g, are kept only at the other points.
+Grid and aperture are mirror-symmetric in x and in y, so the system splits
+into four blocks, one per parity (even/odd in x times even/odd in y), each
+over the +x,+y quadrant; I is even-even, so the odd blocks have g = 0 on
+the aperture.  The quadrant's kernel rows are folded into the blocks a few
+rows at a time, and the blocks are factored in place.  On a film row the
+system row is the London relation, so h_z there is the sparse operator
+applied to g; kernel rows, for h_z = h_a + K g, are kept only elsewhere.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
 from scaperture.solver.kernel import kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
 
-APERTURE_LAMBDA_BOOST = 1e6
 _SCALE_DIVISOR = 100.0  # internal coordinates span about +-100
 
 
@@ -43,23 +41,19 @@ def _z_moment(dipole: Dipole) -> float:
     return float(m[2])
 
 
-def _local_spacing(coords: np.ndarray, value: float) -> float:
-    i = int(np.argmin(np.abs(coords - value)))
-    i = min(max(i, 0), len(coords) - 2)
-    return float(coords[i + 1] - coords[i])
-
-
 def core_radii(grid: Grid, dipole: Dipole):
     """Return-flux core semi-axes: as small as grid support allows.
 
     The raw tail should survive everywhere the physics is read off, so the
-    core only needs to cover a couple of cells around the dipole; the bump
-    itself is restricted to aperture points.
+    core only needs to cover a couple of cells around the dipole, 2.2 times
+    the grid interval that contains it along each axis; the bump itself is
+    restricted to aperture points.
     """
-    x0, y0 = dipole.position[0], dipole.position[1]
-    hx = _local_spacing(grid.x, x0)
-    hy = _local_spacing(grid.y, y0)
-    return 2.2 * hx, 2.2 * hy
+    radii = []
+    for axis, value in ((grid.x, dipole.position[0]), (grid.y, dipole.position[1])):
+        i = min(max(int(np.searchsorted(axis, value, side="right")) - 1, 0), len(axis) - 2)
+        radii.append(2.2 * float(axis[i + 1] - axis[i]))
+    return tuple(radii)
 
 
 def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
@@ -94,13 +88,8 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
 
 def _scaled_grid(grid: Grid, scale: float) -> Grid:
     """The grid with lengths in units of `scale`."""
-    return Grid(
-        x=grid.x / scale,
-        y=grid.y / scale,
-        half_extent=grid.half_extent / scale,
-        region=grid.region,
-        weights=grid.weights / scale**2,
-    )
+    return replace(grid, x=grid.x / scale, y=grid.y / scale,
+                   half_extent=grid.half_extent / scale, weights=grid.weights / scale**2)
 
 
 def _check_mirror_symmetric(grid: Grid) -> None:
@@ -149,40 +138,56 @@ def _unfold(parts, shape) -> np.ndarray:
     return out.ravel()
 
 
-def _fold_kernel(sgrid: Grid, quad: np.ndarray, sq: np.ndarray, keep: np.ndarray):
+def _block_maps(film: np.ndarray, hole, weights: np.ndarray):
+    """Sparse maps between the quadrant and one parity block's unknowns: g on
+    the quadrant points `film`, then, given a `hole`, the aperture's constant I.
+
+    `collapse` gives quadrant g from the unknowns (0 elsewhere); `fold` gives
+    the block's rows from quadrant rows: the film rows, then with a hole the
+    fluxoid row, the sum of the hole rows weighted by `weights` (cell areas).
+    """
+    points = film if hole is None else np.concatenate([film, hole])
+    unknowns = np.minimum(np.arange(len(points)), len(film))  # the hole's are all I
+    shape = (len(weights), len(film) + (hole is not None))
+    collapse = sp.csr_matrix((np.ones(len(points)), (points, unknowns)), shape=shape)
+    fold = sp.csr_matrix((weights[points], (unknowns, points)), shape=shape[::-1])
+    return collapse, fold
+
+
+def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarray, maps):
     """Kernel rows of the quadrant points `quad`, folded into the parity blocks.
 
-    Returns each block's rows and columns `sq` in a Fortran-order system
-    buffer and its rows `keep` (all columns, unscaled).  A row's sum-rule
-    self entry needs the whole unfolded row: rows are made n_y at a time.
+    Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
+    `_block_maps`; it is returned in a Fortran-order system buffer, with the
+    block's rows `keep` on its unknowns (unscaled).  The film rows are made
+    n_y at a time, since a row's sum-rule self entry needs the whole unfolded
+    row; the fluxoid row sums kept hole rows.
     """
     nq, chunk, shape = len(quad), sgrid.n_y, (-1, sgrid.n_x, sgrid.n_y)
-    systems = [np.empty((len(sq), len(sq)), order="F") for _ in range(4)]
-    # zero rows pad the kept rows to whole groups of four, the unit in which
-    # OpenBLAS's matrix-vector kernel rounds: h_z = h_a + K g on those rows
-    # then rounds exactly as a product with the whole block would
-    kept = [np.zeros((-(-len(keep) // 4) * 4, nq)) for _ in range(4)]
+    systems = [np.empty((fold.shape[0],) * 2, order="F") for _, fold in maps]
+    kept = [np.empty((len(keep), fold.shape[0])) for _, fold in maps]
     for a in range(0, nq, chunk):
         blocks = _hadamard(*_mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape)))
-        # the chunk's rows of sq and of keep are consecutive in the buffers
-        s0, s1 = np.searchsorted(sq, [a, a + chunk])
+        # the chunk's rows of film and of keep are consecutive in the buffers
+        f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
-        for block, system, kept_rows in zip(blocks, systems, kept):
+        for block, (collapse, _), system, kept_rows in zip(blocks, maps, systems, kept):
             block = block.reshape(-1, nq)
-            system[s0:s1] = np.take(block[sq[s0:s1] - a], sq, axis=1)
-            kept_rows[k0:k1] = block[keep[k0:k1] - a]
+            system[f0:f1] = block[film[f0:f1] - a] @ collapse
+            kept_rows[k0:k1] = block[keep[k0:k1] - a] @ collapse
+    for (_, fold), system, kept_rows in zip(maps, systems, kept):
+        system[len(film):] = fold[len(film):, keep] @ kept_rows
     return systems, kept
 
 
 @dataclass(frozen=True)
 class StreamSolution:
-    """Stream function g, reconstructed field and diagnostics."""
+    """Stream function g and reconstructed field."""
 
     g: FieldMap                  # amperes
     h_z: FieldMap                # A/m
     h_a: FieldMap                # the source actually applied, A/m
-    aperture_current: float      # mean g over aperture points, amperes
-    aperture_flatness: float     # std/|mean| of g over aperture points
+    aperture_current: float      # g on the aperture, amperes
 
 
 class BrandtSystem:
@@ -214,8 +219,9 @@ class BrandtSystem:
 
         # dimensionless assembly: lengths in units of scale
         sgrid = _scaled_grid(grid, self.scale)
-        lam_hat = np.full(grid.n_points, lam_film / self.scale)
-        lam_hat[grid.region == REGION_APERTURE] *= APERTURE_LAMBDA_BOOST
+        # Lambda is infinite on the aperture: no face between two aperture
+        # points carries current, and a film-aperture face carries 2 Lambda
+        lam_hat = np.where(grid.region == REGION_APERTURE, np.inf, lam_film / self.scale)
         lattice = div_lambda_grad(sgrid, lam_hat)
         # the system row of a film point with an operator row is the London
         # relation, so h_z there is the operator applied to g
@@ -223,21 +229,27 @@ class BrandtSystem:
         self._film = np.flatnonzero(film_rows)
         self._london = lattice[self._film]
 
-        self.solve_idx = np.flatnonzero(grid.region != REGION_EXTERIOR)
+        self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
         images = [v.ravel() for v in _mirror_views(flat)]
         quad = images[0]
-        sq = self._solve_q = np.flatnonzero(grid.region[quad] != REGION_EXTERIOR)
+        region_q = grid.region[quad]
+        film_q = np.flatnonzero(region_q == REGION_FILM)
+        hole_q = np.flatnonzero(region_q == REGION_APERTURE)
+        weights = np.where(region_q == REGION_APERTURE, sgrid.weights[quad], 1.0)
+        # I is even in x and in y, so the odd blocks have g = 0 on the hole
+        self._maps = [_block_maps(film_q, hole_q if b == 0 else None, weights)
+                      for b in range(4)]
         keep = self._keep = np.flatnonzero(~film_rows[quad])
-        systems, self._kernel = _fold_kernel(sgrid, quad, sq, keep)
+        systems, self._kernel = _fold_kernel(sgrid, quad, film_q, keep, self._maps)
         lattice_q = lattice[quad]
         lattice_blocks = _hadamard(*(lattice_q[:, cols] for cols in images))
 
         self._factors = []
         rconds = []
-        for system, lat in zip(systems, lattice_blocks):
-            lat = lat[sq][:, sq].tocoo()  # exterior g is 0
-            system[lat.row, lat.col] -= lat.data  # canonical: no repeated entry
+        for system, lat, (collapse, fold) in zip(systems, lattice_blocks, self._maps):
+            lat = (fold @ lat @ collapse).tocoo()
+            system[lat.row, lat.col] -= lat.data  # a product: no repeated entry
             row_scale = np.maximum(system.max(axis=1), -system.min(axis=1))
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
@@ -252,7 +264,9 @@ class BrandtSystem:
             rconds.append(_reciprocal_condition(lu_piv[0], anorm))
             self._factors.append((lu_piv, row_scale))
         rcond = min(rconds)
-        self.condition_estimate = 1.0 / max(rcond, 1e-300)
+        # LAPACK's estimate is good to a small factor, and gecon's last digits
+        # vary between runs with the same factors: keep 3 significant digits
+        self.condition_estimate = float(f"{1.0 / max(rcond, 1e-300):.3g}")
         if rcond < 1e-14:
             raise SolverError(
                 f"system is numerically singular (condition ~ {self.condition_estimate:.2e})"
@@ -262,29 +276,23 @@ class BrandtSystem:
         """Solve for an explicit applied-field map (A/m)."""
         shape = (self.grid.n_x, self.grid.n_y)
         parts = _hadamard(*_mirror_views(h_a.values.reshape(shape)))
-        g_parts, kg_parts = [], []
-        for part, (lu_piv, row_scale), kernel in zip(parts, self._factors, self._kernel):
-            g_part = np.zeros(kernel.shape[1])
-            rhs = -0.25 * part.ravel()[self._solve_q] / row_scale
-            g_part[self._solve_q] = la.lu_solve(lu_piv, rhs)
-            g_parts.append(g_part.reshape(part.shape))
-            kg_part = np.zeros(kernel.shape[1])
-            kg_part[self._keep] = (kernel @ g_part)[:len(self._keep)]
+        unknowns, g_parts, kg_parts = [], [], []
+        for part, (lu_piv, row_scale), kernel, (collapse, fold) in zip(
+                parts, self._factors, self._kernel, self._maps):
+            u = la.lu_solve(lu_piv, -0.25 * (fold @ part.ravel()) / row_scale)
+            unknowns.append(u)
+            g_parts.append((collapse @ u).reshape(part.shape))
+            kg_part = np.zeros(part.size)
+            kg_part[self._keep] = kernel @ u
             kg_parts.append(kg_part.reshape(part.shape))
         g_hat = _unfold(g_parts, shape)
-        g = g_hat * self.scale  # amperes
         hz = h_a.values + _unfold(kg_parts, shape)
         hz[self._film] = self._london @ g_hat
-
-        g_ap = g[self.grid.region == REGION_APERTURE]
-        current = float(np.mean(g_ap)) if g_ap.size else 0.0
-        flatness = float(np.std(g_ap) / max(abs(current), 1e-300)) if g_ap.size else 0.0
         return StreamSolution(
-            g=FieldMap(self.grid, g),
+            g=FieldMap(self.grid, g_hat * self.scale),  # amperes
             h_z=FieldMap(self.grid, hz),
             h_a=h_a,
-            aperture_current=current,
-            aperture_flatness=flatness,
+            aperture_current=float(unknowns[0][-1] * self.scale),  # I, even-even
         )
 
     def solve(self, dipole: Dipole) -> StreamSolution:
@@ -302,7 +310,6 @@ class BrandtSystem:
             h_z=FieldMap(self.grid, m * sol.h_z.values),
             h_a=FieldMap(self.grid, m * sol.h_a.values),
             aperture_current=m * sol.aperture_current,
-            aperture_flatness=sol.aperture_flatness,
         )
 
 

@@ -15,7 +15,7 @@ from scaperture.experiments.coupling import numeric_coupling
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, Dipole, Ellipse, default_film
 from scaperture.experiments.grids import scenario_grid
-from scaperture.grid import REGION_EXTERIOR
+from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR
 from scaperture.solver.system import BrandtSystem
 
 R_UM = 1e-6
@@ -141,7 +141,8 @@ def test_criterion_09_stream_function_invariants():
     grid, system, sol = _centered_solution()
     ext = grid.region == REGION_EXTERIOR
     exterior_zero = bool(np.all(sol.g.values[ext] == 0.0))
-    flat_ok = sol.aperture_flatness < 0.05
+    g_hole = sol.g.values[grid.region == REGION_APERTURE]
+    flat_ok = bool(g_hole.size and np.all(g_hole == sol.aperture_current))
 
     g = sol.g.values.reshape(grid.n_x, grid.n_y)
 
@@ -171,8 +172,8 @@ def test_criterion_09_stream_function_invariants():
     sym_ok = sym < 1e-9
     ok = exterior_zero and flat_ok and div_ok and sym_ok
     _report(9, "stream-function invariants", ok,
-            f"exterior g = 0: {exterior_zero}; aperture std/|mean| "
-            f"{sol.aperture_flatness:.2e} < 0.05; div J {div_rel:.2e} < 1e-9; "
+            f"exterior g = 0: {exterior_zero}; aperture g = I exactly: {flat_ok}; "
+            f"div J {div_rel:.2e} < 1e-9; "
             f"mirror asymmetry {sym:.2e} < 1e-9")
 
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scaperture
 from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
@@ -140,6 +144,19 @@ def test_cli_solve_and_manifest_determinism(tmp_path):
     out3 = tmp_path / "c"
     assert main(["solve", "--config", str(cfgfile2), "--out", str(out3)]) == EXIT_OK
     assert (out3 / "manifest.json").read_bytes() == (out1 / "manifest.json").read_bytes()
+
+
+def test_cli_solve_summary_identical_across_processes(tmp_path):
+    # each run is a fresh process, as a rerun by hand would be
+    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
+    summaries = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        subprocess.run([sys.executable, "-m", "scaperture.cli", "solve", "--preset", "fig7a",
+                        "--grid", "24", "--threads", "1", "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):

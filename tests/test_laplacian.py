@@ -133,3 +133,25 @@ def test_divergence_form_blocks_gradient_through_barrier():
     # boundary must produce enormous values, penalizing the through-current
     boundary_rows = inner & (np.abs(np.abs(pts[:, 0]) - 2.0) < 1.2)
     assert np.abs(out[boundary_rows]).max() > 1e6
+
+
+def test_infinite_lambda_is_the_boost_limit():
+    # an infinite-Lambda stripe: faces inside it carry 0, faces toward the
+    # finite side carry the large-Lambda limit 2 Lambda, no entry is infinite
+    grid = grid_with_ratio(20, 1.0)
+    lam = np.ones(grid.n_points)
+    stripe = np.abs(grid.points[:, 0]) < 2.0
+    lam[stripe] = np.inf
+    op = div_lambda_grad(grid, lam).toarray()
+    assert np.all(np.isfinite(op))
+    boosted = lam.copy()
+    boosted[stripe] = 1e12
+    limit = div_lambda_grad(grid, boosted).toarray()
+    scale = np.abs(op).max()
+    # rows off the stripe, and the stripe rows' couplings off the stripe
+    assert np.abs(op[~stripe] - limit[~stripe]).max() <= 1e-9 * scale
+    assert np.abs(op[np.ix_(stripe, ~stripe)] - limit[np.ix_(stripe, ~stripe)]).max() <= 1e-9 * scale
+    inside = op[np.ix_(stripe, stripe)]
+    assert not (inside - np.diag(np.diag(inside))).any()
+    # constants are still annihilated
+    assert np.abs(op.sum(axis=1)).max() <= 1e-12 * scale

@@ -1,10 +1,14 @@
-"""The mirror-parity block solver against a dense whole-grid oracle.
+"""The mirror-parity block solver against dense whole-grid oracles.
 
-The oracle assembles the full system from `cell_integrated_kernel` and
-`div_lambda_grad`, scales every row by its largest entry and solves it
-densely, which is how the solver worked before it was split into parity
-blocks.  The field check rebuilds h_z = h_a + K g from the whole-grid
-kernel on every row, film rows included.
+The exact oracle assembles the whole-grid system from
+`cell_integrated_kernel` and `div_lambda_grad`, with g on the film points
+and the hole's one constant as unknowns, the film rows and the fluxoid row
+(the cell-area-weighted sum of the hole rows) as rows, no parity split;
+it scales every row by its largest entry and solves densely.  The limit
+oracle keeps every hole point as an unknown with a finite Lambda boosted
+by 1e8, whose solution tends to the exact hole as the boost grows.  The
+field check rebuilds h_z = h_a + K g from the whole-grid kernel on every
+row, film rows included.
 """
 
 import numpy as np
@@ -18,8 +22,8 @@ from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid,
 from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import (
-    APERTURE_LAMBDA_BOOST,
     BrandtSystem,
+    _block_maps,
     _fold_kernel,
     _hadamard,
     _mirror_views,
@@ -49,19 +53,42 @@ def build_case(name, n):
     return system, dipole
 
 
-def dense_solve(system, h_a):
-    """g (amperes) and h_z from the whole-grid system, row-scaled and solved densely."""
+def row_scaled_solve(a, b):
+    row_scale = np.abs(a).max(axis=1)
+    return la.solve(a / row_scale[:, None], b / row_scale)
+
+
+def dense_exact_solve(system, h_a):
+    """g (amperes) and h_z from the whole-grid exact-hole system."""
+    grid, scale = system.grid, system.scale
+    sgrid = scaled_grid(grid, scale)
+    kernel = cell_integrated_kernel(sgrid)
+    hole = grid.region == REGION_APERTURE
+    lam = np.where(hole, np.inf, system.film.pearl_length / scale)
+    full = kernel - div_lambda_grad(sgrid, lam).toarray()
+    film = np.flatnonzero(grid.region == REGION_FILM)
+    fluxoid = np.where(hole, sgrid.weights, 0.0)
+    rows = np.vstack([full[film], fluxoid @ full])
+    a = np.column_stack([rows[:, film], rows[:, hole].sum(axis=1)])
+    u = row_scaled_solve(a, -np.append(h_a[film], fluxoid @ h_a))
+    g_hat = np.zeros(grid.n_points)
+    g_hat[film], g_hat[hole] = u[:-1], u[-1]
+    return g_hat * scale, h_a + kernel @ g_hat
+
+
+def dense_boost_solve(system, h_a, boost=1e8):
+    """h_z from the whole-grid system with every hole point an unknown and
+    the hole's Lambda boosted by `boost`."""
     grid, scale = system.grid, system.scale
     sgrid = scaled_grid(grid, scale)
     kernel = cell_integrated_kernel(sgrid)
     lam = np.full(grid.n_points, system.film.pearl_length / scale)
-    lam[grid.region == REGION_APERTURE] *= APERTURE_LAMBDA_BOOST
+    lam[grid.region == REGION_APERTURE] *= boost
     s = np.flatnonzero(grid.region != REGION_EXTERIOR)
     a = kernel[np.ix_(s, s)] - div_lambda_grad(sgrid, lam).toarray()[np.ix_(s, s)]
-    row_scale = np.abs(a).max(axis=1)
     g_hat = np.zeros(grid.n_points)
-    g_hat[s] = la.solve(a / row_scale[:, None], -h_a[s] / row_scale)
-    return g_hat * scale, h_a + kernel @ g_hat
+    g_hat[s] = row_scaled_solve(a, -h_a[s])
+    return h_a + kernel @ g_hat
 
 
 SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40), ("dogbone", 32)]
@@ -71,11 +98,20 @@ SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40
 def test_blocks_match_dense_oracle(name, n):
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
-    g, hz = dense_solve(system, sol.h_a.values)
+    g, hz = dense_exact_solve(system, sol.h_a.values)
     assert np.abs(sol.h_z.values - hz).max() <= 1e-9 * np.abs(hz).max()
-    # g carries the rounding of a system with condition ~1e9
     assert np.abs(sol.g.values - g).max() <= 1e-8 * np.abs(g).max()
-    assert np.all(sol.g.values[system.grid.region == REGION_EXTERIOR] == 0.0)
+    region = system.grid.region
+    assert np.all(sol.g.values[region == REGION_EXTERIOR] == 0.0)
+    assert np.all(sol.g.values[region == REGION_APERTURE] == sol.aperture_current)
+
+
+@pytest.mark.parametrize("name,n", SIZES)
+def test_exact_hole_is_the_boost_limit(name, n):
+    system, dipole = build_case(name, n)
+    sol = system.solve(dipole)
+    hz = dense_boost_solve(system, sol.h_a.values)
+    assert np.abs(sol.h_z.values - hz).max() <= 1e-6 * np.abs(hz).max()
 
 
 @pytest.mark.parametrize("name,n", SIZES)
@@ -96,9 +132,11 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     nx, ny = grid.n_x, grid.n_y
     hx, hy = nx // 2, ny // 2
     quad_rows = ((hx + np.arange(hx))[:, None] * ny + hy + np.arange(hy)[None, :]).ravel()
-    sq = system._solve_q
-    # the assembly with every quadrant row kept: 8 chunks of kernel rows here
-    systems, kept = _fold_kernel(sgrid, quad_rows, sq, np.arange(hx * hy))
+    # the assembly with every quadrant point a film unknown and every row
+    # kept: 8 chunks of kernel rows here
+    every = np.arange(hx * hy)
+    identity = [_block_maps(every, None, np.ones(hx * hy))] * 4
+    systems, kept = _fold_kernel(sgrid, quad_rows, every, every, identity)
 
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     x_image, y_image = (ix < hx).ravel(), (iy < hy).ravel()
@@ -114,16 +152,26 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     assert err.max() <= 1e-12
 
     # entry for entry the fold of the whole-grid rows, in the same order of
-    # additions; the system buffers hold rows and columns sq of it
-    folded = _hadamard(*_mirror_views(full.reshape(hx * hy, nx, ny)))
+    # additions
+    folded = [f.reshape(hx * hy, hx * hy)
+              for f in _hadamard(*_mirror_views(full.reshape(hx * hy, nx, ny)))]
     for block, want, buffer in zip(kept, folded, systems):
-        assert np.array_equal(block, want.reshape(hx * hy, hx * hy))
+        assert np.array_equal(block, want)
         assert buffer.flags.f_contiguous
-        assert np.array_equal(buffer, block[np.ix_(sq, sq)])
-    # and the build kept exactly its rows `_keep`
-    for block, want in zip(system._kernel, kept):
-        assert np.array_equal(block[:len(system._keep)], want[system._keep])
-        assert not block[len(system._keep):].any()
+        assert np.array_equal(buffer, want)
+
+    # the build's maps: film rows on the block's unknowns, then in the
+    # even-even block the fluxoid row; the build kept its rows `_keep`
+    film = np.flatnonzero(grid.region[quad_rows] == REGION_FILM)
+    systems, kept = _fold_kernel(sgrid, quad_rows, film, system._keep, system._maps)
+    assert [len(b) for b in systems] == [len(film) + 1] + [len(film)] * 3
+    for want, buffer, rows_kept, built, (collapse, fold) in zip(
+            folded, systems, kept, system._kernel, system._maps):
+        assert np.array_equal(buffer[:len(film)], want[film] @ collapse)
+        assert np.array_equal(built, rows_kept)
+        assert np.array_equal(built, want[system._keep] @ collapse)
+        fluxoid = (fold @ want @ collapse)[len(film):]
+        assert np.allclose(buffer[len(film):], fluxoid, rtol=1e-13, atol=0.0)
 
 
 def test_rejects_grid_without_mirror_symmetry():
