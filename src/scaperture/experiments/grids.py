@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scaperture.constants import MU0
-from scaperture.geometry import ApertureGeometry, Dipole, FilmSpec, default_film
+from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, default_film
 from scaperture.grid import Grid, make_grid
 
 # the module, not the class: BrandtSystem is looked up when a scenario is
@@ -68,7 +68,24 @@ class ScenarioSolution:
     line: np.ndarray    # flat grid indices of the evaluation line, by increasing x
     y_line: float       # height of that line on the grid, m
     b_z: np.ndarray     # physical B_z on the line, tesla
-    b_probe: float      # physical B_z at the probe, tesla
+    probe: int          # index of the probe on the line
+
+    @property
+    def b_probe(self) -> float:
+        """Physical B_z at the probe, tesla.
+
+        Inside the dipole's return-flux core the source is the compensating
+        bump, not the dipole's field, so a probe there is a configuration error.
+        """
+        rcx, rcy = solver.core_radii(self.grid, self.dipole)
+        dx = self.grid.x[self.probe] - self.dipole.position[0]
+        dy = self.y_line - self.dipole.position[1]
+        if (dx / rcx) ** 2 + (dy / rcy) ** 2 < 1.0:
+            raise ConfigurationError(
+                "the probe lies inside the dipole's return-flux core; move them "
+                "apart or refine the grid near the dipole"
+            )
+        return float(self.b_z[self.probe])
 
 
 def solve_scenario(
@@ -107,5 +124,5 @@ def solve_scenario(
         line=line,
         y_line=float(y_actual),
         b_z=b_z,
-        b_probe=float(b_z[np.argmin(np.abs(grid.x - probe_x))]),
+        probe=int(np.argmin(np.abs(grid.x - probe_x))),
     )

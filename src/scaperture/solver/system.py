@@ -11,9 +11,11 @@ Exterior points carry g = 0 and are eliminated.
 Grid and aperture are mirror-symmetric in x and in y, so the system splits
 into four blocks, one per parity (even/odd in x times even/odd in y), each
 over the +x,+y quadrant; I is even-even, so the odd blocks have g = 0 on
-the aperture.  The quadrant's kernel rows are folded into the blocks a few
-rows at a time, and the blocks are factored in place.  On a film row the
-system row is the London relation, so h_z there is the sparse operator
+the aperture.  A block is assembled and factored the first time a source
+has a nonzero part of its parity (a centred dipole excites only the
+even-even block): the quadrant's kernel rows are folded into the blocks a
+few rows at a time, and the blocks are factored in place.  On a film row
+the system row is the London relation, so h_z there is the sparse operator
 applied to g; kernel rows, for h_z = h_a + K g, are kept only elsewhere.
 """
 
@@ -159,24 +161,29 @@ def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarr
 
     Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
     `_block_maps`; it is returned in a Fortran-order system buffer, with the
-    block's rows `keep` on its unknowns (unscaled).  The film rows are made
-    n_y at a time, since a row's sum-rule self entry needs the whole unfolded
+    block's rows `keep` on its unknowns (unscaled).  A block whose `maps[b]`
+    is None is skipped and gets None for both.  The film rows are made n_y
+    at a time, since a row's sum-rule self entry needs the whole unfolded
     row; the fluxoid row sums kept hole rows.
     """
     nq, chunk, shape = len(quad), sgrid.n_y, (-1, sgrid.n_x, sgrid.n_y)
-    systems = [np.empty((fold.shape[0],) * 2, order="F") for _, fold in maps]
-    kept = [np.empty((len(keep), fold.shape[0])) for _, fold in maps]
+    wanted = [b for b, m in enumerate(maps) if m is not None]
+    systems, kept = [None] * len(maps), [None] * len(maps)
+    for b in wanted:
+        n_unknowns = maps[b][1].shape[0]
+        systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
+        kept[b] = np.empty((len(keep), n_unknowns))
     for a in range(0, nq, chunk):
         blocks = _hadamard(*_mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape)))
         # the chunk's rows of film and of keep are consecutive in the buffers
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
-        for block, (collapse, _), system, kept_rows in zip(blocks, maps, systems, kept):
-            block = block.reshape(-1, nq)
-            system[f0:f1] = block[film[f0:f1] - a] @ collapse
-            kept_rows[k0:k1] = block[keep[k0:k1] - a] @ collapse
-    for (_, fold), system, kept_rows in zip(maps, systems, kept):
-        system[len(film):] = fold[len(film):, keep] @ kept_rows
+        for b in wanted:
+            block, collapse = blocks[b].reshape(-1, nq), maps[b][0]
+            systems[b][f0:f1] = block[film[f0:f1] - a] @ collapse
+            kept[b][k0:k1] = block[keep[k0:k1] - a] @ collapse
+    for b in wanted:
+        systems[b][len(film):] = maps[b][1][len(film):, keep] @ kept[b]
     return systems, kept
 
 
@@ -191,10 +198,10 @@ class StreamSolution:
 
 
 class BrandtSystem:
-    """Assembled and factorized system for one geometry, film and grid.
+    """Assembled system for one geometry, film and grid.
 
-    The factorization is reused across dipole positions; instances are
-    immutable after construction and safe to share across threads.
+    A parity block is assembled and factored the first time a solve has a
+    nonzero source part of its parity, and reused for every later solve.
     """
 
     def __init__(self, geometry: ApertureGeometry, film: FilmSpec, grid: Grid):
@@ -218,7 +225,7 @@ class BrandtSystem:
             )
 
         # dimensionless assembly: lengths in units of scale
-        sgrid = _scaled_grid(grid, self.scale)
+        sgrid = self._sgrid = _scaled_grid(grid, self.scale)
         # Lambda is infinite on the aperture: no face between two aperture
         # points carries current, and a film-aperture face carries 2 Lambda
         lam_hat = np.where(grid.region == REGION_APERTURE, np.inf, lam_film / self.scale)
@@ -232,23 +239,41 @@ class BrandtSystem:
         self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
         images = [v.ravel() for v in _mirror_views(flat)]
-        quad = images[0]
+        quad = self._quad = images[0]
         region_q = grid.region[quad]
-        film_q = np.flatnonzero(region_q == REGION_FILM)
+        self._film_q = np.flatnonzero(region_q == REGION_FILM)
         hole_q = np.flatnonzero(region_q == REGION_APERTURE)
         weights = np.where(region_q == REGION_APERTURE, sgrid.weights[quad], 1.0)
         # I is even in x and in y, so the odd blocks have g = 0 on the hole
-        self._maps = [_block_maps(film_q, hole_q if b == 0 else None, weights)
+        self._maps = [_block_maps(self._film_q, hole_q if b == 0 else None, weights)
                       for b in range(4)]
-        keep = self._keep = np.flatnonzero(~film_rows[quad])
-        systems, self._kernel = _fold_kernel(sgrid, quad, film_q, keep, self._maps)
+        self._keep = np.flatnonzero(~film_rows[quad])
         lattice_q = lattice[quad]
-        lattice_blocks = _hadamard(*(lattice_q[:, cols] for cols in images))
+        self._lattice = [(fold @ lat @ collapse).tocoo() for lat, (collapse, fold) in
+                         zip(_hadamard(*(lattice_q[:, cols] for cols in images)), self._maps)]
+        # per block, filled by _factor: LU factors with the row scale, the
+        # kept kernel rows and the reciprocal condition estimate
+        self._factors, self._kernel, self._rcond = [None] * 4, [None] * 4, [None] * 4
 
-        self._factors = []
-        rconds = []
-        for system, lat, (collapse, fold) in zip(systems, lattice_blocks, self._maps):
-            lat = (fold @ lat @ collapse).tocoo()
+    @property
+    def condition_estimate(self) -> float:
+        """Largest 1-norm condition estimate over the blocks factored so far;
+        the even-even block, the worst conditioned on every preset, is
+        factored first if none is."""
+        if not any(self._factors):
+            self._factor([0])
+        rcond = min(r for r in self._rcond if r is not None)
+        # LAPACK's estimate is good to a small factor, and gecon's last digits
+        # vary between runs with the same factors: keep 3 significant digits
+        return float(f"{1.0 / max(rcond, 1e-300):.3g}")
+
+    def _factor(self, blocks) -> None:
+        """Assemble, row-scale and LU-factor the parity `blocks` in place, all
+        from one pass over the kernel rows."""
+        maps = [m if b in blocks else None for b, m in enumerate(self._maps)]
+        systems, kept = _fold_kernel(self._sgrid, self._quad, self._film_q, self._keep, maps)
+        for b in blocks:
+            system, lat = systems[b], self._lattice[b]
             system[lat.row, lat.col] -= lat.data  # a product: no repeated entry
             row_scale = np.maximum(system.max(axis=1), -system.min(axis=1))
             if np.any(row_scale == 0.0):
@@ -261,29 +286,33 @@ class BrandtSystem:
                 lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=True)
             except la.LinAlgError as exc:
                 raise SolverError(f"factorization failed: {exc}") from exc
-            rconds.append(_reciprocal_condition(lu_piv[0], anorm))
-            self._factors.append((lu_piv, row_scale))
-        rcond = min(rconds)
-        # LAPACK's estimate is good to a small factor, and gecon's last digits
-        # vary between runs with the same factors: keep 3 significant digits
-        self.condition_estimate = float(f"{1.0 / max(rcond, 1e-300):.3g}")
-        if rcond < 1e-14:
-            raise SolverError(
-                f"system is numerically singular (condition ~ {self.condition_estimate:.2e})"
-            )
+            rcond = _reciprocal_condition(lu_piv[0], anorm)
+            if rcond < 1e-14:
+                raise SolverError(
+                    f"system is numerically singular (condition ~ {1.0 / max(rcond, 1e-300):.2e})"
+                )
+            self._factors[b], self._kernel[b], self._rcond[b] = (lu_piv, row_scale), kept[b], rcond
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
         shape = (self.grid.n_x, self.grid.n_y)
         parts = _hadamard(*_mirror_views(h_a.values.reshape(shape)))
-        unknowns, g_parts, kg_parts = [], [], []
-        for part, (lu_piv, row_scale), kernel, (collapse, fold) in zip(
-                parts, self._factors, self._kernel, self._maps):
-            u = la.lu_solve(lu_piv, -0.25 * (fold @ part.ravel()) / row_scale)
-            unknowns.append(u)
-            g_parts.append((collapse @ u).reshape(part.shape))
-            kg_part = np.zeros(part.size)
-            kg_part[self._keep] = kernel @ u
+        # a part that is exactly zero has zero g and K g
+        excited = [b for b, part in enumerate(parts) if part.any()]
+        missing = [b for b in excited if self._factors[b] is None]
+        if missing:
+            self._factor(missing)
+        current, g_parts, kg_parts = 0.0, [], []
+        for b, part in enumerate(parts):
+            g_part, kg_part = np.zeros(part.size), np.zeros(part.size)
+            if b in excited:
+                (lu_piv, row_scale), (collapse, fold) = self._factors[b], self._maps[b]
+                u = la.lu_solve(lu_piv, -0.25 * (fold @ part.ravel()) / row_scale)
+                g_part = collapse @ u
+                kg_part[self._keep] = self._kernel[b] @ u
+                if b == 0:
+                    current = u[-1]  # I, even-even
+            g_parts.append(g_part.reshape(part.shape))
             kg_parts.append(kg_part.reshape(part.shape))
         g_hat = _unfold(g_parts, shape)
         hz = h_a.values + _unfold(kg_parts, shape)
@@ -292,7 +321,7 @@ class BrandtSystem:
             g=FieldMap(self.grid, g_hat * self.scale),  # amperes
             h_z=FieldMap(self.grid, hz),
             h_a=h_a,
-            aperture_current=float(unknowns[0][-1] * self.scale),  # I, even-even
+            aperture_current=float(current * self.scale),
         )
 
     def solve(self, dipole: Dipole) -> StreamSolution:

@@ -173,6 +173,21 @@ def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):
         assert code == EXIT_CONFIG
 
 
+def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path):
+    # at n = 24 and ratio 30 the aperture has grid points at |x| = 268 and
+    # 900 nm only, so a centred dipole's core (1,181 nm along x) holds the
+    # probe 100 nm inside the edge, and the sweep would fit the core's bump
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "scenario": "centered",
+        "sweep": {"d_nm": 100, "radii_nm": [500, 700, 1000, 1400, 2000]},
+    }))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "sweep.json").exists()
+
+
 def test_cli_grid_override(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},

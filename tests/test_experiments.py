@@ -4,6 +4,7 @@ import pytest
 from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
+from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
 import scaperture.experiments.sweeps as sweeps
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
@@ -119,3 +120,14 @@ def test_numeric_centered_line_trend():
     assert vals[inner] == vals.max()
     assert rep.sign_agreement == 1.0
     assert np.abs(rep.delta_db).max() < 3.0
+
+
+def test_probe_inside_return_flux_core_rejected():
+    # core semi-axes 139 x 316 nm around (835.44, 126.4) nm hold the probe
+    # (900, 5) nm at e^2 = 0.36; its reading was the core's bump
+    solved = solve_scenario(Circle(1e-6), None, 60, ratio=DEFAULT_RATIO, dipole_x=835.44e-9,
+                            dipole_y=126.4e-9, moment=DEFAULT_MOMENT, probe_x=0.9e-6,
+                            y_line=5e-9)
+    assert np.isfinite(solved.b_z).all()  # the line itself is still a solution
+    with pytest.raises(ConfigurationError, match="return-flux core"):
+        solved.b_probe

@@ -1,13 +1,16 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, default_film
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
 from scaperture.io.config import preset_config
+from scaperture.solver import system as system_module
 from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.system import BrandtSystem, compensated_source
 
@@ -177,23 +180,85 @@ def fig7a_grid():
 
 
 def test_build_memory_and_kept_kernel_rows():
-    # fig7a scene at n = 60: four 750^2 system blocks are 17.2 MiB; the
-    # build used to peak at 62 MiB with a quadrant-by-grid row strip and
-    # four unscaled quadrant kernel blocks
+    # fig7a scene at n = 60 with its centred dipole: the source is even in x
+    # and in y, so the build and the solve factor only the 751^2 even-even
+    # block (4.3 MiB); factoring all four blocks at build time peaked at 27 MiB
     cfg, grid = fig7a_grid()
     tracemalloc.start()
     try:
         system = BrandtSystem(cfg.geometry, cfg.film, grid)
+        system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 16 * 2**20
 
     want = kept_kernel_rows(grid)
     assert np.array_equal(system._keep, want)
     assert len(want) < 0.2 * (grid.n_x // 2) ** 2
+    system.solve(z_dipole(x=-0.3e-6, y=0.2e-6))  # off-axis: every block factored
     for kernel in system._kernel:
         assert kernel.shape[0] == len(want)
+
+
+def count_lu_factor(monkeypatch):
+    """Sizes of the blocks the solver LU-factors from now on, recorded by a
+    stand-in for the module's `la`."""
+    sizes = []
+    proxy = types.ModuleType(la.__name__)
+    proxy.__dict__.update(vars(la))
+
+    def lu_factor(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return la.lu_factor(a, *args, **kwargs)
+
+    proxy.lu_factor = lu_factor
+    monkeypatch.setattr(system_module, "la", proxy)
+    return sizes
+
+
+@pytest.mark.parametrize("x,y,blocks", [
+    (0.0, 0.0, 1),           # even in x and in y
+    (-0.5 * R, 0.0, 2),      # even in y
+    (-0.3 * R, 0.2 * R, 4),  # no mirror symmetry
+])
+def test_solve_factors_only_the_excited_blocks(monkeypatch, x, y, blocks):
+    sizes = count_lu_factor(monkeypatch)
+    geom, film, grid = centered_grid(n=32)
+    system = BrandtSystem(geom, film, grid)
+    assert sizes == []
+    system.solve(z_dipole(x=x, y=y))
+    assert len(sizes) == blocks
+    system.solve(z_dipole(x=x, y=y))
+    assert len(sizes) == blocks
+
+
+def test_zero_field_factors_nothing(monkeypatch):
+    sizes = count_lu_factor(monkeypatch)
+    geom, film, grid = centered_grid(n=24)
+    sol = BrandtSystem(geom, film, grid).solve_applied(FieldMap(grid, np.zeros(grid.n_points)))
+    assert sizes == []
+    assert sol.aperture_current == 0.0
+
+
+def test_blocks_factored_later_match_a_fresh_system():
+    geom, film, grid = centered_grid(n=32)
+    off_axis = z_dipole(x=-0.3 * R, y=0.2 * R)
+    system = BrandtSystem(geom, film, grid)
+    system.solve(z_dipole())  # factors the even-even block only
+    later = system.solve(off_axis)
+    fresh = BrandtSystem(geom, film, grid).solve(off_axis)
+    assert np.array_equal(later.h_z.values, fresh.h_z.values)
+    assert np.array_equal(later.g.values, fresh.g.values)
+
+
+def test_condition_estimate_needs_no_solve():
+    # read first, it factors the even-even block, the worst conditioned one
+    cfg, grid = fig7a_grid()
+    fresh = BrandtSystem(cfg.geometry, cfg.film, grid).condition_estimate
+    system = BrandtSystem(cfg.geometry, cfg.film, grid)
+    system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+    assert fresh == system.condition_estimate == 3.67e3
 
 
 def test_exact_hole_keeps_the_system_well_conditioned():
