@@ -115,28 +115,25 @@ def _mirror_views(a: np.ndarray):
     return a[..., px, py], a[..., mx, py], a[..., px, my], a[..., mx, my]
 
 
-def _hadamard(q, qx, qy, qxy):
-    """Signed sums q + sx qx + sy qy + sx sy qxy of four quadrant arrays.
+def _parity(q, qx, qy, qxy, b):
+    """Parity block b of four quadrant arrays: q + sx qx + sy qy + sx sy qxy,
+    summed as (q + sx qx) + sy (qy + sx qxy).
 
-    Returned for (sx, sy) = (+, +), (-, +), (+, -), (-, -): even x even y,
-    odd x even y, even x odd y, odd x odd y.  Applied to the four mirror
+    b = 0, 1, 2, 3 is (sx, sy) = (+, +), (-, +), (+, -), (-, -): even x even
+    y, odd x even y, even x odd y, odd x odd y.  Applied to the four mirror
     images (the order of _mirror_views) it folds them into parity blocks;
     the sign table is symmetric, so applied to the four parity parts it
     unfolds them into mirror images.
     """
-    s, d = q + qx, q - qx
-    sy, dy = qy + qxy, qy - qxy
-    even_x, odd_x = s + sy, d + dy
-    s -= sy
-    d -= dy
-    return even_x, odd_x, s, d
+    x, y = (q - qx, qy - qxy) if b & 1 else (q + qx, qy + qxy)
+    return x - y if b & 2 else x + y
 
 
 def _unfold(parts, shape) -> np.ndarray:
     """Whole-grid values (flat) from the four parity parts on the quadrant."""
     out = np.empty(shape)
-    for view, values in zip(_mirror_views(out), _hadamard(*parts)):
-        view[...] = values
+    for b, view in enumerate(_mirror_views(out)):
+        view[...] = _parity(*parts, b)
     return out.ravel()
 
 
@@ -174,12 +171,12 @@ def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarr
         systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
         kept[b] = np.empty((len(keep), n_unknowns))
     for a in range(0, nq, chunk):
-        blocks = _hadamard(*_mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape)))
+        images = _mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape))
         # the chunk's rows of film and of keep are consecutive in the buffers
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
         for b in wanted:
-            block, collapse = blocks[b].reshape(-1, nq), maps[b][0]
+            block, collapse = _parity(*images, b).reshape(-1, nq), maps[b][0]
             systems[b][f0:f1] = block[film[f0:f1] - a] @ collapse
             kept[b][k0:k1] = block[keep[k0:k1] - a] @ collapse
     for b in wanted:
@@ -249,8 +246,9 @@ class BrandtSystem:
                       for b in range(4)]
         self._keep = np.flatnonzero(~film_rows[quad])
         lattice_q = lattice[quad]
-        self._lattice = [(fold @ lat @ collapse).tocoo() for lat, (collapse, fold) in
-                         zip(_hadamard(*(lattice_q[:, cols] for cols in images)), self._maps)]
+        lattice_images = [lattice_q[:, cols] for cols in images]
+        self._lattice = [(fold @ _parity(*lattice_images, b) @ collapse).tocoo()
+                         for b, (collapse, fold) in enumerate(self._maps)]
         # per block, filled by _factor: LU factors with the row scale, the
         # kept kernel rows and the reciprocal condition estimate
         self._factors, self._kernel, self._rcond = [None] * 4, [None] * 4, [None] * 4
@@ -296,7 +294,8 @@ class BrandtSystem:
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
         shape = (self.grid.n_x, self.grid.n_y)
-        parts = _hadamard(*_mirror_views(h_a.values.reshape(shape)))
+        images = _mirror_views(h_a.values.reshape(shape))
+        parts = [_parity(*images, b) for b in range(4)]
         # a part that is exactly zero has zero g and K g
         excited = [b for b, part in enumerate(parts) if part.any()]
         missing = [b for b in excited if self._factors[b] is None]

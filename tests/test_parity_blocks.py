@@ -25,8 +25,8 @@ from scaperture.solver.system import (
     BrandtSystem,
     _block_maps,
     _fold_kernel,
-    _hadamard,
     _mirror_views,
+    _parity,
 )
 
 # (geometry, dipole x, dipole y); the probe sits 100 nm inside the right edge
@@ -154,8 +154,8 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
 
     # entry for entry the fold of the whole-grid rows, in the same order of
     # additions
-    folded = [f.reshape(hx * hy, hx * hy)
-              for f in _hadamard(*_mirror_views(full.reshape(hx * hy, nx, ny)))]
+    images = _mirror_views(full.reshape(hx * hy, nx, ny))
+    folded = [_parity(*images, b).reshape(hx * hy, hx * hy) for b in range(4)]
     for block, want, buffer in zip(kept, folded, systems):
         assert np.array_equal(block, want)
         assert buffer.flags.f_contiguous
