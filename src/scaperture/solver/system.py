@@ -22,7 +22,7 @@ applied to g; kernel rows, for h_z = h_a + K g, are kept only elsewhere.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -32,8 +32,6 @@ from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, Fi
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
 from scaperture.solver.kernel import kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
-
-_SCALE_DIVISOR = 100.0  # internal coordinates span about +-100
 
 
 def _z_moment(dipole: Dipole) -> float:
@@ -86,12 +84,6 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
         )
     values = values - (values @ grid.weights) * bump / support
     return FieldMap(grid, values)
-
-
-def _scaled_grid(grid: Grid, scale: float) -> Grid:
-    """The grid with lengths in units of `scale`."""
-    return replace(grid, x=grid.x / scale, y=grid.y / scale,
-                   half_extent=grid.half_extent / scale, weights=grid.weights / scale**2)
 
 
 def _check_mirror_symmetric(grid: Grid) -> None:
@@ -153,7 +145,7 @@ def _block_maps(film: np.ndarray, hole, weights: np.ndarray):
     return collapse, fold
 
 
-def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarray, maps):
+def _fold_kernel(grid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarray, maps):
     """Kernel rows of the quadrant points `quad`, folded into the parity blocks.
 
     Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
@@ -163,7 +155,7 @@ def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarr
     at a time, since a row's sum-rule self entry needs the whole unfolded
     row; the fluxoid row sums kept hole rows.
     """
-    nq, chunk, shape = len(quad), sgrid.n_y, (-1, sgrid.n_x, sgrid.n_y)
+    nq, chunk, shape = len(quad), grid.n_y, (-1, grid.n_x, grid.n_y)
     wanted = [b for b, m in enumerate(maps) if m is not None]
     systems, kept = [None] * len(maps), [None] * len(maps)
     for b in wanted:
@@ -171,7 +163,7 @@ def _fold_kernel(sgrid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarr
         systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
         kept[b] = np.empty((len(keep), n_unknowns))
     for a in range(0, nq, chunk):
-        images = _mirror_views(kernel_rows(sgrid, quad[a:a + chunk]).reshape(shape))
+        images = _mirror_views(kernel_rows(grid, quad[a:a + chunk]).reshape(shape))
         # the chunk's rows of film and of keep are consecutive in the buffers
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
@@ -210,7 +202,6 @@ class BrandtSystem:
         self.geometry = geometry
         self.film = film
         self.grid = grid
-        self.scale = film.grid_half_extent / _SCALE_DIVISOR
 
         h_min = min(np.diff(grid.x).min(), np.diff(grid.y).min())
         if lam_film < 0.05 * h_min:
@@ -221,12 +212,9 @@ class BrandtSystem:
                 stacklevel=2,
             )
 
-        # dimensionless assembly: lengths in units of scale
-        sgrid = self._sgrid = _scaled_grid(grid, self.scale)
         # Lambda is infinite on the aperture: no face between two aperture
         # points carries current, and a film-aperture face carries 2 Lambda
-        lam_hat = np.where(grid.region == REGION_APERTURE, np.inf, lam_film / self.scale)
-        lattice = div_lambda_grad(sgrid, lam_hat)
+        lattice = div_lambda_grad(grid, np.where(grid.region == REGION_APERTURE, np.inf, lam_film))
         # the system row of a film point with an operator row is the London
         # relation, so h_z there is the operator applied to g
         film_rows = (grid.region == REGION_FILM) & (np.diff(lattice.indptr) > 0)
@@ -240,7 +228,7 @@ class BrandtSystem:
         region_q = grid.region[quad]
         self._film_q = np.flatnonzero(region_q == REGION_FILM)
         hole_q = np.flatnonzero(region_q == REGION_APERTURE)
-        weights = np.where(region_q == REGION_APERTURE, sgrid.weights[quad], 1.0)
+        weights = np.where(region_q == REGION_APERTURE, grid.weights[quad], 1.0)
         # I is even in x and in y, so the odd blocks have g = 0 on the hole
         self._maps = [_block_maps(self._film_q, hole_q if b == 0 else None, weights)
                       for b in range(4)]
@@ -269,7 +257,7 @@ class BrandtSystem:
         """Assemble, row-scale and LU-factor the parity `blocks` in place, all
         from one pass over the kernel rows."""
         maps = [m if b in blocks else None for b, m in enumerate(self._maps)]
-        systems, kept = _fold_kernel(self._sgrid, self._quad, self._film_q, self._keep, maps)
+        systems, kept = _fold_kernel(self.grid, self._quad, self._film_q, self._keep, maps)
         for b in blocks:
             system, lat = systems[b], self._lattice[b]
             system[lat.row, lat.col] -= lat.data  # a product: no repeated entry
@@ -313,32 +301,16 @@ class BrandtSystem:
                     current = u[-1]  # I, even-even
             g_parts.append(g_part.reshape(part.shape))
             kg_parts.append(kg_part.reshape(part.shape))
-        g_hat = _unfold(g_parts, shape)
+        g = _unfold(g_parts, shape)
         hz = h_a.values + _unfold(kg_parts, shape)
-        hz[self._film] = self._london @ g_hat
-        return StreamSolution(
-            g=FieldMap(self.grid, g_hat * self.scale),  # amperes
-            h_z=FieldMap(self.grid, hz),
-            h_a=h_a,
-            aperture_current=float(current * self.scale),
-        )
+        hz[self._film] = self._london @ g
+        return StreamSolution(g=FieldMap(self.grid, g), h_z=FieldMap(self.grid, hz),
+                              h_a=h_a, aperture_current=float(current))
 
     def solve(self, dipole: Dipole) -> StreamSolution:
         if not self.geometry.contains(dipole.position[0], dipole.position[1]):
             raise ConfigurationError("dipole must sit inside the aperture")
-        # solve at unit moment and scale afterwards: makes the solution
-        # exactly linear in the moment (a few ulp), which repeated-position
-        # solves rely on
-        m = _z_moment(dipole)
-        unit = Dipole(position=dipole.position, moment=[0.0, 0.0, 1.0])
-        h_a = compensated_source(unit, self.grid)
-        sol = self.solve_applied(h_a)
-        return StreamSolution(
-            g=FieldMap(self.grid, m * sol.g.values),
-            h_z=FieldMap(self.grid, m * sol.h_z.values),
-            h_a=FieldMap(self.grid, m * sol.h_a.values),
-            aperture_current=m * sol.aperture_current,
-        )
+        return self.solve_applied(compensated_source(dipole, self.grid))
 
 
 def _reciprocal_condition(lu, anorm) -> float:

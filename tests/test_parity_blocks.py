@@ -39,11 +39,6 @@ CASES = {
 }
 
 
-def scaled_grid(grid, scale):
-    return Grid(x=grid.x / scale, y=grid.y / scale, half_extent=grid.half_extent / scale,
-                region=grid.region, weights=grid.weights / scale**2)
-
-
 def build_case(name, n):
     geom, x0, y0 = CASES[name]
     film = default_film(geom)
@@ -60,35 +55,33 @@ def row_scaled_solve(a, b):
 
 def dense_exact_solve(system, h_a):
     """g (amperes) and h_z from the whole-grid exact-hole system."""
-    grid, scale = system.grid, system.scale
-    sgrid = scaled_grid(grid, scale)
-    kernel = cell_integrated_kernel(sgrid)
+    grid = system.grid
+    kernel = cell_integrated_kernel(grid)
     hole = grid.region == REGION_APERTURE
-    lam = np.where(hole, np.inf, system.film.pearl_length / scale)
-    full = kernel - div_lambda_grad(sgrid, lam).toarray()
+    lam = np.where(hole, np.inf, system.film.pearl_length)
+    full = kernel - div_lambda_grad(grid, lam).toarray()
     film = np.flatnonzero(grid.region == REGION_FILM)
-    fluxoid = np.where(hole, sgrid.weights, 0.0)
+    fluxoid = np.where(hole, grid.weights, 0.0)
     rows = np.vstack([full[film], fluxoid @ full])
     a = np.column_stack([rows[:, film], rows[:, hole].sum(axis=1)])
     u = row_scaled_solve(a, -np.append(h_a[film], fluxoid @ h_a))
-    g_hat = np.zeros(grid.n_points)
-    g_hat[film], g_hat[hole] = u[:-1], u[-1]
-    return g_hat * scale, h_a + kernel @ g_hat
+    g = np.zeros(grid.n_points)
+    g[film], g[hole] = u[:-1], u[-1]
+    return g, h_a + kernel @ g
 
 
 def dense_boost_solve(system, h_a, boost=1e8):
     """h_z from the whole-grid system with every hole point an unknown and
     the hole's Lambda boosted by `boost`."""
-    grid, scale = system.grid, system.scale
-    sgrid = scaled_grid(grid, scale)
-    kernel = cell_integrated_kernel(sgrid)
-    lam = np.full(grid.n_points, system.film.pearl_length / scale)
+    grid = system.grid
+    kernel = cell_integrated_kernel(grid)
+    lam = np.full(grid.n_points, system.film.pearl_length)
     lam[grid.region == REGION_APERTURE] *= boost
     s = np.flatnonzero(grid.region != REGION_EXTERIOR)
-    a = kernel[np.ix_(s, s)] - div_lambda_grad(sgrid, lam).toarray()[np.ix_(s, s)]
-    g_hat = np.zeros(grid.n_points)
-    g_hat[s] = row_scaled_solve(a, -h_a[s])
-    return h_a + kernel @ g_hat
+    a = kernel[np.ix_(s, s)] - div_lambda_grad(grid, lam).toarray()[np.ix_(s, s)]
+    g = np.zeros(grid.n_points)
+    g[s] = row_scaled_solve(a, -h_a[s])
+    return h_a + kernel @ g
 
 
 SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40), ("dogbone", 32)]
@@ -120,8 +113,8 @@ def test_hz_matches_kernel_oracle_on_every_row(name, n):
     # only elsewhere; on every row h_z must be h_a + K g with the whole-grid K
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
-    kernel = cell_integrated_kernel(scaled_grid(system.grid, system.scale))
-    want = sol.h_a.values + kernel @ (sol.g.values / system.scale)
+    kernel = cell_integrated_kernel(system.grid)
+    want = sol.h_a.values + kernel @ sol.g.values
     assert np.abs(sol.h_z.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -129,7 +122,6 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     system, dipole = build_case("off_axis", 32)
     system.solve(dipole)  # an off-axis source factors all four blocks
     grid = system.grid
-    sgrid = scaled_grid(grid, system.scale)
     nx, ny = grid.n_x, grid.n_y
     hx, hy = nx // 2, ny // 2
     quad_rows = ((hx + np.arange(hx))[:, None] * ny + hy + np.arange(hy)[None, :]).ravel()
@@ -137,7 +129,7 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     # kept: 8 chunks of kernel rows here
     every = np.arange(hx * hy)
     identity = [_block_maps(every, None, np.ones(hx * hy))] * 4
-    systems, kept = _fold_kernel(sgrid, quad_rows, every, every, identity)
+    systems, kept = _fold_kernel(grid, quad_rows, every, every, identity)
 
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     x_image, y_image = (ix < hx).ravel(), (iy < hy).ravel()
@@ -148,7 +140,7 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     for block, (px, py) in zip(kept, [(1, 1), (-1, 1), (1, -1), (-1, -1)]):
         sign = np.where(x_image, px, 1) * np.where(y_image, py, 1)
         rows += 0.25 * sign * block[:, quad_col]
-    full = cell_integrated_kernel(sgrid)[quad_rows]
+    full = cell_integrated_kernel(grid)[quad_rows]
     err = np.abs(rows - full).max(axis=1) / np.abs(full).max(axis=1)
     assert err.max() <= 1e-12
 
@@ -164,7 +156,7 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     # the build's maps: film rows on the block's unknowns, then in the
     # even-even block the fluxoid row; the build kept its rows `_keep`
     film = np.flatnonzero(grid.region[quad_rows] == REGION_FILM)
-    systems, kept = _fold_kernel(sgrid, quad_rows, film, system._keep, system._maps)
+    systems, kept = _fold_kernel(grid, quad_rows, film, system._keep, system._maps)
     assert [len(b) for b in systems] == [len(film) + 1] + [len(film)] * 3
     for want, buffer, rows_kept, built, (collapse, fold) in zip(
             folded, systems, kept, system._kernel, system._maps):
