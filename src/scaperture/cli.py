@@ -88,12 +88,6 @@ def _resolve_config(args, command):
     return cfg
 
 
-def _outdir(args, command) -> Path:
-    out = Path(args.out) if args.out else Path(f"scaperture-{command}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _value_csv(path, coords: dict, values, unit, cfg):
     """The coordinate columns, then the values and their level in dB."""
     import numpy as np
@@ -114,15 +108,13 @@ def _value_csv(path, coords: dict, values, unit, cfg):
     )
 
 
-def _cmd_analytic(args) -> int:
+def _cmd_analytic(cfg, out) -> None:
     import numpy as np
 
     from scaperture.analytic.centered import field_centered
     from scaperture.analytic.inplane import field_inplane
-    from scaperture.io.writers import write_csv_atomic, write_manifest
+    from scaperture.io.writers import write_csv_atomic
 
-    cfg = _resolve_config(args, "analytic")
-    out = _outdir(args, "analytic")
     radius = cfg.geometry.radius
     if cfg.analytic_kind == "curve":
         xs = np.linspace(0.02 * radius, 3.0 * radius, cfg.analytic_samples)
@@ -146,16 +138,12 @@ def _cmd_analytic(args) -> int:
             header_comments=["field unit: tesla (x-z plane through a centered z dipole)"],
         )
         print(f"map: {out / 'map.csv'}")
-    write_manifest(out / "manifest.json", "analytic", cfg.raw, args.threads_resolved)
-    return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(cfg, out) -> None:
     from scaperture.experiments.grids import solve_scenario
-    from scaperture.io.writers import write_json_atomic, write_manifest
+    from scaperture.io.writers import write_json_atomic
 
-    cfg = _resolve_config(args, "solve")
-    out = _outdir(args, "solve")
     solved = solve_scenario(
         cfg.geometry, cfg.film, cfg.n_x, ratio=cfg.ratio,
         dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
@@ -172,20 +160,16 @@ def _cmd_solve(args) -> int:
             "condition_estimate": solved.system.condition_estimate,
         },
     )
-    write_manifest(out / "manifest.json", "solve", cfg.raw, args.threads_resolved)
     print(f"hz: {out / 'hz.csv'}")
     print(f"g: {out / 'g.csv'}")
     print(f"aperture current: {sol.aperture_current:.6e} A")
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(cfg, out) -> None:
     from scaperture.experiments.sweeps import sweep
     from scaperture.geometry import Ellipse, default_film
-    from scaperture.io.writers import write_json_atomic, write_manifest
+    from scaperture.io.writers import write_json_atomic
 
-    cfg = _resolve_config(args, "sweep")
-    out = _outdir(args, "sweep")
     spec, scale = cfg.film, cfg.geometry.scale_radius
 
     def film(geometry):  # the config's film and extent factors at every radius
@@ -221,17 +205,13 @@ def _cmd_sweep(args) -> int:
         "db_convention": cfg.db_convention,
     }
     write_json_atomic(out / "sweep.json", payload)
-    write_manifest(out / "manifest.json", "sweep", cfg.raw, args.threads_resolved)
     print(f"sweep: {out / 'sweep.json'}")
     print(f"slope: {res.fit.slope:+.3f} +- {res.fit.slope_err:.3f}")
-    return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    from scaperture.io.writers import write_csv_atomic, write_json_atomic, write_manifest
+def _cmd_compare(cfg, out) -> None:
+    from scaperture.io.writers import write_csv_atomic, write_json_atomic
 
-    cfg = _resolve_config(args, "compare")
-    out = _outdir(args, "compare")
     from scaperture.experiments.compare import compare_engines
 
     rep = compare_engines(
@@ -269,19 +249,15 @@ def _cmd_compare(args) -> int:
             "n_points": int(len(rep.delta_db)),
         },
     )
-    write_manifest(out / "manifest.json", "compare", cfg.raw, args.threads_resolved)
     print(f"compare: {out / 'compare.json'}")
     print(f"median |delta dB|: {rep.median_abs_db:.3f}, "
           f"sign agreement: {rep.sign_agreement:.3f}")
-    return EXIT_OK
 
 
-def _cmd_coupling(args) -> int:
+def _cmd_coupling(cfg, out) -> None:
     from scaperture.experiments.coupling import numeric_coupling
-    from scaperture.io.writers import write_json_atomic, write_manifest
+    from scaperture.io.writers import write_json_atomic
 
-    cfg = _resolve_config(args, "coupling")
-    out = _outdir(args, "coupling")
     est = numeric_coupling(
         cfg.geometry,
         cfg.sweep_d,
@@ -299,9 +275,7 @@ def _cmd_coupling(args) -> int:
             "coupling_Hz": est.coupling,
         },
     )
-    write_manifest(out / "manifest.json", "coupling", cfg.raw, args.threads_resolved)
     print(f"coupling: {est.coupling:.4g} Hz at {est.separation * 1e9:.0f} nm")
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -317,14 +291,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads_resolved = _apply_threads(args.threads)
-        return _HANDLERS[args.command](args)
+        threads = _apply_threads(args.threads)
+        cfg = _resolve_config(args, args.command)
+        out = Path(args.out or f"scaperture-{args.command}")
+        out.mkdir(parents=True, exist_ok=True)
+        _HANDLERS[args.command](cfg, out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    from scaperture.io.writers import write_manifest
+
+    write_manifest(out / "manifest.json", args.command, cfg.raw, threads)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def load_config(path: str | Path, command: str) -> ScenarioConfig:
     return parse_config(doc, command)
 
 
-def _circle_doc(**over):
+def _doc(**over):
     doc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
         "film": {"london_depth_nm": 50, "thickness_nm": 80,
@@ -154,59 +154,30 @@ def _circle_doc(**over):
 
 _SWEEP_RADII_CIRCLE = [500.0 * 16 ** (k / 7) for k in range(8)]      # 0.5 to 8 um
 _SWEEP_RADII_ELLIPSE = [500.0 * 8 ** (k / 7) for k in range(8)]      # 0.5 to 4 um
+_ELLIPSE = {"kind": "ellipse", "a_nm": 1000, "b_nm": 100}
 
 PRESETS: dict[str, dict] = {
     # closed-form field map of the centered dipole (streamline plotting data)
-    "fig3": _circle_doc(engine="analytic", analytic={"kind": "map", "samples": 81}),
+    "fig3": _doc(engine="analytic", analytic={"kind": "map", "samples": 81}),
     # in-plane decay curve of the z-oriented centered dipole
-    "fig4": _circle_doc(engine="analytic", analytic={"kind": "curve", "samples": 400}),
+    "fig4": _doc(engine="analytic", analytic={"kind": "curve", "samples": 400}),
     # engine comparison along the y = 5 nm line
-    "fig5a": _circle_doc(scenario="centered", sweep={"d_nm": 100}),
-    "fig5b": _circle_doc(scenario="shifted", sweep={"d_nm": 100}),
+    "fig5a": _doc(scenario="centered", sweep={"d_nm": 100}),
+    "fig5b": _doc(scenario="shifted", sweep={"d_nm": 100}),
     # numeric radius sweeps
-    "fig5c": _circle_doc(scenario="centered",
-                         sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
-    "fig5d": _circle_doc(scenario="shifted",
-                         sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
+    "fig5c": _doc(scenario="centered", sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
+    "fig5d": _doc(scenario="shifted", sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
     # elliptical aperture: field map and sweep at fixed b
-    "fig6a": {
-        "geometry": {"kind": "ellipse", "a_nm": 1000, "b_nm": 100},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80,
-                 "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": 125.0},
-        "dipole": {"x_nm": -900.0},
-        "y_offset_nm": 5.0,
-    },
-    "fig6b": {
-        "geometry": {"kind": "ellipse", "a_nm": 1000, "b_nm": 100},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80,
-                 "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": 125.0},
-        "scenario": "ellipse",
-        "sweep": {"d_nm": 100, "radii_nm": _SWEEP_RADII_ELLIPSE},
-        "y_offset_nm": 5.0,
-    },
+    "fig6a": _doc(geometry=_ELLIPSE, dipole={"x_nm": -900.0}),
+    "fig6b": _doc(geometry=_ELLIPSE, scenario="ellipse",
+                  sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_ELLIPSE}),
     # stream-function maps for the three scenarios
-    "fig7a": _circle_doc(dipole={"x_nm": 0.0}),
-    "fig7b": _circle_doc(dipole={"x_nm": -900.0}),
-    "fig7c": {
-        "geometry": {"kind": "ellipse", "a_nm": 1000, "b_nm": 100},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80,
-                 "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": 125.0},
-        "dipole": {"x_nm": -900.0},
-        "y_offset_nm": 5.0,
-    },
+    "fig7a": _doc(dipole={"x_nm": 0.0}),
+    "fig7b": _doc(dipole={"x_nm": -900.0}),
+    "fig7c": _doc(geometry=_ELLIPSE, dipole={"x_nm": -900.0}),
     # partner coupling at 300 nm separation
-    "coupling300": {
-        "geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": 100},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80,
-                 "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": 125.0},
-        "dipole": {"x_nm": -150.0},
-        "sweep": {"d_nm": 100},
-        "y_offset_nm": 5.0,
-    },
+    "coupling300": _doc(geometry={"kind": "ellipse", "a_nm": 250, "b_nm": 100},
+                        dipole={"x_nm": -150.0}, sweep={"d_nm": 100}),
 }
 
 
