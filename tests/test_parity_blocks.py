@@ -14,6 +14,9 @@ row, film rows included.
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import scenario_grid
@@ -27,6 +30,7 @@ from scaperture.solver.system import (
     _fold_kernel,
     _mirror_views,
     _parity,
+    _unfold,
 )
 
 # (geometry, dipole x, dipole y); the probe sits 100 nm inside the right edge
@@ -165,6 +169,27 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
         assert np.array_equal(built, want[system._keep] @ collapse)
         fluxoid = (fold @ want @ collapse)[len(film):]
         assert np.allclose(buffer[len(film):], fluxoid, rtol=1e-13, atol=0.0)
+
+
+# integer values, so every signed sum is exact; zeros give the sparse case
+# empty entries
+even_shapes = st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda h: (2 * h[0], 2 * h[1]))
+integer_grids = arrays(np.float64, even_shapes, elements=st.integers(-1000, 1000).map(float))
+
+
+@given(integer_grids)
+def test_fold_then_unfold_is_four_times_the_grid(a):
+    images = _mirror_views(a)
+    parts = [_parity(*images, b) for b in range(4)]
+    assert np.array_equal(_unfold(parts, a.shape), 4 * a.ravel())
+
+
+@given(integer_grids)
+def test_parity_of_sparse_images_equals_dense(a):
+    images = _mirror_views(a)
+    sparse = [sp.csr_matrix(image) for image in images]
+    for b in range(4):
+        assert np.array_equal(_parity(*sparse, b).toarray(), _parity(*images, b))
 
 
 def test_rejects_grid_without_mirror_symmetry():
