@@ -115,11 +115,7 @@ def sweep(
                 moment=moment, probe_x=radius - d, y_line=y_offset,
             ).b_probe
 
-    if smooth_window > 1:
-        smoothed, sigma = smooth(fields, smooth_window)
-        fields = smoothed
-    else:
-        sigma = np.zeros_like(fields)
+    fields, sigma = smooth(fields, smooth_window)  # the identity for window 1
 
     fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= MIN_FIT_RADII else None
     meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}

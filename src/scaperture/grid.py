@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,9 +86,12 @@ class Grid:
     half_extent: float
     region: np.ndarray   # per-point labels, REGION_* codes
     weights: np.ndarray  # per-point cell areas, m^2
+    points: np.ndarray = field(init=False, repr=False, compare=False)  # (n_points, 2)
 
     def __post_init__(self):
-        for arr in (self.x, self.y, self.region, self.weights):
+        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
+        object.__setattr__(self, "points", np.column_stack([xx.ravel(), yy.ravel()]))
+        for arr in (self.x, self.y, self.region, self.weights, self.points):
             arr.setflags(write=False)
 
     @property
@@ -103,11 +106,6 @@ class Grid:
     def n_points(self) -> int:
         return len(self.x) * len(self.y)
 
-    @property
-    def points(self) -> np.ndarray:
-        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
     def index_of(self, x, y) -> int:
         ix = int(np.argmin(np.abs(self.x - x)))
         iy = int(np.argmin(np.abs(self.y - y)))
@@ -119,12 +117,11 @@ class Grid:
         return np.arange(self.n_x) * self.n_y + iy, self.y[iy]
 
 
-def label_regions(geometry: ApertureGeometry, film: FilmSpec, points) -> np.ndarray:
-    inside = geometry.contains(points[:, 0], points[:, 1])
-    beyond = (np.abs(points[:, 0]) > film.film_half_extent) | (
-        np.abs(points[:, 1]) > film.film_half_extent
-    )
-    region = np.full(len(points), REGION_FILM, dtype=np.uint8)
+def label_regions(geometry: ApertureGeometry, film: FilmSpec, x, y) -> np.ndarray:
+    xx, yy = x[:, None], y[None, :]
+    inside = geometry.contains(xx, yy).ravel()
+    beyond = ((np.abs(xx) > film.film_half_extent) | (np.abs(yy) > film.film_half_extent)).ravel()
+    region = np.full(len(x) * len(y), REGION_FILM, dtype=np.uint8)
     region[beyond & ~inside] = REGION_EXTERIOR
     region[inside] = REGION_APERTURE
     return region
@@ -140,9 +137,7 @@ def build_grid(geometry, film, x_coords, y_coords) -> Grid:
     wx = axis_weights(x, X)
     wy = axis_weights(y, X)
     weights = np.outer(wx, wy).ravel()
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    region = label_regions(geometry, film, points)
+    region = label_regions(geometry, film, x, y)
     return Grid(x=x, y=y, half_extent=X, region=region, weights=weights)
 
 

@@ -151,13 +151,16 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarra
     Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
     `_block_maps`; it is returned in a Fortran-order system buffer, with the
     block's rows `keep` on its unknowns (unscaled).  A block whose `maps[b]`
-    is None is skipped and gets None for both.  The film rows are made n_y
+    is None is skipped and gets None for both.  Whole rows are made n_y / 2
     at a time, since a row's sum-rule self entry needs the whole unfolded
-    row; the fluxoid row sums kept hole rows.
+    row and a batch's transient is about three times its rows; the fluxoid
+    row sums kept hole rows.
     """
-    nq, chunk, shape = len(quad), grid.n_y, (-1, grid.n_x, grid.n_y)
+    nq, chunk, shape = len(quad), grid.n_y // 2, (-1, grid.n_x, grid.n_y)
     wanted = [b for b, m in enumerate(maps) if m is not None]
     systems, kept = [None] * len(maps), [None] * len(maps)
+    # rows @ collapse is (collapse.T @ rows.T).T: transpose the maps once
+    collapse_t = [None if m is None else m[0].T for m in maps]
     for b in wanted:
         n_unknowns = maps[b][1].shape[0]
         systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
@@ -168,9 +171,9 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarra
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
         for b in wanted:
-            block, collapse = _parity(*images, b).reshape(-1, nq), maps[b][0]
-            systems[b][f0:f1] = block[film[f0:f1] - a] @ collapse
-            kept[b][k0:k1] = block[keep[k0:k1] - a] @ collapse
+            block = _parity(*images, b).reshape(-1, nq)
+            systems[b][f0:f1] = (collapse_t[b] @ block[film[f0:f1] - a].T).T
+            kept[b][k0:k1] = (collapse_t[b] @ block[keep[k0:k1] - a].T).T
     for b in wanted:
         systems[b][len(film):] = maps[b][1][len(film):, keep] @ kept[b]
     return systems, kept

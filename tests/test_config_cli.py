@@ -79,6 +79,19 @@ def test_cli_sweep_with_too_few_radii_is_config_error(tmp_path, capsys):
     assert not (out / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("window", [0, 2, 7])
+def test_cli_sweep_with_bad_smooth_window_is_config_error(tmp_path, capsys, window):
+    # window 2 and a window wider than the five radii used to end in a
+    # ValueError traceback from the smoother
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps({"engine": "analytic", "sweep": {
+        "d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000], "smooth_window": window}}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "smooth_window" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
+
+
 def test_cli_analytic_fig4_curve(tmp_path):
     out = tmp_path / "fig4"
     code = main(["analytic", "--preset", "fig4", "--out", str(out)])

@@ -133,3 +133,20 @@ def test_fieldmap_validates_length_and_finiteness():
     bad[0] = np.inf
     with pytest.raises(ConfigurationError):
         FieldMap(grid, bad)
+
+
+def test_points_built_once_and_read_only():
+    geom = Ellipse(1000e-9, 400e-9)
+    film = default_film(geom)
+    grid = make_grid(geom, film, 24, 24, 125.0)
+    assert grid.points is grid.points
+    assert not grid.points.flags.writeable
+    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
+    assert np.array_equal(grid.points, np.column_stack([xx.ravel(), yy.ravel()]))
+    # the region labels, made from the axes, belong to these points
+    px, py = grid.points.T
+    inside = geom.contains(px, py)
+    beyond = np.maximum(np.abs(px), np.abs(py)) > film.film_half_extent
+    assert np.array_equal(grid.region == REGION_APERTURE, inside)
+    assert np.array_equal(grid.region == REGION_EXTERIOR, beyond & ~inside)
+    assert (grid.region == REGION_EXTERIOR).any() and inside.any()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scaperture.geometry import Circle, FilmSpec
-from scaperture.grid import Grid, make_grid
-from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel
+from scaperture.experiments.grids import scenario_grid
+from scaperture.geometry import Circle, FilmSpec, default_film
+from scaperture.grid import Grid, axis_weights, make_grid
+from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel, kernel_rows
 
 
 def assemble_kernel(grid: Grid) -> np.ndarray:
@@ -19,6 +21,45 @@ def assemble_kernel(grid: Grid) -> np.ndarray:
     np.fill_diagonal(qw, 0.0)
     np.fill_diagonal(qw, boundary_correction(grid) - qw.sum(axis=1))
     return qw
+
+
+def strip_kernel_rows(grid: Grid, rows) -> np.ndarray:
+    """Rows of the cell-integrated kernel, assembled column strip by column
+    strip from the corner term sqrt(u^2 + v^2) / (u v), set to 0 where u = 0
+    or v = 0, and divided by 4 pi after differencing."""
+    rows = np.asarray(rows)
+    X = grid.half_extent
+    xm = np.concatenate([[-X], 0.5 * (grid.x[1:] + grid.x[:-1]), [X]])
+    ym = np.concatenate([[-X], 0.5 * (grid.y[1:] + grid.y[:-1]), [X]])
+    px, py = grid.points[rows, 0], grid.points[rows, 1]
+    v = ym[None, :] - py[:, None]
+
+    def corner(u):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.sqrt(u * u + v * v) / (u * v)
+        return np.where((u == 0.0) | (v == 0.0), 0.0, f)
+
+    ny = grid.n_y
+    out = np.empty((len(rows), grid.n_points))
+    for jx in range(grid.n_x):
+        left, right = corner((xm[jx] - px)[:, None]), corner((xm[jx + 1] - px)[:, None])
+        strip = right[:, 1:] - left[:, 1:] - right[:, :-1] + left[:, :-1]
+        out[:, jx * ny:(jx + 1) * ny] = strip / (4 * np.pi)
+    own = (np.arange(len(rows)), rows)
+    out[own] = 0.0
+    with np.errstate(divide="ignore"):
+        out[own] = boundary_correction(grid)[rows] - out.sum(axis=1)
+    return out
+
+
+def row_error(got, want):
+    """Largest |got - want| in each row over the row's largest |want|."""
+    return np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+
+
+def graded_grid(n):
+    geom = Circle(1e-6)
+    return scenario_grid(geom, default_film(geom), n, probe_x=0.9e-6)
 
 
 def small_grid(n=16, ratio=1.0):
@@ -136,3 +177,51 @@ def test_cell_integration_approaches_midpoint_far_away():
     p = grid.index_of(-8.0, -8.0)
     j = grid.index_of(8.0, 8.0)
     assert qwc[p, j] == pytest.approx(qw[p, j], rel=1e-2)
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_kernel_rows_match_strip_oracle(n):
+    grid = graded_grid(n)
+    rng = np.random.default_rng(n)
+    # the grid's corners, the points next to the aperture edge and a sample
+    edge = np.flatnonzero(np.abs(np.hypot(*grid.points.T) - 1e-6) < 0.1e-6)
+    rows = np.unique(np.concatenate([[0, grid.n_points - 1], edge,
+                                     rng.choice(grid.n_points, 200, replace=False)]))
+    assert row_error(kernel_rows(grid, rows), strip_kernel_rows(grid, rows)).max() <= 1e-14
+
+
+def test_kernel_rows_on_the_grid_edge_match_strip_oracle():
+    # points on the grid square's edge x = -X and y = X put u = 0 and v = 0
+    # on outer cell corners, where the corner term takes its zero limit
+    X = 1.0
+    x = np.concatenate([[-X], np.linspace(-0.8, 0.8, 9)])
+    y = np.concatenate([np.linspace(-0.7, 0.7, 8), [X]])
+    grid = Grid(x=x, y=y, half_extent=X, region=np.zeros(len(x) * len(y), dtype=np.uint8),
+                weights=np.outer(axis_weights(x, X), axis_weights(y, X)).ravel())
+    rows = np.arange(grid.n_points)
+    with np.errstate(divide="ignore"):
+        got = kernel_rows(grid, rows)
+    want = strip_kernel_rows(grid, rows)
+    off = ~np.eye(grid.n_points, dtype=bool)
+    got_off, want_off = (a[off].reshape(len(rows), -1) for a in (got, want))
+    assert np.all(np.isfinite(got_off))
+    assert row_error(got_off, want_off).max() <= 1e-14
+    # the self entry: the outside integral diverges on the grid's edge
+    edge = (grid.points[:, 0] == -X) | (grid.points[:, 1] == X)
+    assert np.array_equal(np.isfinite(np.diag(got)), ~edge)
+    assert np.allclose(np.diag(got)[~edge], np.diag(want)[~edge], rtol=1e-14, atol=0.0)
+
+
+BATCH_GRID = graded_grid(24)
+QUADRANT = np.flatnonzero((BATCH_GRID.points[:, 0] > 0) & (BATCH_GRID.points[:, 1] > 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, len(QUADRANT)), min_size=2, max_size=6))
+def test_kernel_rows_do_not_depend_on_the_batch(bounds):
+    # _fold_kernel makes a block's rows a batch at a time: any split of a run
+    # of quadrant rows must give the rows of one call bit for bit
+    bounds = sorted(bounds)
+    rows = QUADRANT[bounds[0]:bounds[-1]]
+    pieces = [kernel_rows(BATCH_GRID, QUADRANT[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), kernel_rows(BATCH_GRID, rows))
