@@ -68,6 +68,9 @@ def compare_engines(
     in_band = (rho > band[0] * radius) & (rho < band[1] * radius)
     # keep clear of the zeroed return-flux core around the dipole
     in_band &= np.hypot(xs - x0, y_actual) > 1.5 * max(core)
+    if not in_band.any():
+        raise ConfigurationError(f"the comparison band ({band[0]} to {band[1]} R on the line, "
+                                 "clear of the dipole's core) holds no grid points; refine the grid")
 
     numeric_bz = solved.b_z[in_band]
     if scenario == "centered":

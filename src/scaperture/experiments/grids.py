@@ -1,8 +1,9 @@
 """Scenario grids and the one scenario pipeline of the numeric engine.
 
-One self-similar rule for all scenarios: grading features at the aperture
-edges, the midline (for the evaluation line) and the dipole abscissa, with
-the probe position and evaluation line snapped onto exact coordinates.
+One self-similar rule for all scenarios: `make_grid`'s grading at the
+aperture edges, refined also at the dipole abscissa and at the midline (for
+the evaluation line), with the probe position and evaluation line snapped
+onto exact coordinates.
 
 `solve_scenario` runs geometry -> grid -> system -> solve -> probe for every
 numeric caller and is the one place where the solver's field becomes the
@@ -24,7 +25,6 @@ from scaperture.grid import Grid, make_grid
 from scaperture.solver import system as solver
 
 DEFAULT_RATIO = 125.0
-DEFAULT_SLOPE = 0.4
 
 
 def scenario_grid(
@@ -37,23 +37,12 @@ def scenario_grid(
     y_line: float = 5e-9,
     ratio: float = DEFAULT_RATIO,
 ) -> Grid:
-    h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
-    h_edge = h_cap / ratio
-    extra_x = [(abs(dipole_x), h_edge, DEFAULT_SLOPE)]
-    extra_y = [(0.0, h_edge, DEFAULT_SLOPE)]
-    anchor_x = [probe_x] if probe_x is not None else []
-    anchor_y = [y_line] if y_line else []
     return make_grid(
-        geometry,
-        film,
-        n,
-        n,
-        ratio,
-        grading_slope=DEFAULT_SLOPE,
-        extra_x_features=extra_x,
-        extra_y_features=extra_y,
-        anchor_x=anchor_x,
-        anchor_y=anchor_y,
+        geometry, film, n, n, ratio,
+        refine_x=[abs(dipole_x)],
+        refine_y=[0.0],
+        anchor_x=[probe_x] if probe_x is not None else [],
+        anchor_y=[y_line] if y_line else [],
     )
 
 

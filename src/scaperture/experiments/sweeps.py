@@ -96,6 +96,8 @@ def sweep(
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= d):
         raise ConfigurationError("all radii must exceed d")
+    if not (smooth_window % 2 == 1 and 1 <= smooth_window <= len(radii)):
+        raise ConfigurationError("smooth_window must be odd and 1 to the radius count")
     if engine == "analytic" and scenario == "ellipse":
         raise ConfigurationError("no closed form for elliptical apertures")
     if y_offset is None:

@@ -1,4 +1,10 @@
-"""Non-equidistant tensor grids with edge refinement, weights and region labels."""
+"""Non-equidistant tensor grids with edge refinement, cells and region labels.
+
+`make_grid` holds the one grading rule: spacing h_edge at the aperture edges
+and at any extra refined positions, growing with slope GRADING_SLOPE away
+from them up to h_cap.  `Grid` holds the one cell rule: each point's cell is
+its Voronoi interval along each axis, clipped to the grid square.
+"""
 
 from __future__ import annotations
 
@@ -13,31 +19,33 @@ REGION_APERTURE = 1
 REGION_EXTERIOR = 2
 
 _DENSITY_SAMPLES = 60001
+GRADING_SLOPE = 0.4  # spacing growth per unit distance from a refined position
+_DERIVED = dict(init=False, repr=False, compare=False)  # Grid fields set by __post_init__
 
 
-def graded_half_axis(n_half, half_extent, features, h_cap):
-    """Coordinates on (0, half_extent) with spacing ~ h0 + slope * |t - pos|.
+def graded_half_axis(n_half, half_extent, positions, h_edge, h_cap):
+    """Coordinates on (0, half_extent) with spacing ~ h_edge + slope * |t - pos|.
 
-    `features` is a sequence of (pos, h0, slope) triples; the pointwise
-    minimum over features (capped at h_cap) defines the target spacing
-    profile, and points are placed at equal quantiles of its reciprocal.
-    Spacing ratios are preserved; absolute spacings rescale with n_half.
+    The pointwise minimum over `positions` (capped at h_cap) defines the
+    target spacing profile, and points are placed at equal quantiles of its
+    reciprocal.  Spacing ratios are preserved; absolute spacings rescale
+    with n_half.
     """
     t = np.linspace(0.0, half_extent, _DENSITY_SAMPLES)
     h = np.full_like(t, float(h_cap))
-    for pos, h0, slope in features:
-        np.minimum(h, h0 + slope * np.abs(t - pos), out=h)
+    for pos in positions:
+        np.minimum(h, h_edge + GRADING_SLOPE * np.abs(t - pos), out=h)
     dens = 1.0 / h
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
     targets = (np.arange(n_half) + 0.5) / n_half * cdf[-1]
     return np.interp(targets, cdf, t)
 
 
-def graded_axis(n, half_extent, features, h_cap):
+def graded_axis(n, half_extent, positions, h_edge, h_cap):
     """Symmetric axis of n points on (-half_extent, half_extent), no point at 0."""
     if n < 2 or n % 2:
         raise ConfigurationError("axis point count must be even and >= 2")
-    half = graded_half_axis(n // 2, half_extent, features, h_cap)
+    half = graded_half_axis(n // 2, half_extent, positions, h_edge, h_cap)
     return np.concatenate([-half[::-1], half])
 
 
@@ -69,29 +77,35 @@ def snap_symmetric(coords, values):
     return out
 
 
-def axis_weights(coords, half_extent):
-    """Per-point cell lengths: Voronoi intervals clipped to [-X, X]."""
-    mid = 0.5 * (coords[1:] + coords[:-1])
-    lo = np.concatenate([[-half_extent], mid])
-    hi = np.concatenate([mid, [half_extent]])
-    return hi - lo
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product grid; flat index p = ix * n_y + iy."""
+    """Tensor-product grid; flat index p = ix * n_y + iy.
+
+    Each point's cell is its Voronoi interval along x times that along y,
+    clipped to the grid square [-half_extent, half_extent]^2, so the cells
+    tile the square.  The cells and points are derived once, read-only.
+    """
 
     x: np.ndarray
     y: np.ndarray
     half_extent: float
     region: np.ndarray   # per-point labels, REGION_* codes
-    weights: np.ndarray  # per-point cell areas, m^2
-    points: np.ndarray = field(init=False, repr=False, compare=False)  # (n_points, 2)
+    x_edges: np.ndarray = field(**_DERIVED)  # (n_x + 1,) cell edges along x, m
+    y_edges: np.ndarray = field(**_DERIVED)  # (n_y + 1,) cell edges along y, m
+    weights: np.ndarray = field(**_DERIVED)  # per-point cell areas, m^2
+    points: np.ndarray = field(**_DERIVED)   # (n_points, 2)
 
     def __post_init__(self):
+        X = self.half_extent
+        x_edges, y_edges = (np.concatenate([[-X], 0.5 * (a[1:] + a[:-1]), [X]])
+                            for a in (self.x, self.y))
         xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
-        object.__setattr__(self, "points", np.column_stack([xx.ravel(), yy.ravel()]))
-        for arr in (self.x, self.y, self.region, self.weights, self.points):
+        derived = dict(x_edges=x_edges, y_edges=y_edges,
+                       weights=np.outer(np.diff(x_edges), np.diff(y_edges)).ravel(),
+                       points=np.column_stack([xx.ravel(), yy.ravel()]))
+        for name, arr in derived.items():
+            object.__setattr__(self, name, arr)
+        for arr in (self.x, self.y, self.region, *derived.values()):
             arr.setflags(write=False)
 
     @property
@@ -133,12 +147,8 @@ def build_grid(geometry, film, x_coords, y_coords) -> Grid:
     y = np.asarray(y_coords, dtype=float)
     if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
         raise ConfigurationError("axis coordinates must be strictly increasing")
-    X = film.grid_half_extent
-    wx = axis_weights(x, X)
-    wy = axis_weights(y, X)
-    weights = np.outer(wx, wy).ravel()
     region = label_regions(geometry, film, x, y)
-    return Grid(x=x, y=y, half_extent=X, region=region, weights=weights)
+    return Grid(x=x, y=y, half_extent=film.grid_half_extent, region=region)
 
 
 def make_grid(
@@ -148,19 +158,19 @@ def make_grid(
     n_y: int,
     refinement_ratio: float,
     *,
-    grading_slope: float = 0.4,
-    extra_x_features=(),
-    extra_y_features=(),
+    refine_x=(),
+    refine_y=(),
     anchor_x=(),
     anchor_y=(),
 ) -> Grid:
-    """Tensor grid refined near the aperture edge positions.
+    """Tensor grid refined near the aperture edges and the `refine_x`/`refine_y`
+    positions (m, each mirrored by the axis symmetry).
 
-    Spacing near the edges is smaller than the far-field spacing by
-    approximately `refinement_ratio`; far spacing is capped at half the
-    exterior ring width so the film boundary is always sampled.  Extra
-    features are (pos, h0, slope) triples in meters; anchors are snapped
-    onto the axes as exact +- coordinate pairs.
+    Spacing there is h_edge = h_cap / `refinement_ratio` and grows with
+    slope GRADING_SLOPE away from them.  The far spacing h_cap is half the
+    exterior ring width, so the film boundary is always sampled, or 5 % of
+    the grid half extent when the film reaches the grid edge.  Anchors are
+    snapped onto the axes as exact +- coordinate pairs.
     """
     if n_x < 16 or n_y < 16:
         raise ConfigurationError("need at least 16 points per axis")
@@ -173,10 +183,8 @@ def make_grid(
     if h_cap <= 0:
         h_cap = 0.05 * X
     h_edge = h_cap / refinement_ratio
-    feats_x = [(geometry.edge_x, h_edge, grading_slope)] + list(extra_x_features)
-    feats_y = [(geometry.edge_y, h_edge, grading_slope)] + list(extra_y_features)
-    x = graded_axis(n_x, X, feats_x, h_cap)
-    y = graded_axis(n_y, X, feats_y, h_cap)
+    x = graded_axis(n_x, X, [geometry.edge_x, *refine_x], h_edge, h_cap)
+    y = graded_axis(n_y, X, [geometry.edge_y, *refine_y], h_edge, h_cap)
     if len(anchor_x):
         x = snap_symmetric(x, anchor_x)
     if len(anchor_y):

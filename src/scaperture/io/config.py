@@ -124,8 +124,6 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
             raise ConfigurationError(f"sweep.radii_nm: the fit needs at least {MIN_FIT_RADII} radii")
         if cfg.sweep_d <= 0:
             raise ConfigurationError("sweep.d_nm must be positive")
-        if not (cfg.smooth_window % 2 == 1 and 1 <= cfg.smooth_window <= len(cfg.sweep_radii)):
-            raise ConfigurationError("sweep.smooth_window must be odd and 1 to the radius count")
     if command in ("solve", "compare", "coupling"):
         if not cfg.geometry.contains(cfg.dipole_x, cfg.dipole_y):
             raise ConfigurationError("dipole must sit inside the aperture")

@@ -1,4 +1,3 @@
-from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel
 from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import BrandtSystem, SolverError, StreamSolution
 
@@ -6,7 +5,5 @@ __all__ = [
     "BrandtSystem",
     "SolverError",
     "StreamSolution",
-    "boundary_correction",
-    "cell_integrated_kernel",
     "div_lambda_grad",
 ]

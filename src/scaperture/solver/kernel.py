@@ -1,12 +1,13 @@
-"""Dense kernel matrices for the perpendicular field of sheet currents.
+"""Rows of the cell-integrated kernel for the perpendicular field of sheet currents.
 
 The kernel gives the z field at r of a unit z dipole at r'; its diagonal is
 fixed by a sum rule so that a constant stream function over the infinite
 plane produces zero field: the row sum over the grid must equal the exact
 kernel integral over everything outside the grid rectangle.
 
-A cell integral of 1/(4 pi s^3) is the second difference over the cell's
-corners (u, v), offsets from the field point, of the antiderivative
+The cells are the grid's own (`Grid.x_edges` by `Grid.y_edges`).  A cell
+integral of 1/(4 pi s^3) is the second difference over the cell's corners
+(u, v), offsets from the field point, of the antiderivative
 F = sign(u) sign(v) sqrt(u^-2 + v^-2) / (4 pi), that is sqrt(u^2 + v^2) /
 (4 pi u v) with the 1/(4 pi) in the per-axis factors 1/(4 pi u), 1/(4 pi v).
 """
@@ -27,11 +28,6 @@ def _outside(X, px, py) -> np.ndarray:
     return out / (4 * np.pi)
 
 
-def boundary_correction(grid: Grid) -> np.ndarray:
-    """Exact integral of 1/(4 pi s^3) over the plane outside the grid square."""
-    return _outside(grid.half_extent, grid.points[:, 0], grid.points[:, 1])
-
-
 def _inverse_offsets(edges: np.ndarray, p: np.ndarray) -> np.ndarray:
     """1 / (4 pi (edge - p)) per point p and cell edge; 0 where the edge passes
     through p, so that F takes its zero limit on the axes u = 0 and v = 0."""
@@ -47,17 +43,15 @@ def kernel_rows(grid: Grid, rows) -> np.ndarray:
 
     Entry (i, j) is minus the integral of 1/(4 pi s^3) over cell j seen from
     point i; each row's self entry carries the sum rule.  F is evaluated
-    once on the batch's whole (rows, n_x + 1, n_y + 1) corner table, since
-    neighbouring cells share corners, and differenced along y, then along
-    x; the transient is about three times the output.  Rows are computed
-    independently, so a row does not depend on the batch it is made in.
+    once on the batch's whole (rows, n_x + 1, n_y + 1) table of the grid's
+    cell corners, since neighbouring cells share corners, and differenced
+    along y, then along x; the transient is about three times the output.
+    Rows are computed independently, so a row does not depend on the batch
+    it is made in.
     """
     rows = np.asarray(rows)
-    X = grid.half_extent
-    xm = np.concatenate([[-X], 0.5 * (grid.x[1:] + grid.x[:-1]), [X]])
-    ym = np.concatenate([[-X], 0.5 * (grid.y[1:] + grid.y[:-1]), [X]])
     px, py = grid.points[rows, 0], grid.points[rows, 1]
-    a, b = _inverse_offsets(xm, px), _inverse_offsets(ym, py)
+    a, b = _inverse_offsets(grid.x_edges, px), _inverse_offsets(grid.y_edges, py)
     corners = np.add((a * a)[:, :, None], (b * b)[:, None, :])
     np.sqrt(corners, out=corners)
     corners *= np.sign(a)[:, :, None]
@@ -68,11 +62,5 @@ def kernel_rows(grid: Grid, rows) -> np.ndarray:
     np.subtract(dy[:, 1:], dy[:, :-1], out=out.reshape(len(rows), grid.n_x, grid.n_y))
     own = (np.arange(len(rows)), rows)
     out[own] = 0.0
-    out[own] = _outside(X, px, py) - out.sum(axis=1)
+    out[own] = _outside(grid.half_extent, px, py) - out.sum(axis=1)
     return out
-
-
-def cell_integrated_kernel(grid: Grid) -> np.ndarray:
-    """Every row of `kernel_rows`: the kernel integrated exactly over every
-    Voronoi cell, whose exact near-singular entries the edge fields need."""
-    return kernel_rows(grid, np.arange(grid.n_points))

@@ -74,7 +74,7 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
     dy = pts[:, 1] - dipole.position[1]
     r = np.hypot(dx, dy)
     e2 = (dx / rcx) ** 2 + (dy / rcy) ** 2
-    values = np.where(e2 < 1.0, 0.0, m / (2 * np.pi * np.maximum(r, 1e-300) ** 3))
+    values = np.divide(m, 2 * np.pi * r**3, out=np.zeros_like(r), where=e2 >= 1.0)
     bump = np.where((e2 < 1.0) & (grid.region == REGION_APERTURE), (1.0 - e2) ** 2, 0.0)
     support = bump @ grid.weights
     if not support > 0:

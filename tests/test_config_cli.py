@@ -201,6 +201,28 @@ def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path):
     assert not (out / "sweep.json").exists()
 
 
+def test_cli_compare_with_an_empty_band_is_config_error(tmp_path, capsys):
+    # at n = 28 no grid point of the line lies between 0.1 and 0.8 R clear
+    # of the core; np.quantile of the empty band used to raise IndexError
+    out = tmp_path / "o"
+    assert main(["compare", "--preset", "fig5a", "--grid", "28", "--out", str(out)]) == EXIT_CONFIG
+    assert "refine the grid" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "compare", "coupling"])
+def test_cli_film_reaching_the_grid_edge(tmp_path, command):
+    # film_factor = grid_factor leaves no exterior ring; the scenario grid
+    # graded with spacing 0 there and its anchors collided
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "film": {"film_factor": 100, "grid_factor": 100},
+        "grid": {"n_x": 60, "n_y": 60},
+        "sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]},
+    }))
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_cli_grid_override(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},

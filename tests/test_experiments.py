@@ -49,6 +49,19 @@ def test_sweep_validation():
         sweep("sideways", 1.0, np.geomspace(10, 100, 6), "analytic")
 
 
+def test_numeric_sweep_checks_smooth_window_before_solving(monkeypatch):
+    # an even window used to surface as a ValueError from the smoother,
+    # after every radius had been solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_scenario called before smooth_window was checked")
+
+    monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
+    radii = [500e-9 * 2**k for k in range(5)]
+    for window in (0, 2, 7):
+        with pytest.raises(ConfigurationError, match="smooth_window"):
+            sweep("centered", 100e-9, radii, "numeric", smooth_window=window)
+
+
 def test_sweep_lengths_follow_caption_relations():
     radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
     cen = sweep("centered", 1.0, radii, "analytic")

@@ -135,6 +135,23 @@ def test_fieldmap_validates_length_and_finiteness():
         FieldMap(grid, bad)
 
 
+def test_cells_derived_from_the_axes():
+    # each cell is its point's Voronoi interval per axis, clipped to the square
+    geom = Circle(1e-6)
+    film = default_film(geom)
+    grid = make_grid(geom, film, 24, 24, 125.0)
+    X = film.grid_half_extent
+    for axis, edges in ((grid.x, grid.x_edges), (grid.y, grid.y_edges)):
+        assert edges.shape == (len(axis) + 1,)
+        assert edges[0] == -X and edges[-1] == X
+        assert np.array_equal(edges[1:-1], 0.5 * (axis[1:] + axis[:-1]))
+        assert np.all((edges[:-1] < axis) & (axis < edges[1:]))
+        assert not edges.flags.writeable
+    cells = np.outer(np.diff(grid.x_edges), np.diff(grid.y_edges))
+    assert np.array_equal(grid.weights, cells.ravel())
+    assert not grid.weights.flags.writeable
+
+
 def test_points_built_once_and_read_only():
     geom = Ellipse(1000e-9, 400e-9)
     film = default_film(geom)

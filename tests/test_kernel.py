@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, FilmSpec, default_film
-from scaperture.grid import Grid, axis_weights, make_grid
-from scaperture.solver.kernel import boundary_correction, cell_integrated_kernel, kernel_rows
+from scaperture.grid import Grid, make_grid
+from scaperture.solver.kernel import kernel_rows
+
+from kernel_oracles import boundary_correction, cell_integrated_kernel
 
 
 def assemble_kernel(grid: Grid) -> np.ndarray:
@@ -196,8 +198,7 @@ def test_kernel_rows_on_the_grid_edge_match_strip_oracle():
     X = 1.0
     x = np.concatenate([[-X], np.linspace(-0.8, 0.8, 9)])
     y = np.concatenate([np.linspace(-0.7, 0.7, 8), [X]])
-    grid = Grid(x=x, y=y, half_extent=X, region=np.zeros(len(x) * len(y), dtype=np.uint8),
-                weights=np.outer(axis_weights(x, X), axis_weights(y, X)).ravel())
+    grid = Grid(x=x, y=y, half_extent=X, region=np.zeros(len(x) * len(y), dtype=np.uint8))
     rows = np.arange(grid.n_points)
     with np.errstate(divide="ignore"):
         got = kernel_rows(grid, rows)

@@ -22,7 +22,6 @@ from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ellipse, default_film
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid, build_grid
-from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import (
     BrandtSystem,
@@ -32,6 +31,8 @@ from scaperture.solver.system import (
     _parity,
     _unfold,
 )
+
+from kernel_oracles import cell_integrated_kernel
 
 # (geometry, dipole x, dipole y); the probe sits 100 nm inside the right edge
 CASES = {
@@ -204,7 +205,6 @@ def test_rejects_grid_without_mirror_symmetry():
 
     region = grid.region.copy()
     region[np.flatnonzero(region == REGION_FILM)[0]] = REGION_EXTERIOR
-    relabeled = Grid(x=grid.x, y=grid.y, half_extent=grid.half_extent,
-                     region=region, weights=grid.weights)
+    relabeled = Grid(x=grid.x, y=grid.y, half_extent=grid.half_extent, region=region)
     with pytest.raises(ConfigurationError, match="region labels"):
         BrandtSystem(geom, film, relabeled)

@@ -1,5 +1,6 @@
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, de
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
 from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
-from scaperture.solver.kernel import cell_integrated_kernel
 from scaperture.solver.system import BrandtSystem, compensated_source
+
+from kernel_oracles import cell_integrated_kernel
 
 R = 1e-6
 D_PROBE = 100e-9
@@ -25,16 +27,14 @@ def z_dipole(m=DEFAULT_MOMENT, x=0.0, y=0.0):
 def centered_grid(n=40, ratio=125.0):
     geom = Circle(R)
     film = default_film(geom)
-    h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
-    h_edge = h_cap / ratio
     grid = make_grid(
         geom,
         film,
         n,
         n,
         ratio,
-        extra_x_features=[(0.0, h_edge, 0.4)],
-        extra_y_features=[(0.0, h_edge, 0.4)],
+        refine_x=[0.0],
+        refine_y=[0.0],
         anchor_x=[R - D_PROBE],
         anchor_y=[5e-9],
     )
@@ -313,11 +313,10 @@ def test_pearl_length_trend():
     for lam in (100e-9, 50e-9, 25e-9):
         film = FilmSpec(london_depth=lam, thickness=80e-9,
                         film_half_extent=90 * R, grid_half_extent=100 * R)
-        h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
         grid = make_grid(
             geom, film, 40, 40, 125.0,
-            extra_x_features=[(0.0, h_cap / 125.0, 0.4)],
-            extra_y_features=[(0.0, h_cap / 125.0, 0.4)],
+            refine_x=[0.0],
+            refine_y=[0.0],
             anchor_y=[5e-9],
         )
         sol = BrandtSystem(geom, film, grid).solve(z_dipole())
@@ -336,11 +335,10 @@ def test_convergence_cauchy():
     film = default_film(geom)
     vals = []
     for n in (40, 60, 80):
-        h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
         grid = make_grid(
             geom, film, n, n, 125.0,
-            extra_x_features=[(0.0, h_cap / 125.0, 0.4)],
-            extra_y_features=[(0.0, h_cap / 125.0, 0.4)],
+            refine_x=[0.0],
+            refine_y=[0.0],
             anchor_x=[R - D_PROBE],
             anchor_y=[5e-9],
         )
@@ -368,6 +366,19 @@ def test_return_flux_core_left_of_nearest_grid_point():
     h_a = compensated_source(dipole, grid)
     net = h_a.values @ grid.weights
     assert abs(net) <= 1e-12 * (np.abs(h_a.values) @ grid.weights)
+
+
+def test_source_of_a_dipole_on_a_grid_point_does_not_warn():
+    # max(r, 1e-300)**3 underflowed to 0 at the dipole's own grid point
+    geom = Circle(R)
+    grid = scenario_grid(geom, default_film(geom), 40, probe_x=0.9e-6, y_line=5e-9)
+    dipole = z_dipole(x=-0.9e-6, y=5e-9)
+    assert np.hypot(*(grid.points - [-0.9e-6, 5e-9]).T).min() == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_a = compensated_source(dipole, grid)
+    assert np.all(np.isfinite(h_a.values))
+    assert abs(h_a.values @ grid.weights) <= 1e-12 * (np.abs(h_a.values) @ grid.weights)
 
 
 def test_off_plane_dipole_rejected():
