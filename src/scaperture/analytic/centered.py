@@ -35,7 +35,8 @@ def _alpha_parts(r, radius):
     t = np.where(on_sigma, 0.0, np.maximum(R2 - r2 + s, 0.0))
     rr = np.sqrt(r2)
     alpha = np.sqrt(t) / (SQRT2 * rr)
-    return rho2, r2, rr, s, t, alpha
+    c = (2 / np.pi) * (np.arctan(alpha) + alpha / (1 + alpha * alpha))
+    return rho2, r2, rr, s, t, alpha, c
 
 
 def n_vector(r, radius: float) -> NVector:
@@ -47,8 +48,7 @@ def n_vector(r, radius: float) -> NVector:
     r = np.asarray(r, dtype=float)
     if np.any(np.linalg.norm(np.atleast_2d(r), axis=-1) == 0.0):
         raise SingularityError("n is undefined at the origin")
-    _, _, _, _, _, alpha = _alpha_parts(r, radius)
-    c = (2 / np.pi) * (np.arctan(alpha) + alpha / (1 + alpha * alpha))
+    *_, alpha, c = _alpha_parts(r, radius)
     n = np.stack([c * r[..., 0], c * r[..., 1], r[..., 2]], axis=-1)
     return NVector(n=n, c=c, alpha=alpha)
 
@@ -61,7 +61,7 @@ def _c_and_partials(r, radius):
     """
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     R2 = radius * radius
-    rho2, r2, rr, s, t, alpha = _alpha_parts(r, radius)
+    rho2, r2, rr, s, t, alpha, c = _alpha_parts(r, radius)
 
     # dP/da for P = (r^2 + R^2)^2 - 4 rho^2 R^2
     px = 4 * x * (r2 - R2)
@@ -80,7 +80,6 @@ def _c_and_partials(r, radius):
     ay = np.where(on_sigma, 0.0, ay)
     az = np.where(on_sigma, 0.0, az)
 
-    c = (2 / np.pi) * (np.arctan(alpha) + alpha / (1 + alpha * alpha))
     dc_dalpha = (4 / np.pi) / (1 + alpha * alpha) ** 2
     return c, dc_dalpha * ax, dc_dalpha * ay, dc_dalpha * az
 

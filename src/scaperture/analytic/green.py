@@ -99,22 +99,14 @@ def green_circular(r, r_src, radius: float) -> GreenEval:
     term_minus = (1.0 + (2 / np.pi) * np.arctan(f_minus / d_minus)) / d_minus
     term_plus = (1.0 + eps * (2 / np.pi) * np.arctan(f_plus / d_plus)) / d_plus
     value = (term_minus - term_plus) / (8 * np.pi)
-    if scalar:
-        return GreenEval(
-            value=value[0],
-            f_plus=f_plus[0],
-            f_minus=f_minus[0],
-            d_plus=d_plus[0],
-            d_minus=d_minus[0],
-            epsilon_sign=eps[0],
-        )
+    idx = 0 if scalar else ...
     return GreenEval(
-        value=value,
-        f_plus=f_plus,
-        f_minus=f_minus,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        epsilon_sign=eps,
+        value=value[idx],
+        f_plus=f_plus[idx],
+        f_minus=f_minus[idx],
+        d_plus=d_plus[idx],
+        d_minus=d_minus[idx],
+        epsilon_sign=eps[idx],
     )
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from scaperture.constants import DEFAULT_MOMENT, PLANCK
 from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
-from scaperture.geometry import ApertureGeometry, FilmSpec
+from scaperture.geometry import ApertureGeometry, ConfigurationError, FilmSpec
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,12 @@ def numeric_coupling(
     """Solve the geometry with a dipole d inside the left edge and estimate
     the coupling at the mirror site d inside the right edge.
 
-    `film` defaults to `default_film(geometry)`.
+    `film` defaults to `default_film(geometry)`.  Needs 0 < d < the x
+    semi-axis, so that the two sites do not cross.
     """
+    if not 0 < d < geometry.edge_x:
+        raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and "
+                                 f"the x semi-axis {geometry.edge_x * 1e9:g} nm")
     x0 = -(geometry.edge_x - d)
     probe = geometry.edge_x - d
     solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scaperture.constants import MIN_FIT_RADII
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -23,8 +25,8 @@ def fit_power_law(lengths, values, sigma=None) -> PowerLawFit:
     """
     lengths = np.asarray(lengths, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(lengths) < 5:
-        raise ValueError("need at least 5 points to fit")
+    if len(lengths) < MIN_FIT_RADII:
+        raise ValueError(f"need at least {MIN_FIT_RADII} points to fit")
     if np.any(values == 0.0) or len(set(np.sign(values))) != 1:
         raise ValueError("values must be nonzero and of one sign")
 

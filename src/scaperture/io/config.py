@@ -122,11 +122,6 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
     if command == "sweep":
         if len(cfg.sweep_radii) < MIN_FIT_RADII:
             raise ConfigurationError(f"sweep.radii_nm: the fit needs at least {MIN_FIT_RADII} radii")
-        if cfg.sweep_d <= 0:
-            raise ConfigurationError("sweep.d_nm must be positive")
-    if command in ("solve", "compare", "coupling"):
-        if not cfg.geometry.contains(cfg.dipole_x, cfg.dipole_y):
-            raise ConfigurationError("dipole must sit inside the aperture")
 
 
 def load_config(path: str | Path, command: str) -> ScenarioConfig:

@@ -10,6 +10,7 @@ import pytest
 import scaperture
 from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
+from scaperture.experiments.coupling import numeric_coupling
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
 from scaperture.io.config import PRESETS, load_config, parse_config, preset_config
 
@@ -184,6 +185,36 @@ def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):
     for command in ("solve", "coupling"):
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)])
         assert code == EXIT_CONFIG
+
+
+def test_cli_coupling_with_crossed_sites_is_config_error(tmp_path, capsys):
+    # d = 300 nm beyond the 250 nm semi-axis put the dipole right of the
+    # probe; the run used to exit 0 with a separation of -100 nm
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": 100},
+        "grid": {"n_x": 40, "n_y": 40},
+        "sweep": {"d_nm": 300},
+    }))
+    out = tmp_path / "o"
+    assert main(["coupling", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "semi-axis" in capsys.readouterr().err
+    assert not (out / "coupling.json").exists()
+    with pytest.raises(ConfigurationError):
+        numeric_coupling(Ellipse(a=250e-9, b=100e-9), 250e-9, n=40)
+
+
+def test_cli_unused_far_dipole_is_accepted(tmp_path):
+    # compare and coupling place their dipole from scenario and sweep.d_nm,
+    # so a dipole block outside the aperture is not read; solve reads it
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "geometry": {"kind": "circle", "radius_nm": 1000},
+        "grid": {"n_x": 40, "n_y": 40},
+        "dipole": {"x_nm": 5000},
+    }))
+    for command, code in (("compare", EXIT_OK), ("coupling", EXIT_OK), ("solve", EXIT_CONFIG)):
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) == code
 
 
 def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scaperture.analytic.green import (
+    GreenEval,
     SingularityError,
     green_circular,
     green_source_gradient,
@@ -137,3 +138,15 @@ def test_parts_positive_and_finite():
         assert ev.d_plus > 0 and ev.d_minus > 0
         assert ev.f_plus >= 0 and ev.f_minus >= 0
         assert ev.epsilon_sign in (-1.0, 1.0)
+
+
+def test_batch_and_scalar_give_the_same_fields():
+    rng = np.random.default_rng(9)
+    r = rng.normal(size=(12, 3))
+    r[:4, 2] = 0.0  # on the film plane, in and out of the hole
+    src = np.array([0.2, -0.1, 0.3])
+    batch = green_circular(r, src, 1.0)
+    for name in GreenEval.__dataclass_fields__:
+        single = np.array([getattr(green_circular(p, src, 1.0), name) for p in r])
+        assert np.array_equal(getattr(batch, name), single)
+        assert np.ndim(getattr(green_circular(r[0], src, 1.0), name)) == 0

@@ -158,3 +158,22 @@ def test_bz_plane_rejects_dipole_and_edge_ring():
         field_shifted_bz_plane(1.0, -0.4, [0.2, -0.4], 0.0, R)
     with pytest.raises(SingularityError):
         field_shifted_bz_plane(1.0, -0.4, [0.2, R], 0.0, R)
+
+
+def test_field_shifted_batch_matches_pointwise_calls():
+    # one (k, 3) call against k single-point calls: inside the hole (in and
+    # off the plane), off-plane outside it, and on the film at z = 0
+    x0 = 0.35
+    pts = np.array([
+        [0.1, 0.2, 0.0], [-0.5, 0.3, 0.4], [0.2, -0.1, -0.7],
+        [1.6, 0.4, 0.3], [-2.0, 1.1, -0.05], [0.3, 1.5, 1e-3],
+        [1.7, 0.0, 0.0], [-1.2, -0.9, 0.0], [0.4, 2.5, 0.0],
+    ])
+    m = np.array([0.3, -1.1, 0.7])
+    single = np.array([field_shifted(m, x0, p, R) for p in pts])
+    assert single.shape == pts.shape
+    for batch in (field_shifted(m, x0, pts, R),
+                  field_shifted(m, x0, pts.reshape(3, 3, 3), R).reshape(-1, 3)):
+        err = np.linalg.norm(batch - single, axis=1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(single, axis=1))
+    assert field_shifted(m, x0, pts[0], R).shape == (3,)
