@@ -57,6 +57,9 @@ def compare_engines(
     if scenario not in ("centered", "shifted"):
         raise ConfigurationError("comparison scenarios: centered, shifted")
     radius = geometry.radius
+    if not 0 < d < radius:
+        raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and "
+                                 f"the radius {radius * 1e9:g} nm")
     x0 = 0.0 if scenario == "centered" else -(radius - d)
     solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
                             probe_x=radius - d, y_line=y_line)

@@ -145,8 +145,9 @@ def build_grid(geometry, film, x_coords, y_coords) -> Grid:
     """Assemble a Grid from prepared axis coordinates."""
     x = np.asarray(x_coords, dtype=float)
     y = np.asarray(y_coords, dtype=float)
-    if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
-        raise ConfigurationError("axis coordinates must be strictly increasing")
+    inside = all(-film.grid_half_extent < a[0] and a[-1] < film.grid_half_extent for a in (x, y))
+    if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0) and inside):
+        raise ConfigurationError("axis coordinates must increase strictly inside the grid square")
     region = label_regions(geometry, film, x, y)
     return Grid(x=x, y=y, half_extent=film.grid_half_extent, region=region)
 

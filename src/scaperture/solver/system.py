@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
-from scaperture.solver.kernel import kernel_rows
+from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
 
 
@@ -151,27 +151,29 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarra
     Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
     `_block_maps`; it is returned in a Fortran-order system buffer, with the
     block's rows `keep` on its unknowns (unscaled).  A block whose `maps[b]`
-    is None is skipped and gets None for both.  Whole rows are made n_y / 2
-    at a time, since a row's sum-rule self entry needs the whole unfolded
-    row and a batch's transient is about three times its rows; the fluxoid
-    row sums kept hole rows.
+    is None is skipped and gets None for both.  Folded rows are made n_y / 2
+    at a time, and since g = 0 on the exterior, only on the corner rectangle
+    of the quadrant's cells that holds every film and hole point; the
+    fluxoid row sums kept hole rows.
     """
-    nq, chunk, shape = len(quad), grid.n_y // 2, (-1, grid.n_x, grid.n_y)
+    nq, chunk = len(quad), grid.n_y // 2
+    used = (grid.region[quad] != REGION_EXTERIOR).reshape(-1, chunk)
+    cells = tuple(len(np.trim_zeros(used.any(axis=k), "b")) for k in (1, 0))
+    on_cells = np.arange(nq).reshape(used.shape)[:cells[0], :cells[1]].ravel()
     wanted = [b for b, m in enumerate(maps) if m is not None]
     systems, kept = [None] * len(maps), [None] * len(maps)
     # rows @ collapse is (collapse.T @ rows.T).T: transpose the maps once
-    collapse_t = [None if m is None else m[0].T for m in maps]
+    collapse_t = [None if m is None else m[0][on_cells].T for m in maps]
     for b in wanted:
         n_unknowns = maps[b][1].shape[0]
         systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
         kept[b] = np.empty((len(keep), n_unknowns))
     for a in range(0, nq, chunk):
-        images = _mirror_views(kernel_rows(grid, quad[a:a + chunk]).reshape(shape))
+        blocks = folded_kernel_rows(grid, quad[a:a + chunk], cells, wanted)
         # the chunk's rows of film and of keep are consecutive in the buffers
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
-        for b in wanted:
-            block = _parity(*images, b).reshape(-1, nq)
+        for b, block in zip(wanted, blocks):
             systems[b][f0:f1] = (collapse_t[b] @ block[film[f0:f1] - a].T).T
             kept[b][k0:k1] = (collapse_t[b] @ block[keep[k0:k1] - a].T).T
     for b in wanted:

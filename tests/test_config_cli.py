@@ -10,6 +10,7 @@ import pytest
 import scaperture
 from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
+from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
 from scaperture.io.config import PRESETS, load_config, parse_config, preset_config
@@ -202,6 +203,25 @@ def test_cli_coupling_with_crossed_sites_is_config_error(tmp_path, capsys):
     assert not (out / "coupling.json").exists()
     with pytest.raises(ConfigurationError):
         numeric_coupling(Ellipse(a=250e-9, b=100e-9), 250e-9, n=40)
+
+
+def test_cli_compare_with_crossed_sites_is_config_error(tmp_path, capsys):
+    # d = 1500 nm beyond the 1 um radius put the shifted dipole at +500 nm,
+    # right of the centre; the run used to exit 0 with a median of 1.841 dB
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "geometry": {"kind": "circle", "radius_nm": 1000},
+        "grid": {"n_x": 40, "n_y": 40},
+        "scenario": "shifted",
+        "sweep": {"d_nm": 1500},
+    }))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "radius" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+    for scenario, d in (("centered", 1e-6), ("shifted", 0.0)):
+        with pytest.raises(ConfigurationError):
+            compare_engines(scenario, Circle(1e-6), d, n=40)
 
 
 def test_cli_unused_far_dipole_is_accepted(tmp_path):

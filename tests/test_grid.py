@@ -7,6 +7,7 @@ from scaperture.grid import (
     REGION_EXTERIOR,
     REGION_FILM,
     FieldMap,
+    build_grid,
     make_grid,
     snap_symmetric,
 )
@@ -150,6 +151,19 @@ def test_cells_derived_from_the_axes():
     cells = np.outer(np.diff(grid.x_edges), np.diff(grid.y_edges))
     assert np.array_equal(grid.weights, cells.ravel())
     assert not grid.weights.flags.writeable
+
+
+def test_axis_points_on_the_grid_edge_rejected():
+    # a point on the grid square's edge sits on its own cell's outer edge,
+    # where the kernel's self entry, the integral outside the cell, diverges
+    geom = Circle(1e-6)
+    film = FilmSpec(film_half_extent=20e-6, grid_half_extent=20e-6)
+    axis = make_grid(geom, film, 24, 24, 40.0).x
+    build_grid(geom, film, axis, axis)
+    x = np.concatenate([[-20e-6], axis[1:-1], [20e-6]])
+    for axes in ((x, x[1:-1]), (x[1:-1], x)):
+        with pytest.raises(ConfigurationError, match="inside the grid square"):
+            build_grid(geom, film, *axes)
 
 
 def test_points_built_once_and_read_only():

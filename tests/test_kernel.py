@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, FilmSpec, default_film
 from scaperture.grid import Grid, make_grid
-from scaperture.solver.kernel import kernel_rows
+from scaperture.solver.kernel import folded_kernel_rows
+from scaperture.solver.system import _mirror_views, _parity
 
 from kernel_oracles import boundary_correction, cell_integrated_kernel
 
@@ -52,6 +53,21 @@ def strip_kernel_rows(grid: Grid, rows) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out[own] = boundary_correction(grid)[rows] - out.sum(axis=1)
     return out
+
+
+def fold(grid: Grid, whole_rows, cells) -> list:
+    """The four parity folds of whole-grid rows of quadrant points, on the
+    quadrant's first `cells` cells: what `folded_kernel_rows` returns."""
+    images = _mirror_views(whole_rows.reshape(-1, grid.n_x, grid.n_y))
+    return [_parity(*images, b)[:, :cells[0], :cells[1]].reshape(len(whole_rows), -1)
+            for b in range(4)]
+
+
+def quadrant(grid: Grid):
+    """Flat indices of the +x,+y quadrant's points and its (n_x / 2, n_y / 2) cells."""
+    hx, hy = grid.n_x // 2, grid.n_y // 2
+    rows = ((hx + np.arange(hx))[:, None] * grid.n_y + hy + np.arange(hy)[None, :]).ravel()
+    return rows, (hx, hy)
 
 
 def row_error(got, want):
@@ -181,40 +197,63 @@ def test_cell_integration_approaches_midpoint_far_away():
     assert qwc[p, j] == pytest.approx(qw[p, j], rel=1e-2)
 
 
+@pytest.mark.parametrize("n", [40, 60, 120])
+def test_oracle_rows_sum_to_the_outside_integral(n):
+    # the sum rule, which the folded rows get from their plain second
+    # difference: a row telescopes to the integral outside the grid square.
+    # Summing cancels the self entry, about 1e4 times the outside integral
+    # on these grids, so the bound is on the row's own scale
+    grid = graded_grid(n)
+    rows = np.sort(np.random.default_rng(n).choice(grid.n_points, 100, replace=False))
+    kernel = cell_integrated_kernel(grid, rows)
+    own = kernel[np.arange(len(rows)), rows]
+    assert np.all(own == np.abs(kernel).max(axis=1))
+    gap = np.abs(kernel.sum(axis=1) - boundary_correction(grid)[rows])
+    assert np.all(gap <= 1e-13 * own)
+
+
 @pytest.mark.parametrize("n", [16, 32, 48, 64])
 def test_kernel_rows_match_strip_oracle(n):
     grid = graded_grid(n)
+    quad, cells = quadrant(grid)
     rng = np.random.default_rng(n)
-    # the grid's corners, the points next to the aperture edge and a sample
-    edge = np.flatnonzero(np.abs(np.hypot(*grid.points.T) - 1e-6) < 0.1e-6)
-    rows = np.unique(np.concatenate([[0, grid.n_points - 1], edge,
-                                     rng.choice(grid.n_points, 200, replace=False)]))
-    assert row_error(kernel_rows(grid, rows), strip_kernel_rows(grid, rows)).max() <= 1e-14
+    # the quadrant's corners, the points next to the aperture edge and a sample
+    edge = np.flatnonzero(np.abs(np.hypot(*grid.points[quad].T) - 1e-6) < 0.1e-6)
+    picks = np.concatenate([[0, cells[1] - 1, len(quad) - cells[1], len(quad) - 1], edge,
+                            rng.choice(len(quad), 50, replace=False)])
+    rows = quad[np.unique(picks)]
+    got = folded_kernel_rows(grid, rows, cells, range(4))
+    whole = strip_kernel_rows(grid, rows)
+    # the round-off of a fold is on the scale of the whole row's peak
+    peak = np.abs(whole).max(axis=1)
+    for block, want in zip(got, fold(grid, whole, cells)):
+        assert np.all(np.abs(block - want).max(axis=1) <= 1e-14 * peak)
 
 
 def test_kernel_rows_on_the_grid_edge_match_strip_oracle():
-    # points on the grid square's edge x = -X and y = X put u = 0 and v = 0
+    # points on the grid square's edges x = X and y = X put u = 0 and v = 0
     # on outer cell corners, where the corner term takes its zero limit
     X = 1.0
-    x = np.concatenate([[-X], np.linspace(-0.8, 0.8, 9)])
-    y = np.concatenate([np.linspace(-0.7, 0.7, 8), [X]])
+    x = np.concatenate([[-X], np.linspace(-0.8, 0.8, 8), [X]])
+    y = np.concatenate([[-X], np.linspace(-0.7, 0.7, 6), [X]])
     grid = Grid(x=x, y=y, half_extent=X, region=np.zeros(len(x) * len(y), dtype=np.uint8))
-    rows = np.arange(grid.n_points)
+    rows, cells = quadrant(grid)
+    got = folded_kernel_rows(grid, rows, cells, range(4))
     with np.errstate(divide="ignore"):
-        got = kernel_rows(grid, rows)
-    want = strip_kernel_rows(grid, rows)
-    off = ~np.eye(grid.n_points, dtype=bool)
-    got_off, want_off = (a[off].reshape(len(rows), -1) for a in (got, want))
-    assert np.all(np.isfinite(got_off))
-    assert row_error(got_off, want_off).max() <= 1e-14
-    # the self entry: the outside integral diverges on the grid's edge
-    edge = (grid.points[:, 0] == -X) | (grid.points[:, 1] == X)
-    assert np.array_equal(np.isfinite(np.diag(got)), ~edge)
-    assert np.allclose(np.diag(got)[~edge], np.diag(want)[~edge], rtol=1e-14, atol=0.0)
+        folded = fold(grid, strip_kernel_rows(grid, rows), cells)
+    # the oracle's sum rule diverges on the grid's edge, and only in a row's
+    # own cell: there the outside integral is infinite
+    on_edge = (grid.points[rows, 0] == X) | (grid.points[rows, 1] == X)
+    own = np.eye(len(rows), dtype=bool)
+    for block, want in zip(got, folded):
+        assert np.all(np.isfinite(block))
+        assert np.array_equal(~np.isfinite(want), own & on_edge[:, None])
+        finite = np.where(np.isfinite(want), want, 0.0)
+        assert row_error(np.where(np.isfinite(want), block, 0.0), finite).max() <= 1e-14
 
 
 BATCH_GRID = graded_grid(24)
-QUADRANT = np.flatnonzero((BATCH_GRID.points[:, 0] > 0) & (BATCH_GRID.points[:, 1] > 0))
+QUADRANT, QUADRANT_CELLS = quadrant(BATCH_GRID)
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,5 +263,8 @@ def test_kernel_rows_do_not_depend_on_the_batch(bounds):
     # of quadrant rows must give the rows of one call bit for bit
     bounds = sorted(bounds)
     rows = QUADRANT[bounds[0]:bounds[-1]]
-    pieces = [kernel_rows(BATCH_GRID, QUADRANT[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert np.array_equal(np.concatenate(pieces), kernel_rows(BATCH_GRID, rows))
+    pieces = [folded_kernel_rows(BATCH_GRID, QUADRANT[a:b], QUADRANT_CELLS, range(4))
+              for a, b in zip(bounds, bounds[1:])]
+    whole = folded_kernel_rows(BATCH_GRID, rows, QUADRANT_CELLS, range(4))
+    for b in range(4):
+        assert np.array_equal(np.concatenate([piece[b] for piece in pieces]), whole[b])

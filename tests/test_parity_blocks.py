@@ -22,6 +22,7 @@ from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ellipse, default_film
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid, build_grid
+from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import (
     BrandtSystem,
@@ -130,33 +131,48 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     nx, ny = grid.n_x, grid.n_y
     hx, hy = nx // 2, ny // 2
     quad_rows = ((hx + np.arange(hx))[:, None] * ny + hy + np.arange(hy)[None, :]).ravel()
-    # the assembly with every quadrant point a film unknown and every row
-    # kept: 8 chunks of kernel rows here
-    every = np.arange(hx * hy)
-    identity = [_block_maps(every, None, np.ones(hx * hy))] * 4
-    systems, kept = _fold_kernel(grid, quad_rows, every, every, identity)
+    # the film square is the quadrant's first (m_x, m_y) cells: every film
+    # and hole point is on it, and an exterior ring lies beyond
+    inside = (grid.region[quad_rows] != REGION_EXTERIOR).reshape(hx, hy)
+    mx, my = cells = inside.any(axis=1).sum(), inside.any(axis=0).sum()
+    assert mx < hx and my < hy
+    assert not inside[mx:].any() and not inside[:, my:].any()
 
+    # the rows as the solver batches them, one quadrant x column per call
+    calls = [folded_kernel_rows(grid, quad_rows[a:a + hy], cells, range(4))
+             for a in range(0, hx * hy, hy)]
+    blocks = [np.concatenate(parts) for parts in zip(*calls)]
+
+    # unfolded onto the film square's whole-grid cells, they are the
+    # whole-grid rows there
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    x_image, y_image = (ix < hx).ravel(), (iy < hy).ravel()
-    quad_col = (np.where(ix < hx, hx - 1 - ix, ix - hx) * hy
-                + np.where(iy < hy, hy - 1 - iy, iy - hy)).ravel()
+    qx, qy = np.where(ix < hx, hx - 1 - ix, ix - hx), np.where(iy < hy, hy - 1 - iy, iy - hy)
+    square = ((qx < mx) & (qy < my)).ravel()
+    x_image, y_image = (ix < hx).ravel()[square], (iy < hy).ravel()[square]
+    quad_col = (qx * my + qy).ravel()[square]
     # blocks in the order (even x, even y), (odd x, even y), (even x, odd y), (odd x, odd y)
-    rows = np.zeros((hx * hy, grid.n_points))
-    for block, (px, py) in zip(kept, [(1, 1), (-1, 1), (1, -1), (-1, -1)]):
+    rows = np.zeros((hx * hy, square.sum()))
+    for block, (px, py) in zip(blocks, [(1, 1), (-1, 1), (1, -1), (-1, -1)]):
         sign = np.where(x_image, px, 1) * np.where(y_image, py, 1)
         rows += 0.25 * sign * block[:, quad_col]
-    full = cell_integrated_kernel(grid)[quad_rows]
-    err = np.abs(rows - full).max(axis=1) / np.abs(full).max(axis=1)
+    full = cell_integrated_kernel(grid, quad_rows)
+    err = np.abs(rows - full[:, square]).max(axis=1) / np.abs(full).max(axis=1)
     assert err.max() <= 1e-12
 
-    # entry for entry the fold of the whole-grid rows, in the same order of
-    # additions
+    # entry for entry the parity fold of the whole-grid rows; the table is
+    # folded before it is differenced, so only the order of additions
+    # differs, and the round-off is on the scale of the whole row's peak
+    # (a fold near a mirror axis nearly cancels)
     images = _mirror_views(full.reshape(hx * hy, nx, ny))
     folded = [_parity(*images, b).reshape(hx * hy, hx * hy) for b in range(4)]
-    for block, want, buffer in zip(kept, folded, systems):
-        assert np.array_equal(block, want)
-        assert buffer.flags.f_contiguous
-        assert np.array_equal(buffer, want)
+    on_square = (np.arange(hx)[:, None] < mx) & (np.arange(hy)[None, :] < my)
+    peak = np.abs(full).max(axis=1)
+
+    def close(got, want, rows=slice(None)):
+        return np.all(np.abs(got - want).max(axis=1) <= 1e-13 * peak[rows])
+
+    for block, want in zip(blocks, folded):
+        assert close(block, want[:, on_square.ravel()])
 
     # the build's maps: film rows on the block's unknowns, then in the
     # even-even block the fluxoid row; the build kept its rows `_keep`
@@ -165,11 +181,15 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     assert [len(b) for b in systems] == [len(film) + 1] + [len(film)] * 3
     for want, buffer, rows_kept, built, (collapse, fold) in zip(
             folded, systems, kept, system._kernel, system._maps):
-        assert np.array_equal(buffer[:len(film)], want[film] @ collapse)
+        assert buffer.flags.f_contiguous
+        assert close(buffer[:len(film)], want[film] @ collapse, film)
         assert np.array_equal(built, rows_kept)
-        assert np.array_equal(built, want[system._keep] @ collapse)
+        assert close(built, want[system._keep] @ collapse, system._keep)
+        # the fluxoid row sums hole rows weighted by cell area, so its
+        # round-off scale is that sum of the rows' peaks
         fluxoid = (fold @ want @ collapse)[len(film):]
-        assert np.allclose(buffer[len(film):], fluxoid, rtol=1e-13, atol=0.0)
+        gap = np.abs(buffer[len(film):] - fluxoid).max(axis=1)
+        assert np.all(gap <= 1e-13 * (fold @ peak)[len(film):])
 
 
 # integer values, so every signed sum is exact; zeros give the sparse case
