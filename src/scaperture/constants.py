@@ -17,3 +17,4 @@ DEFAULT_LONDON_DEPTH = 50e-9
 DEFAULT_THICKNESS = 80e-9
 DEFAULT_FILM_FACTOR = 90.0   # film half-extent in units of the aperture radius
 DEFAULT_GRID_FACTOR = 100.0  # grid half-extent in units of the aperture radius
+DEFAULT_RATIO = 125.0  # scenario grid: far spacing over the spacing at the refined positions

@@ -13,8 +13,8 @@ import numpy as np
 
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT
-from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
+from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO
+from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
 from scaperture.solver.system import core_radii
 
@@ -57,12 +57,9 @@ def compare_engines(
     if scenario not in ("centered", "shifted"):
         raise ConfigurationError("comparison scenarios: centered, shifted")
     radius = geometry.radius
-    if not 0 < d < radius:
-        raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and "
-                                 f"the radius {radius * 1e9:g} nm")
-    x0 = 0.0 if scenario == "centered" else -(radius - d)
+    x0, probe_x = place(scenario, geometry, d)
     solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
-                            probe_x=radius - d, y_line=y_line)
+                            probe_x=probe_x, y_line=y_line)
     xs, y_actual = solved.grid.x, solved.y_line
     hz = solved.solution.h_z.values[solved.line]
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scaperture.constants import DEFAULT_MOMENT, PLANCK
-from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
-from scaperture.geometry import ApertureGeometry, ConfigurationError, FilmSpec
+from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, PLANCK
+from scaperture.experiments.grids import place, solve_scenario
+from scaperture.geometry import ApertureGeometry, FilmSpec
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,7 @@ def numeric_coupling(
     `film` defaults to `default_film(geometry)`.  Needs 0 < d < the x
     semi-axis, so that the two sites do not cross.
     """
-    if not 0 < d < geometry.edge_x:
-        raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and "
-                                 f"the x semi-axis {geometry.edge_x * 1e9:g} nm")
-    x0 = -(geometry.edge_x - d)
-    probe = geometry.edge_x - d
+    x0, probe = place("shifted", geometry, d)
     solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
                             probe_x=probe, y_line=y_line)
     return coupling_estimate(moment, solved.b_probe, probe - x0)

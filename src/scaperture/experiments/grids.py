@@ -1,13 +1,13 @@
-"""Scenario grids and the one scenario pipeline of the numeric engine.
+"""Scenario placement, scenario grids and the one scenario pipeline of the
+numeric engine.
 
-One self-similar rule for all scenarios: `make_grid`'s grading at the
-aperture edges, refined also at the dipole abscissa and at the midline (for
-the evaluation line), with the probe position and evaluation line snapped
-onto exact coordinates.
-
-`solve_scenario` runs geometry -> grid -> system -> solve -> probe for every
-numeric caller and is the one place where the solver's field becomes the
-physical one.
+`place` is the one placement rule of `sweep`, `compare` and `coupling`.
+`scenario_grid` is the one self-similar grid rule: `make_grid`'s grading at
+the aperture edges, refined also at the dipole abscissa and at the midline
+(for the evaluation line), with the probe abscissa and the evaluation line
+snapped onto exact coordinates.  `solve_scenario` runs geometry -> grid ->
+system -> solve -> probe for every numeric caller and is the one place where
+the solver's field becomes the physical one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scaperture.constants import MU0
+from scaperture.constants import DEFAULT_RATIO, MU0
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, default_film
 from scaperture.grid import Grid, make_grid
 
@@ -24,7 +24,20 @@ from scaperture.grid import Grid, make_grid
 # solved, so a substitute patched into scaperture.solver.system is used
 from scaperture.solver import system as solver
 
-DEFAULT_RATIO = 125.0
+
+def place(scenario: str, geometry: ApertureGeometry, d: float) -> tuple[float, float]:
+    """(dipole_x, probe_x), m: the probe sits d inside the right edge, the
+    dipole at the centre (`centered`) or d inside the left edge (`shifted`,
+    `ellipse`).  Needs 0 < d < the x semi-axis, so that the two do not cross.
+    """
+    if scenario not in ("centered", "shifted", "ellipse"):
+        raise ConfigurationError(f"scenario must be centered, shifted or ellipse, not {scenario!r}")
+    edge = geometry.edge_x
+    if not 0 < d < edge:
+        raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and the x "
+                                 f"semi-axis (the radius of a circle) {edge * 1e9:g} nm")
+    probe_x = edge - d
+    return (0.0 if scenario == "centered" else -probe_x), probe_x
 
 
 def scenario_grid(
@@ -37,13 +50,8 @@ def scenario_grid(
     y_line: float = 5e-9,
     ratio: float = DEFAULT_RATIO,
 ) -> Grid:
-    return make_grid(
-        geometry, film, n, n, ratio,
-        refine_x=[abs(dipole_x)],
-        refine_y=[0.0],
-        anchor_x=[probe_x] if probe_x is not None else [],
-        anchor_y=[y_line] if y_line else [],
-    )
+    return make_grid(geometry, film, n, ratio, refine_x=[abs(dipole_x)], refine_y=[0.0],
+                     anchor_x=probe_x, anchor_y=y_line or None)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Non-equidistant tensor grids with edge refinement, cells and region labels.
 
-`make_grid` holds the one grading rule: spacing h_edge at the aperture edges
-and at any extra refined positions, growing with slope GRADING_SLOPE away
-from them up to h_cap.  `Grid` holds the one cell rule: each point's cell is
-its Voronoi interval along each axis, clipped to the grid square.
+`make_grid` holds the one grading rule: n points per axis, spacing h_edge at
+the aperture edges and at any extra refined positions, growing with slope
+GRADING_SLOPE away from them up to h_cap, and at most one anchor per axis
+snapped on as an exact +- pair.  `Grid` holds the one cell rule: each
+point's cell is its Voronoi interval along each axis, clipped to the grid
+square; `Grid` and `build_grid` take any strictly increasing axes.
 """
 
 from __future__ import annotations
@@ -49,28 +51,17 @@ def graded_axis(n, half_extent, positions, h_edge, h_cap):
     return np.concatenate([-half[::-1], half])
 
 
-def snap_symmetric(coords, values):
-    """Snap +-v pairs onto the nearest coordinates of a symmetric axis.
+def snap_symmetric(coords, value):
+    """Snap the pair +-value onto the nearest mirror pair of a symmetric axis.
 
-    Replaces existing points (count preserved); each anchor consumes a
-    distinct mirror pair of indices.  An anchor at 0 has no mirror partner
-    on an axis without a point at 0, so it is rejected.
+    Replaces existing points (count preserved).  An anchor at 0 has no
+    mirror partner on an axis without a point at 0, so it is rejected.
     """
+    if value == 0.0:
+        raise ConfigurationError("cannot snap an anchor at 0: symmetric axes have no point at 0")
     out = np.array(coords, dtype=float)
-    n = len(out)
-    used: set[int] = set()
-    for v in sorted({float(v) for v in values}):
-        if v == 0.0:
-            raise ConfigurationError(
-                "cannot snap an anchor at 0: symmetric axes have no point at 0"
-            )
-        for i in np.argsort(np.abs(out - v)):
-            if i in used or (n - 1 - i) in used:
-                continue
-            out[i] = v
-            out[n - 1 - i] = -v
-            used.update((int(i), int(n - 1 - i)))
-            break
+    i = int(np.argmin(np.abs(out - value)))
+    out[i], out[len(out) - 1 - i] = value, -value
     out = np.sort(out)
     if not np.all(np.diff(out) > 0):
         raise ConfigurationError("anchor snapping produced duplicate coordinates")
@@ -155,25 +146,24 @@ def build_grid(geometry, film, x_coords, y_coords) -> Grid:
 def make_grid(
     geometry: ApertureGeometry,
     film: FilmSpec,
-    n_x: int,
-    n_y: int,
+    n: int,
     refinement_ratio: float,
     *,
     refine_x=(),
     refine_y=(),
-    anchor_x=(),
-    anchor_y=(),
+    anchor_x: float | None = None,
+    anchor_y: float | None = None,
 ) -> Grid:
-    """Tensor grid refined near the aperture edges and the `refine_x`/`refine_y`
-    positions (m, each mirrored by the axis symmetry).
+    """Square tensor grid of n x n points refined near the aperture edges and
+    the `refine_x`/`refine_y` positions (m, each mirrored by the axis symmetry).
 
     Spacing there is h_edge = h_cap / `refinement_ratio` and grows with
     slope GRADING_SLOPE away from them.  The far spacing h_cap is half the
     exterior ring width, so the film boundary is always sampled, or 5 % of
-    the grid half extent when the film reaches the grid edge.  Anchors are
-    snapped onto the axes as exact +- coordinate pairs.
+    the grid half extent when the film reaches the grid edge.  An anchor is
+    snapped onto its axis as an exact +- coordinate pair.
     """
-    if n_x < 16 or n_y < 16:
+    if n < 16:
         raise ConfigurationError("need at least 16 points per axis")
     if refinement_ratio < 1:
         raise ConfigurationError("refinement_ratio must be >= 1")
@@ -184,11 +174,11 @@ def make_grid(
     if h_cap <= 0:
         h_cap = 0.05 * X
     h_edge = h_cap / refinement_ratio
-    x = graded_axis(n_x, X, [geometry.edge_x, *refine_x], h_edge, h_cap)
-    y = graded_axis(n_y, X, [geometry.edge_y, *refine_y], h_edge, h_cap)
-    if len(anchor_x):
+    x = graded_axis(n, X, [geometry.edge_x, *refine_x], h_edge, h_cap)
+    y = graded_axis(n, X, [geometry.edge_y, *refine_y], h_edge, h_cap)
+    if anchor_x is not None:
         x = snap_symmetric(x, anchor_x)
-    if len(anchor_y):
+    if anchor_y is not None:
         y = snap_symmetric(y, anchor_y)
     return build_grid(geometry, film, x, y)
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
+from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, MIN_FIT_RADII
 from scaperture.geometry import (
     ApertureGeometry,
     Circle,
@@ -27,14 +27,12 @@ _NM = 1e-9
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    command: str
     geometry: ApertureGeometry
     film: FilmSpec
     dipole_x: float
     dipole_y: float
     moment: float
     n_x: int
-    n_y: int
     ratio: float
     engine: str
     scenario: str
@@ -78,16 +76,18 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
         grid_doc = doc.get("grid", {})
         sweep_doc = doc.get("sweep", {})
         analytic_doc = doc.get("analytic", {})
+        n = int(grid_doc.get("n_x", 60))
+        if int(grid_doc.get("n_y", n)) != n:
+            # every engine builds square grids from n_x
+            raise ConfigurationError(f"grid: n_x = {n} and n_y = {grid_doc['n_y']} must be equal")
         cfg = ScenarioConfig(
-            command=command,
             geometry=geometry,
             film=film,
             dipole_x=dipole_doc.get("x_nm", 0.0) * _NM,
             dipole_y=dipole_doc.get("y_nm", 0.0) * _NM,
             moment=dipole_doc.get("moment", DEFAULT_MOMENT),
-            n_x=int(grid_doc.get("n_x", 60)),
-            n_y=int(grid_doc.get("n_y", 60)),
-            ratio=float(grid_doc.get("ratio", 125.0)),
+            n_x=n,
+            ratio=float(grid_doc.get("ratio", DEFAULT_RATIO)),
             engine=doc.get("engine", "numeric"),
             scenario=doc.get("scenario", "centered"),
             sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
@@ -116,12 +116,14 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
         raise ConfigurationError("the analytic engine requires a circular aperture")
     if cfg.db_convention not in ("amplitude20", "power10"):
         raise ConfigurationError("db_convention must be amplitude20 or power10")
-    if cfg.n_x != cfg.n_y:
-        # every engine builds square grids from n_x
-        raise ConfigurationError(f"grid: n_x = {cfg.n_x} and n_y = {cfg.n_y} must be equal")
     if command == "sweep":
         if len(cfg.sweep_radii) < MIN_FIT_RADII:
             raise ConfigurationError(f"sweep.radii_nm: the fit needs at least {MIN_FIT_RADII} radii")
+        # the sweep builds each radius's aperture from the scenario, not the geometry
+        kind = {"centered": Circle, "shifted": Circle, "ellipse": Ellipse}.get(cfg.scenario)
+        if kind is None or not isinstance(cfg.geometry, kind):
+            raise ConfigurationError(f"scenario {cfg.scenario!r} cannot sweep this geometry: "
+                                     "centered and shifted sweep circles, ellipse ellipses")
 
 
 def load_config(path: str | Path, command: str) -> ScenarioConfig:
@@ -140,7 +142,7 @@ def _doc(**over):
         "geometry": {"kind": "circle", "radius_nm": 1000},
         "film": {"london_depth_nm": 50, "thickness_nm": 80,
                  "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": 125.0},
+        "grid": {"n_x": 60, "n_y": 60, "ratio": DEFAULT_RATIO},
         "y_offset_nm": 5.0,
     }
     doc.update(over)

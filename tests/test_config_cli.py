@@ -305,6 +305,37 @@ def test_cli_sweep_analytic_json(tmp_path):
     assert len(payload["points"]) == 8
 
 
+@pytest.mark.parametrize("geometry, scenario", [
+    ({"kind": "dogbone", "end_radius_nm": 300, "center_distance_nm": 1500,
+      "channel_half_width_nm": 50}, "centered"),
+    ({"kind": "ellipse", "a_nm": 1000, "b_nm": 300}, "centered"),
+    ({"kind": "circle", "radius_nm": 1000}, "ellipse"),
+    ({"kind": "circle", "radius_nm": 1000}, "sideways"),
+])
+def test_cli_sweep_scenario_must_match_geometry(tmp_path, capsys, geometry, scenario):
+    # the sweep builds its apertures from the scenario: a dog-bone or an
+    # ellipse with "centered" swept circles, a circle with "ellipse" swept
+    # 100 nm ellipses, and each run exited 0
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "geometry": geometry,
+        "grid": {"n_x": 40, "n_y": 40},
+        "scenario": scenario,
+        "sweep": {"d_nm": 100, "radii_nm": [500, 700, 1000, 1400, 2000]},
+    }))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot sweep" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
+
+
+def test_grid_n_y_defaults_to_n_x():
+    cfg = parse_config({"grid": {"n_x": 40}}, "solve")
+    assert cfg.n_x == 40
+    with pytest.raises(ConfigurationError, match="n_y"):
+        parse_config({"grid": {"n_x": 40, "n_y": 60}}, "solve")
+
+
 def test_cli_non_square_grid_is_config_error(tmp_path):
     # every engine builds its grid from n_x, so n_y != n_x would be recorded
     # in the manifest but never used
@@ -390,6 +421,7 @@ def test_cli_numeric_commands_honour_film_factors(tmp_path):
             doc["film"].update(film_factor=film_factor, grid_factor=grid_factor)
             doc["grid"]["n_x"] = doc["grid"]["n_y"] = 24
             doc["sweep"]["radii_nm"] = [300, 400, 500, 600, 700]
+            doc["scenario"] = "ellipse"  # a sweep of the preset's ellipse, at fixed b
             cfgfile = tmp_path / f"{command}{film_factor}.json"
             cfgfile.write_text(json.dumps(doc))
             out = tmp_path / f"{command}{film_factor}"

@@ -4,10 +4,10 @@ import pytest
 from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
-from scaperture.experiments.grids import DEFAULT_RATIO, solve_scenario
+from scaperture.experiments.grids import DEFAULT_RATIO, place, solve_scenario
 import scaperture.experiments.sweeps as sweeps
 from scaperture.experiments.sweeps import sweep
-from scaperture.geometry import Circle, ConfigurationError, Ellipse
+from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse
 from scaperture.grid import REGION_APERTURE
 from scaperture.analytic.free_dipole import free_dipole_field
 
@@ -60,6 +60,44 @@ def test_numeric_sweep_checks_smooth_window_before_solving(monkeypatch):
     for window in (0, 2, 7):
         with pytest.raises(ConfigurationError, match="smooth_window"):
             sweep("centered", 100e-9, radii, "numeric", smooth_window=window)
+
+
+@pytest.mark.parametrize("geometry", [
+    Circle(1e-6),
+    Ellipse(a=250e-9, b=100e-9),
+    DogBone(end_radius=300e-9, center_distance=1.5e-6, channel_half_width=50e-9),
+])
+def test_place_puts_the_probe_d_inside_the_right_edge(geometry):
+    edge = geometry.edge_x
+    for d in edge * np.array([1e-9, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-12]):
+        x0, probe = place("centered", geometry, d)
+        assert (x0, probe) == (0.0, edge - d)
+        assert probe - x0 == edge - d
+        for scenario in ("shifted", "ellipse"):
+            x0, probe = place(scenario, geometry, d)
+            assert (x0, probe) == (d - edge, edge - d)
+            assert probe - x0 == 2 * (edge - d)
+
+
+def test_place_rejects_crossed_sites_and_unknown_scenarios():
+    geometry = Ellipse(a=250e-9, b=100e-9)
+    for d in (0.0, -1e-9, 250e-9, 300e-9):
+        with pytest.raises(ConfigurationError, match="x semi-axis.*radius"):
+            place("shifted", geometry, d)
+    with pytest.raises(ConfigurationError, match="scenario"):
+        place("sideways", geometry, 100e-9)
+
+
+def test_sweep_places_every_radius_before_solving(monkeypatch):
+    # the last radius is not larger than d, so the sweep must fail before
+    # the first radius is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_scenario called before every radius was placed")
+
+    monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
+    for scenario in ("centered", "shifted", "ellipse"):
+        with pytest.raises(ConfigurationError, match="radius"):
+            sweep(scenario, 100e-9, [500e-9, 1e-6, 2e-6, 4e-6, 100e-9], "numeric")
 
 
 def test_sweep_lengths_follow_caption_relations():

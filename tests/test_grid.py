@@ -18,7 +18,7 @@ def test_weights_sum_to_grid_area():
     geom = Circle(1000e-9)
     film = default_film(geom)
     for ratio in (1.0, 4.0, 125.0):
-        grid = make_grid(geom, film, 60, 60, ratio)
+        grid = make_grid(geom, film, 60, ratio)
         area = (2 * film.grid_half_extent) ** 2
         assert grid.weights.sum() == pytest.approx(area, rel=1e-9)
 
@@ -28,7 +28,7 @@ def test_refinement_ratio_reached():
     # than at 50 um for a ratio-4 grid
     geom = Circle(1000e-9)
     film = default_film(geom)
-    grid = make_grid(geom, film, 100, 100, 4.0)
+    grid = make_grid(geom, film, 100, 4.0)
     dx = np.diff(grid.x)
     mids = 0.5 * (grid.x[1:] + grid.x[:-1])
     near = dx[np.abs(np.abs(mids) - 1000e-9) < 1e-6]
@@ -39,7 +39,7 @@ def test_refinement_ratio_reached():
 def test_uniform_when_ratio_one():
     geom = Circle(1000e-9)
     film = default_film(geom)
-    grid = make_grid(geom, film, 32, 32, 1.0)
+    grid = make_grid(geom, film, 32, 1.0)
     dx = np.diff(grid.x)
     assert np.allclose(dx, dx[0], rtol=1e-6)
     assert np.allclose(grid.weights, grid.weights[0], rtol=1e-6)
@@ -48,7 +48,7 @@ def test_uniform_when_ratio_one():
 def test_ellipse_labels_match_bruteforce():
     geom = Ellipse(a=1000e-9, b=100e-9)
     film = default_film(geom)
-    grid = make_grid(geom, film, 40, 40, 50.0)
+    grid = make_grid(geom, film, 40, 50.0)
     pts = grid.points
     brute = (pts[:, 0] / geom.a) ** 2 + (pts[:, 1] / geom.b) ** 2 < 1
     assert np.array_equal(grid.region == REGION_APERTURE, brute)
@@ -58,7 +58,7 @@ def test_ellipse_labels_match_bruteforce():
 def test_exterior_band_beyond_film():
     geom = Circle(1e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 60, 60, 10.0)
+    grid = make_grid(geom, film, 60, 10.0)
     pts = grid.points
     beyond = (np.abs(pts[:, 0]) > film.film_half_extent) | (
         np.abs(pts[:, 1]) > film.film_half_extent
@@ -71,7 +71,7 @@ def test_exterior_band_beyond_film():
 def test_labels_invariant_under_mirror():
     geom = Ellipse(a=1e-6, b=0.3e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 40, 40, 20.0)
+    grid = make_grid(geom, film, 40, 20.0)
     lab = grid.region.reshape(grid.n_x, grid.n_y)
     # symmetric axes: mirroring the grid must mirror the labels exactly
     assert np.array_equal(lab, lab[::-1, :])
@@ -81,7 +81,7 @@ def test_labels_invariant_under_mirror():
 def test_circle_labeling_rotation_invariant():
     geom = Circle(1e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 40, 40, 20.0)
+    grid = make_grid(geom, film, 40, 20.0)
     pts = grid.points
     theta = 0.37
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -95,14 +95,14 @@ def test_circle_labeling_rotation_invariant():
 def test_anchor_snapping_exact_pairs():
     geom = Circle(1e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 60, 60, 50.0, anchor_x=[900e-9], anchor_y=[5e-9])
+    grid = make_grid(geom, film, 60, 50.0, anchor_x=900e-9, anchor_y=5e-9)
     assert 900e-9 in grid.x and -900e-9 in grid.x
     assert 5e-9 in grid.y and -5e-9 in grid.y
 
 
 def test_snap_rejects_duplicates():
     coords = np.array([-2.0, -1.0, 1.0, 2.0])
-    out = snap_symmetric(coords, [1.5])
+    out = snap_symmetric(coords, 1.5)
     assert np.all(np.diff(out) > 0)
 
 
@@ -110,23 +110,23 @@ def test_snap_rejects_anchor_at_zero():
     # a single 0 has no mirror partner and would leave the axis asymmetric
     coords = np.array([-2.0, -1.0, 1.0, 2.0])
     with pytest.raises(ConfigurationError, match="anchor at 0"):
-        snap_symmetric(coords, [0.0])
+        snap_symmetric(coords, 0.0)
     geom = Circle(1e-6)
     with pytest.raises(ConfigurationError, match="anchor at 0"):
-        make_grid(geom, default_film(geom), 24, 24, 10.0, anchor_x=[0.0])
+        make_grid(geom, default_film(geom), 24, 10.0, anchor_x=0.0)
 
 
 def test_min_point_count_enforced():
     geom = Circle(1e-6)
     film = default_film(geom)
     with pytest.raises(ConfigurationError):
-        make_grid(geom, film, 8, 60, 4.0)
+        make_grid(geom, film, 8, 4.0)
 
 
 def test_fieldmap_validates_length_and_finiteness():
     geom = Circle(1e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 20, 20, 2.0)
+    grid = make_grid(geom, film, 20, 2.0)
     FieldMap(grid, np.zeros(grid.n_points))
     with pytest.raises(ConfigurationError):
         FieldMap(grid, np.zeros(grid.n_points - 1))
@@ -140,7 +140,7 @@ def test_cells_derived_from_the_axes():
     # each cell is its point's Voronoi interval per axis, clipped to the square
     geom = Circle(1e-6)
     film = default_film(geom)
-    grid = make_grid(geom, film, 24, 24, 125.0)
+    grid = make_grid(geom, film, 24, 125.0)
     X = film.grid_half_extent
     for axis, edges in ((grid.x, grid.x_edges), (grid.y, grid.y_edges)):
         assert edges.shape == (len(axis) + 1,)
@@ -158,7 +158,7 @@ def test_axis_points_on_the_grid_edge_rejected():
     # where the kernel's self entry, the integral outside the cell, diverges
     geom = Circle(1e-6)
     film = FilmSpec(film_half_extent=20e-6, grid_half_extent=20e-6)
-    axis = make_grid(geom, film, 24, 24, 40.0).x
+    axis = make_grid(geom, film, 24, 40.0).x
     build_grid(geom, film, axis, axis)
     x = np.concatenate([[-20e-6], axis[1:-1], [20e-6]])
     for axes in ((x, x[1:-1]), (x[1:-1], x)):
@@ -169,7 +169,7 @@ def test_axis_points_on_the_grid_edge_rejected():
 def test_points_built_once_and_read_only():
     geom = Ellipse(1000e-9, 400e-9)
     film = default_film(geom)
-    grid = make_grid(geom, film, 24, 24, 125.0)
+    grid = make_grid(geom, film, 24, 125.0)
     assert grid.points is grid.points
     assert not grid.points.flags.writeable
     xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")

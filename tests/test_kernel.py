@@ -83,7 +83,7 @@ def graded_grid(n):
 def small_grid(n=16, ratio=1.0):
     geom = Circle(1.0)
     film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
-    return make_grid(geom, film, n, n, ratio)
+    return make_grid(geom, film, n, ratio)
 
 
 def test_offdiagonal_power_law():

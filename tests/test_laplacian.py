@@ -55,7 +55,7 @@ def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
 def grid_with_ratio(n, ratio):
     geom = Circle(1.0)
     film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
-    return make_grid(geom, film, n, n, ratio)
+    return make_grid(geom, film, n, ratio)
 
 
 def interior_mask(grid):
@@ -97,7 +97,7 @@ def test_cubic_error_scales_with_spacing():
     film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
     errs = []
     for n in (20, 40, 80):
-        grid = make_grid(geom, film, n, n, 10.0)
+        grid = make_grid(geom, film, n, 10.0)
         lap = assemble_laplacian(grid)
         pts = grid.points
         out = lap @ pts[:, 0] ** 3

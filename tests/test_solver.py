@@ -31,12 +31,11 @@ def centered_grid(n=40, ratio=125.0):
         geom,
         film,
         n,
-        n,
         ratio,
         refine_x=[0.0],
         refine_y=[0.0],
-        anchor_x=[R - D_PROBE],
-        anchor_y=[5e-9],
+        anchor_x=R - D_PROBE,
+        anchor_y=5e-9,
     )
     return geom, film, grid
 
@@ -271,7 +270,7 @@ def test_kernel_rows_kept_for_film_on_the_grid_edge():
     # a film reaching the grid edge has film points without an operator row
     geom = Circle(R)
     film = FilmSpec(film_half_extent=20 * R, grid_half_extent=20 * R)
-    grid = make_grid(geom, film, 24, 24, 40.0)
+    grid = make_grid(geom, film, 24, 40.0)
     assert not np.any(grid.region == REGION_EXTERIOR)
     system = BrandtSystem(geom, film, grid)
     assert np.array_equal(system._keep, kept_kernel_rows(grid))
@@ -294,7 +293,7 @@ def test_far_field_approaches_applied_for_isolated_patch():
     # decays like a dipole, so a few patch sizes away H_z returns to H_a
     geom = Circle(R)
     film = FilmSpec(film_half_extent=5 * R, grid_half_extent=100 * R)
-    grid = make_grid(geom, film, 40, 40, 40.0)
+    grid = make_grid(geom, film, 40, 40.0)
     system = BrandtSystem(geom, film, grid)
     sol = system.solve_applied(FieldMap(grid, np.ones(grid.n_points)))
     pts = grid.points
@@ -314,10 +313,10 @@ def test_pearl_length_trend():
         film = FilmSpec(london_depth=lam, thickness=80e-9,
                         film_half_extent=90 * R, grid_half_extent=100 * R)
         grid = make_grid(
-            geom, film, 40, 40, 125.0,
+            geom, film, 40, 125.0,
             refine_x=[0.0],
             refine_y=[0.0],
-            anchor_y=[5e-9],
+            anchor_y=5e-9,
         )
         sol = BrandtSystem(geom, film, grid).solve(z_dipole())
         line, _ = grid.x_line(5e-9)
@@ -336,11 +335,11 @@ def test_convergence_cauchy():
     vals = []
     for n in (40, 60, 80):
         grid = make_grid(
-            geom, film, n, n, 125.0,
+            geom, film, n, 125.0,
             refine_x=[0.0],
             refine_y=[0.0],
-            anchor_x=[R - D_PROBE],
-            anchor_y=[5e-9],
+            anchor_x=R - D_PROBE,
+            anchor_y=5e-9,
         )
         sol = BrandtSystem(geom, film, grid).solve(z_dipole())
         p = grid.index_of(R - D_PROBE, 5e-9)
