@@ -141,13 +141,13 @@ def _cmd_analytic(cfg, out) -> None:
 
 
 def _cmd_solve(cfg, out) -> None:
-    from scaperture.experiments.grids import solve_scenario
+    from scaperture.experiments.grids import place, solve_scenario
     from scaperture.io.writers import write_json_atomic
 
     solved = solve_scenario(
         cfg.geometry, cfg.film, cfg.n_x, ratio=cfg.ratio,
         dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
-        probe_x=cfg.geometry.edge_x - cfg.sweep_d, y_line=cfg.y_offset,
+        probe_x=place(cfg.scenario, cfg.geometry, cfg.sweep_d)[1], y_line=cfg.y_offset,
     )
     sol, pts = solved.solution, solved.grid.points
     xy = {"x_m": pts[:, 0], "y_m": pts[:, 1]}
@@ -167,14 +167,8 @@ def _cmd_solve(cfg, out) -> None:
 
 def _cmd_sweep(cfg, out) -> None:
     from scaperture.experiments.sweeps import sweep
-    from scaperture.geometry import Ellipse, default_film
+    from scaperture.geometry import Ellipse
     from scaperture.io.writers import write_json_atomic
-
-    spec, scale = cfg.film, cfg.geometry.scale_radius
-
-    def film(geometry):  # the config's film and extent factors at every radius
-        return default_film(geometry, spec.london_depth, spec.thickness,
-                            spec.film_half_extent / scale, spec.grid_half_extent / scale)
 
     kwargs = dict(
         moment=cfg.moment,
@@ -182,7 +176,7 @@ def _cmd_sweep(cfg, out) -> None:
         n=cfg.n_x,
         ratio=cfg.ratio,
         smooth_window=cfg.smooth_window,
-        film=film,
+        film=cfg.film,
     )
     if isinstance(cfg.geometry, Ellipse):
         kwargs["b"] = cfg.geometry.b

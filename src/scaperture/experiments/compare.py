@@ -46,12 +46,9 @@ def compare_engines(
     ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
     band=(0.1, 0.8),
-    film: FilmSpec | None = None,
+    film: FilmSpec = FilmSpec(),
 ) -> DeviationReport:
-    """Compare both engines along the evaluation line y = y_line.
-
-    `film` defaults to `default_film(geometry)`.
-    """
+    """Compare both engines along the evaluation line y = y_line."""
     if not isinstance(geometry, Circle):
         raise ConfigurationError("the analytic engine covers circular apertures only")
     if scenario not in ("centered", "shifted"):

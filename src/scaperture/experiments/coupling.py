@@ -37,13 +37,12 @@ def numeric_coupling(
     n: int = 60,
     ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
-    film: FilmSpec | None = None,
+    film: FilmSpec = FilmSpec(),
 ) -> CouplingEstimate:
     """Solve the geometry with a dipole d inside the left edge and estimate
     the coupling at the mirror site d inside the right edge.
 
-    `film` defaults to `default_film(geometry)`.  Needs 0 < d < the x
-    semi-axis, so that the two sites do not cross.
+    Needs 0 < d < the x semi-axis, so that the two sites do not cross.
     """
     x0, probe = place("shifted", geometry, d)
     solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scaperture.constants import DEFAULT_RATIO, MU0
-from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, default_film
+from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import Grid, make_grid
 
 # the module, not the class: BrandtSystem is looked up when a scenario is
@@ -87,7 +87,7 @@ class ScenarioSolution:
 
 def solve_scenario(
     geometry: ApertureGeometry,
-    film: FilmSpec | None,
+    film: FilmSpec,
     n: int,
     *,
     ratio: float,
@@ -99,11 +99,7 @@ def solve_scenario(
 ) -> ScenarioSolution:
     """Solve a z dipole of `moment` at (dipole_x, dipole_y) on the scenario
     grid and read B_z along y = y_line and at the probe (probe_x, y_line).
-
-    `film` None stands for `default_film(geometry)`.
     """
-    if film is None:
-        film = default_film(geometry)
     grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x,
                          y_line=y_line, ratio=ratio)
     dipole = Dipole(position=[dipole_x, dipole_y, 0.0], moment=[0.0, 0.0, moment])

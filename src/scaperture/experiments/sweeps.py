@@ -8,7 +8,6 @@ dipole-to-probe separation L.  Both engines report the physical field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -19,14 +18,7 @@ from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.experiments.smoothing import smooth
-from scaperture.geometry import (
-    ApertureGeometry,
-    Circle,
-    ConfigurationError,
-    Ellipse,
-    FilmSpec,
-    default_film,
-)
+from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
 
 ENGINES = ("analytic", "numeric")
 
@@ -39,7 +31,7 @@ class SweepResult:
     lengths: np.ndarray          # dipole-to-probe separations, m
     fields: np.ndarray           # Bz at the probe, tesla
     sigma: np.ndarray            # per-point errors, tesla
-    fit: PowerLawFit | None
+    fit: PowerLawFit
     y_offset: float
     metadata: dict = field(default_factory=dict)
 
@@ -66,7 +58,7 @@ def sweep(
     n: int = 60,
     ratio: float = DEFAULT_RATIO,
     b: float = 100e-9,
-    film: Callable[[ApertureGeometry], FilmSpec] = default_film,
+    film: FilmSpec = FilmSpec(),
     smooth_window: int = 1,
 ) -> SweepResult:
     """Evaluate the probe field across aperture radii and fit the decay.
@@ -74,12 +66,15 @@ def sweep(
     centered: dipole at the center, R = L + d.  shifted: dipole at distance
     d from the left edge, R = L/2 + d.  ellipse: like shifted with the x
     semi-axis varying at fixed b.  Every radius is placed (`place`) before
-    any is solved.  `film` sizes the film for each radius's aperture
-    (numeric engine).
+    any is solved.  The numeric engine gives each radius the film and grid
+    of `film`'s factors times that aperture's scale radius.  The power-law
+    fit needs at least MIN_FIT_RADII radii.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}")
     radii = np.sort(np.asarray(radii, dtype=float))
+    if len(radii) < MIN_FIT_RADII:
+        raise ConfigurationError(f"the power-law fit needs at least {MIN_FIT_RADII} radii")
     if not (smooth_window % 2 == 1 and 1 <= smooth_window <= len(radii)):
         raise ConfigurationError("smooth_window must be odd and 1 to the radius count")
     if engine == "analytic" and scenario == "ellipse":
@@ -97,13 +92,13 @@ def sweep(
         else:
             # only the probe value outlives the call, so no two systems coexist
             fields[i] = solve_scenario(
-                geometry, film(geometry), n, ratio=ratio, dipole_x=dipole_x,
+                geometry, film, n, ratio=ratio, dipole_x=dipole_x,
                 moment=moment, probe_x=probe_x, y_line=y_offset,
             ).b_probe
 
     fields, sigma = smooth(fields, smooth_window)  # the identity for window 1
 
-    fit = fit_power_law(lengths, fields, sigma) if len(lengths) >= MIN_FIT_RADII else None
+    fit = fit_power_law(lengths, fields, sigma)
     meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}
     if engine == "numeric":
         meta.update({"n": n, "ratio": ratio})

@@ -64,7 +64,7 @@ class Circle:
 
     @property
     def scale_radius(self) -> float:
-        """Length used to size film and grid extents."""
+        """Largest aperture dimension; `FilmSpec` sizes film and grid by it."""
         return self.radius
 
 
@@ -139,47 +139,37 @@ ApertureGeometry = Circle | Ellipse | DogBone
 
 @dataclass(frozen=True)
 class FilmSpec:
-    """Material and extent parameters of the superconducting film."""
+    """Material of the superconducting film, and its extent and the grid's
+    in units of the aperture's scale radius.
+
+    `film_factor > 1` keeps every aperture inside its film: the scale radius
+    is the largest aperture dimension of every shape.
+    """
 
     london_depth: float = DEFAULT_LONDON_DEPTH
     thickness: float = DEFAULT_THICKNESS
-    film_half_extent: float = 0.0
-    grid_half_extent: float = 0.0
+    film_factor: float = DEFAULT_FILM_FACTOR
+    grid_factor: float = DEFAULT_GRID_FACTOR
 
     def __post_init__(self):
         if not (self.london_depth > 0 and self.thickness > 0):
             raise ConfigurationError("london_depth and thickness must be positive")
-        if not self.film_half_extent > 0:
-            raise ConfigurationError("film_half_extent must be positive")
-        if not self.grid_half_extent >= self.film_half_extent:
-            raise ConfigurationError("grid_half_extent must be >= film_half_extent")
+        if not self.film_factor > 1:
+            raise ConfigurationError("film_factor must exceed 1, so the film covers its aperture")
+        if not self.grid_factor >= self.film_factor:
+            raise ConfigurationError("grid_factor must be >= film_factor")
 
     @property
     def pearl_length(self) -> float:
         """Two-dimensional screening length, lambda^2 / thickness."""
         return self.london_depth**2 / self.thickness
 
-    def check_against(self, geometry: ApertureGeometry) -> None:
-        largest = max(geometry.edge_x, geometry.edge_y)
-        if not self.film_half_extent > largest:
-            raise ConfigurationError(
-                f"film half-extent {self.film_half_extent:g} must exceed the "
-                f"largest aperture dimension {largest:g}"
-            )
+    def half_extents(self, geometry: ApertureGeometry) -> tuple[float, float]:
+        """(film, grid) half-extents around `geometry`, m."""
+        r = geometry.scale_radius
+        return self.film_factor * r, self.grid_factor * r
 
 
-def default_film(
-    geometry: ApertureGeometry,
-    london_depth: float = DEFAULT_LONDON_DEPTH,
-    thickness: float = DEFAULT_THICKNESS,
-    film_factor: float = DEFAULT_FILM_FACTOR,
-    grid_factor: float = DEFAULT_GRID_FACTOR,
-) -> FilmSpec:
-    """Film sized relative to the aperture scale radius."""
-    r = geometry.scale_radius
-    return FilmSpec(
-        london_depth=london_depth,
-        thickness=thickness,
-        film_half_extent=film_factor * r,
-        grid_half_extent=grid_factor * r,
-    )
+def default_film(geometry: ApertureGeometry, *args, **kwargs) -> FilmSpec:
+    """`FilmSpec(*args, **kwargs)`: a FilmSpec's factors fit every geometry."""
+    return FilmSpec(*args, **kwargs)

@@ -125,7 +125,8 @@ class Grid:
 def label_regions(geometry: ApertureGeometry, film: FilmSpec, x, y) -> np.ndarray:
     xx, yy = x[:, None], y[None, :]
     inside = geometry.contains(xx, yy).ravel()
-    beyond = ((np.abs(xx) > film.film_half_extent) | (np.abs(yy) > film.film_half_extent)).ravel()
+    F = film.half_extents(geometry)[0]
+    beyond = ((np.abs(xx) > F) | (np.abs(yy) > F)).ravel()
     region = np.full(len(x) * len(y), REGION_FILM, dtype=np.uint8)
     region[beyond & ~inside] = REGION_EXTERIOR
     region[inside] = REGION_APERTURE
@@ -136,11 +137,12 @@ def build_grid(geometry, film, x_coords, y_coords) -> Grid:
     """Assemble a Grid from prepared axis coordinates."""
     x = np.asarray(x_coords, dtype=float)
     y = np.asarray(y_coords, dtype=float)
-    inside = all(-film.grid_half_extent < a[0] and a[-1] < film.grid_half_extent for a in (x, y))
+    X = film.half_extents(geometry)[1]
+    inside = all(-X < a[0] and a[-1] < X for a in (x, y))
     if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0) and inside):
         raise ConfigurationError("axis coordinates must increase strictly inside the grid square")
     region = label_regions(geometry, film, x, y)
-    return Grid(x=x, y=y, half_extent=film.grid_half_extent, region=region)
+    return Grid(x=x, y=y, half_extent=X, region=region)
 
 
 def make_grid(
@@ -167,10 +169,8 @@ def make_grid(
         raise ConfigurationError("need at least 16 points per axis")
     if refinement_ratio < 1:
         raise ConfigurationError("refinement_ratio must be >= 1")
-    film.check_against(geometry)
-
-    X = film.grid_half_extent
-    h_cap = 0.5 * (film.grid_half_extent - film.film_half_extent)
+    F, X = film.half_extents(geometry)
+    h_cap = 0.5 * (X - F)
     if h_cap <= 0:
         h_cap = 0.05 * X
     h_edge = h_cap / refinement_ratio

@@ -19,7 +19,6 @@ from scaperture.geometry import (
     DogBone,
     Ellipse,
     FilmSpec,
-    default_film,
 )
 
 _NM = 1e-9
@@ -65,8 +64,7 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
     try:
         geometry = _geometry_from(doc.get("geometry", {"kind": "circle", "radius_nm": 1000}))
         film_doc = doc.get("film", {})
-        film = default_film(
-            geometry,
+        film = FilmSpec(
             london_depth=film_doc.get("london_depth_nm", 50) * _NM,
             thickness=film_doc.get("thickness_nm", 80) * _NM,
             film_factor=film_doc.get("film_factor", 90),
@@ -112,8 +110,13 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
         raise ConfigurationError("dipole.moment must be positive")
     if cfg.engine not in ("analytic", "numeric"):
         raise ConfigurationError(f"engine: unknown value {cfg.engine!r}")
-    if cfg.engine == "analytic" and not isinstance(cfg.geometry, Circle):
+    if "analytic" in (cfg.engine, command) and not isinstance(cfg.geometry, Circle):
         raise ConfigurationError("the analytic engine requires a circular aperture")
+    if command == "analytic":
+        if cfg.analytic_kind not in ("curve", "map"):
+            raise ConfigurationError(f"analytic.kind: unknown value {cfg.analytic_kind!r}")
+        if cfg.analytic_samples < 2:
+            raise ConfigurationError("analytic.samples must be at least 2")
     if cfg.db_convention not in ("amplitude20", "power10"):
         raise ConfigurationError("db_convention must be amplitude20 or power10")
     if command == "sweep":

@@ -199,7 +199,6 @@ class BrandtSystem:
     """
 
     def __init__(self, geometry: ApertureGeometry, film: FilmSpec, grid: Grid):
-        film.check_against(geometry)
         _check_mirror_symmetric(grid)
         lam_film = film.pearl_length
         if lam_film <= 0:

@@ -13,7 +13,7 @@ from scaperture.constants import DEFAULT_MOMENT, MU0
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
 from scaperture.experiments.sweeps import sweep
-from scaperture.geometry import Circle, Dipole, Ellipse, default_film
+from scaperture.geometry import Circle, Dipole, Ellipse, FilmSpec
 from scaperture.experiments.grids import scenario_grid
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR
 from scaperture.solver.system import BrandtSystem
@@ -129,7 +129,7 @@ def test_sweep_engines_share_one_field_convention():
 
 def _centered_solution(n=60):
     geometry = Circle(R_UM)
-    film = default_film(geometry)
+    film = FilmSpec()
     grid = scenario_grid(geometry, film, n, dipole_x=0.0,
                          probe_x=R_UM - D_EDGE, y_line=5e-9)
     dipole = Dipole(position=[0, 0, 0], moment=[0, 0, DEFAULT_MOMENT])
@@ -179,7 +179,7 @@ def test_criterion_09_stream_function_invariants():
 
 def test_criterion_10_linearity_and_determinism():
     geometry = Circle(R_UM)
-    film = default_film(geometry)
+    film = FilmSpec()
     grid = scenario_grid(geometry, film, 40, dipole_x=0.0,
                          probe_x=R_UM - D_EDGE, y_line=5e-9)
     system = BrandtSystem(geometry, film, grid)

@@ -25,8 +25,7 @@ def test_presets_cover_paper_parameters():
     assert cfg.geometry.radius == pytest.approx(1000e-9)
     assert cfg.film.london_depth == pytest.approx(50e-9)
     assert cfg.film.thickness == pytest.approx(80e-9)
-    assert cfg.film.film_half_extent == pytest.approx(90e-6)
-    assert cfg.film.grid_half_extent == pytest.approx(100e-6)
+    assert cfg.film.half_extents(cfg.geometry) == pytest.approx((90e-6, 100e-6))
     assert cfg.sweep_d == pytest.approx(100e-9)
     e = preset_config("fig6b", "sweep")
     assert isinstance(e.geometry, Ellipse)
@@ -222,6 +221,35 @@ def test_cli_compare_with_crossed_sites_is_config_error(tmp_path, capsys):
     for scenario, d in (("centered", 1e-6), ("shifted", 0.0)):
         with pytest.raises(ConfigurationError):
             compare_engines(scenario, Circle(1e-6), d, n=40)
+
+
+@pytest.mark.parametrize("d_nm", [1500, -200])
+def test_cli_solve_with_crossed_sites_is_config_error(tmp_path, capsys, d_nm):
+    # solve anchored its probe at R - d without the d rule of the other
+    # numeric commands: both runs exited 0
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"n_x": 24}, "sweep": {"d_nm": d_nm}}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "radius" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the circle check keyed on engine, which the analytic command never
+    # reads: an AttributeError on Ellipse.radius
+    ({"geometry": {"kind": "ellipse", "a_nm": 1000, "b_nm": 300}}, "circular"),
+    ({"analytic": {"kind": "cruve"}}, "analytic.kind"),  # silently wrote map.csv
+    ({"analytic": {"samples": -1}}, "analytic.samples"),  # a ValueError traceback
+    ({"analytic": {"kind": "map", "samples": 1}}, "analytic.samples"),
+])
+def test_cli_analytic_validates_its_inputs(tmp_path, capsys, doc, message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analytic", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
 
 
 def test_cli_unused_far_dipole_is_accepted(tmp_path):

@@ -7,7 +7,7 @@ from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
 from scaperture.experiments.grids import DEFAULT_RATIO, place, solve_scenario
 import scaperture.experiments.sweeps as sweeps
 from scaperture.experiments.sweeps import sweep
-from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse
+from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse, FilmSpec
 from scaperture.grid import REGION_APERTURE
 from scaperture.analytic.free_dipole import free_dipole_field
 
@@ -100,6 +100,39 @@ def test_sweep_places_every_radius_before_solving(monkeypatch):
             sweep(scenario, 100e-9, [500e-9, 1e-6, 2e-6, 4e-6, 100e-9], "numeric")
 
 
+def test_sweep_with_too_few_radii_raises_before_solving(monkeypatch):
+    # three radii used to return fit=None after solving all three
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_scenario called before the radius count was checked")
+
+    monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
+    for engine in ("analytic", "numeric"):
+        with pytest.raises(ConfigurationError, match="at least 5 radii"):
+            sweep("centered", 100e-9, [500e-9, 1e-6, 2e-6, 4e-6], engine)
+
+
+@pytest.mark.parametrize("scenario, radii", [
+    ("centered", np.geomspace(0.5e-6, 2e-6, 5)),
+    ("ellipse", np.array([200e-9, 300e-9, 500e-9, 700e-9, 1e-6])),  # b = 400 nm: a < b, then a > b
+])
+def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, scenario, radii):
+    # each radius's grid spans grid_factor scale radii of its own aperture
+    film = FilmSpec(film_factor=40.0, grid_factor=50.0)
+    seen = []
+    solve_scenario = sweeps.solve_scenario
+
+    def solve_and_record(geometry, film, *args, **kwargs):
+        solved = solve_scenario(geometry, film, *args, **kwargs)
+        seen.append((geometry.scale_radius, solved.grid.half_extent))
+        return solved
+
+    monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)
+    sweep(scenario, 100e-9, radii, "numeric", n=24, b=400e-9, film=film)
+    assert len(seen) == len(radii)
+    for scale, half_extent in seen:
+        assert half_extent == film.grid_factor * scale
+
+
 def test_sweep_lengths_follow_caption_relations():
     radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
     cen = sweep("centered", 1.0, radii, "analytic")
@@ -123,7 +156,6 @@ def test_numeric_sweep_small_smoke(monkeypatch):
     monkeypatch.setattr(sweeps, "solve_scenario", solve_and_read_hole)
     radii = np.geomspace(0.5e-6, 2e-6, 5)
     res = sweep("centered", 100e-9, radii, "numeric", n=40)
-    assert res.fit is not None
     assert res.fit.slope < -1.0
     assert len(holes) == len(radii)
     assert all(g.size and np.all(g == current) for g, current in holes)
@@ -176,7 +208,7 @@ def test_numeric_centered_line_trend():
 def test_probe_inside_return_flux_core_rejected():
     # core semi-axes 139 x 316 nm around (835.44, 126.4) nm hold the probe
     # (900, 5) nm at e^2 = 0.36; its reading was the core's bump
-    solved = solve_scenario(Circle(1e-6), None, 60, ratio=DEFAULT_RATIO, dipole_x=835.44e-9,
+    solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, ratio=DEFAULT_RATIO, dipole_x=835.44e-9,
                             dipole_y=126.4e-9, moment=DEFAULT_MOMENT, probe_x=0.9e-6,
                             y_line=5e-9)
     assert np.isfinite(solved.b_z).all()  # the line itself is still a solution

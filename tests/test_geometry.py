@@ -9,7 +9,6 @@ from scaperture.geometry import (
     DogBone,
     Ellipse,
     FilmSpec,
-    default_film,
 )
 
 
@@ -76,23 +75,38 @@ def test_dogbone_union_matches_predicate():
 
 
 def test_pearl_length():
-    film = FilmSpec(london_depth=50e-9, thickness=80e-9,
-                    film_half_extent=1e-4, grid_half_extent=1.1e-4)
+    film = FilmSpec(london_depth=50e-9, thickness=80e-9)
     assert film.pearl_length == pytest.approx(50e-9**2 / 80e-9, rel=1e-15)
 
 
 def test_film_must_cover_aperture():
-    film = FilmSpec(film_half_extent=0.5e-6, grid_half_extent=1e-6)
-    with pytest.raises(ConfigurationError):
-        film.check_against(Circle(1e-6))
+    # the film's half-extent, film_factor scale radii, exceeds every aperture
+    # dimension only for film_factor > 1
+    for factor in (0.5, 1.0):
+        with pytest.raises(ConfigurationError, match="film_factor"):
+            FilmSpec(film_factor=factor, grid_factor=100.0)
+    FilmSpec(film_factor=np.nextafter(1.0, 2.0), grid_factor=100.0)
+
+
+@pytest.mark.parametrize("geom", [
+    Circle(1e-6),
+    Ellipse(a=1e-6, b=0.1e-6),
+    Ellipse(a=0.1e-6, b=1e-6),
+    DogBone(end_radius=250e-9, center_distance=1.5e-6, channel_half_width=100e-9),
+])
+def test_scale_radius_is_the_largest_aperture_dimension(geom):
+    # why film_factor > 1 is the whole coverage check
+    assert geom.scale_radius == max(geom.edge_x, geom.edge_y)
 
 
 def test_default_film_factors():
-    film = default_film(Circle(1e-6))
-    assert film.film_half_extent == pytest.approx(90e-6)
-    assert film.grid_half_extent == pytest.approx(100e-6)
+    film = FilmSpec()
+    assert film.half_extents(Circle(1e-6)) == pytest.approx((90e-6, 100e-6))
+    # the extents follow the aperture: film_factor and grid_factor scale radii
+    assert film.half_extents(Ellipse(a=2e-6, b=5e-6)) == (90 * 5e-6, 100 * 5e-6)
 
 
 def test_grid_extent_ordering_enforced():
-    with pytest.raises(ConfigurationError):
-        FilmSpec(film_half_extent=2e-6, grid_half_extent=1e-6)
+    with pytest.raises(ConfigurationError, match="grid_factor"):
+        FilmSpec(film_factor=2.0, grid_factor=1.5)
+    FilmSpec(film_factor=2.0, grid_factor=2.0)  # a film reaching the grid edge

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scaperture.geometry import Circle, Ellipse, FilmSpec, default_film
+from scaperture.geometry import Circle, Ellipse, FilmSpec
 from scaperture.grid import (
     REGION_APERTURE,
     REGION_EXTERIOR,
@@ -16,10 +16,10 @@ from scaperture.geometry import ConfigurationError
 
 def test_weights_sum_to_grid_area():
     geom = Circle(1000e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     for ratio in (1.0, 4.0, 125.0):
         grid = make_grid(geom, film, 60, ratio)
-        area = (2 * film.grid_half_extent) ** 2
+        area = (2 * film.half_extents(geom)[1]) ** 2
         assert grid.weights.sum() == pytest.approx(area, rel=1e-9)
 
 
@@ -27,7 +27,7 @@ def test_refinement_ratio_reached():
     # production-scale configuration: spacing near the edge at least 3x smaller
     # than at 50 um for a ratio-4 grid
     geom = Circle(1000e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 100, 4.0)
     dx = np.diff(grid.x)
     mids = 0.5 * (grid.x[1:] + grid.x[:-1])
@@ -38,7 +38,7 @@ def test_refinement_ratio_reached():
 
 def test_uniform_when_ratio_one():
     geom = Circle(1000e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 32, 1.0)
     dx = np.diff(grid.x)
     assert np.allclose(dx, dx[0], rtol=1e-6)
@@ -47,7 +47,7 @@ def test_uniform_when_ratio_one():
 
 def test_ellipse_labels_match_bruteforce():
     geom = Ellipse(a=1000e-9, b=100e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 40, 50.0)
     pts = grid.points
     brute = (pts[:, 0] / geom.a) ** 2 + (pts[:, 1] / geom.b) ** 2 < 1
@@ -57,12 +57,11 @@ def test_ellipse_labels_match_bruteforce():
 
 def test_exterior_band_beyond_film():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 60, 10.0)
     pts = grid.points
-    beyond = (np.abs(pts[:, 0]) > film.film_half_extent) | (
-        np.abs(pts[:, 1]) > film.film_half_extent
-    )
+    F = film.half_extents(geom)[0]
+    beyond = (np.abs(pts[:, 0]) > F) | (np.abs(pts[:, 1]) > F)
     assert np.array_equal(grid.region == REGION_EXTERIOR, beyond)
     assert (grid.region == REGION_EXTERIOR).any()
     assert (grid.region == REGION_FILM).any()
@@ -70,7 +69,7 @@ def test_exterior_band_beyond_film():
 
 def test_labels_invariant_under_mirror():
     geom = Ellipse(a=1e-6, b=0.3e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 40, 20.0)
     lab = grid.region.reshape(grid.n_x, grid.n_y)
     # symmetric axes: mirroring the grid must mirror the labels exactly
@@ -80,7 +79,7 @@ def test_labels_invariant_under_mirror():
 
 def test_circle_labeling_rotation_invariant():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 40, 20.0)
     pts = grid.points
     theta = 0.37
@@ -94,7 +93,7 @@ def test_circle_labeling_rotation_invariant():
 
 def test_anchor_snapping_exact_pairs():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 60, 50.0, anchor_x=900e-9, anchor_y=5e-9)
     assert 900e-9 in grid.x and -900e-9 in grid.x
     assert 5e-9 in grid.y and -5e-9 in grid.y
@@ -113,19 +112,19 @@ def test_snap_rejects_anchor_at_zero():
         snap_symmetric(coords, 0.0)
     geom = Circle(1e-6)
     with pytest.raises(ConfigurationError, match="anchor at 0"):
-        make_grid(geom, default_film(geom), 24, 10.0, anchor_x=0.0)
+        make_grid(geom, FilmSpec(), 24, 10.0, anchor_x=0.0)
 
 
 def test_min_point_count_enforced():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     with pytest.raises(ConfigurationError):
         make_grid(geom, film, 8, 4.0)
 
 
 def test_fieldmap_validates_length_and_finiteness():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 20, 2.0)
     FieldMap(grid, np.zeros(grid.n_points))
     with pytest.raises(ConfigurationError):
@@ -139,9 +138,9 @@ def test_fieldmap_validates_length_and_finiteness():
 def test_cells_derived_from_the_axes():
     # each cell is its point's Voronoi interval per axis, clipped to the square
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 24, 125.0)
-    X = film.grid_half_extent
+    X = film.half_extents(geom)[1]
     for axis, edges in ((grid.x, grid.x_edges), (grid.y, grid.y_edges)):
         assert edges.shape == (len(axis) + 1,)
         assert edges[0] == -X and edges[-1] == X
@@ -157,10 +156,11 @@ def test_axis_points_on_the_grid_edge_rejected():
     # a point on the grid square's edge sits on its own cell's outer edge,
     # where the kernel's self entry, the integral outside the cell, diverges
     geom = Circle(1e-6)
-    film = FilmSpec(film_half_extent=20e-6, grid_half_extent=20e-6)
+    film = FilmSpec(film_factor=20.0, grid_factor=20.0)
     axis = make_grid(geom, film, 24, 40.0).x
     build_grid(geom, film, axis, axis)
-    x = np.concatenate([[-20e-6], axis[1:-1], [20e-6]])
+    X = film.half_extents(geom)[1]
+    x = np.concatenate([[-X], axis[1:-1], [X]])
     for axes in ((x, x[1:-1]), (x[1:-1], x)):
         with pytest.raises(ConfigurationError, match="inside the grid square"):
             build_grid(geom, film, *axes)
@@ -168,7 +168,7 @@ def test_axis_points_on_the_grid_edge_rejected():
 
 def test_points_built_once_and_read_only():
     geom = Ellipse(1000e-9, 400e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(geom, film, 24, 125.0)
     assert grid.points is grid.points
     assert not grid.points.flags.writeable
@@ -177,7 +177,7 @@ def test_points_built_once_and_read_only():
     # the region labels, made from the axes, belong to these points
     px, py = grid.points.T
     inside = geom.contains(px, py)
-    beyond = np.maximum(np.abs(px), np.abs(py)) > film.film_half_extent
+    beyond = np.maximum(np.abs(px), np.abs(py)) > film.half_extents(geom)[0]
     assert np.array_equal(grid.region == REGION_APERTURE, inside)
     assert np.array_equal(grid.region == REGION_EXTERIOR, beyond & ~inside)
     assert (grid.region == REGION_EXTERIOR).any() and inside.any()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scaperture.experiments.grids import scenario_grid
-from scaperture.geometry import Circle, FilmSpec, default_film
+from scaperture.geometry import Circle, FilmSpec
 from scaperture.grid import Grid, make_grid
 from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.system import _mirror_views, _parity
@@ -77,12 +77,12 @@ def row_error(got, want):
 
 def graded_grid(n):
     geom = Circle(1e-6)
-    return scenario_grid(geom, default_film(geom), n, probe_x=0.9e-6)
+    return scenario_grid(geom, FilmSpec(), n, probe_x=0.9e-6)
 
 
 def small_grid(n=16, ratio=1.0):
     geom = Circle(1.0)
-    film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
+    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
     return make_grid(geom, film, n, ratio)
 
 

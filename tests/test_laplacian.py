@@ -54,7 +54,7 @@ def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
 
 def grid_with_ratio(n, ratio):
     geom = Circle(1.0)
-    film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
+    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
     return make_grid(geom, film, n, ratio)
 
 
@@ -94,7 +94,7 @@ def test_exact_on_separable_quadratics_nonuniform():
 def test_cubic_error_scales_with_spacing():
     # error on x^3 at a fixed physical location shrinks as the grid refines
     geom = Circle(1.0)
-    film = FilmSpec(film_half_extent=8.0, grid_half_extent=10.0)
+    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
     errs = []
     for n in (20, 40, 80):
         grid = make_grid(geom, film, n, 10.0)

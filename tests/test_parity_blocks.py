@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import scenario_grid
-from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ellipse, default_film
+from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ellipse, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid, build_grid
 from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.laplacian import div_lambda_grad
@@ -47,7 +47,7 @@ CASES = {
 
 def build_case(name, n):
     geom, x0, y0 = CASES[name]
-    film = default_film(geom)
+    film = FilmSpec()
     grid = scenario_grid(geom, film, n, dipole_x=x0, probe_x=geom.edge_x - 100e-9, y_line=5e-9)
     system = BrandtSystem(geom, film, grid)
     dipole = Dipole(position=[x0, y0, 0.0], moment=[0.0, 0.0, DEFAULT_MOMENT])
@@ -215,7 +215,7 @@ def test_parity_of_sparse_images_equals_dense(a):
 
 def test_rejects_grid_without_mirror_symmetry():
     geom = Circle(1e-6)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = scenario_grid(geom, film, 24, probe_x=0.9e-6)
     BrandtSystem(geom, film, grid)
 

@@ -8,7 +8,7 @@ import scipy.linalg as la
 
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
 from scaperture.experiments.grids import scenario_grid
-from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec, default_film
+from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
 from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
@@ -26,7 +26,7 @@ def z_dipole(m=DEFAULT_MOMENT, x=0.0, y=0.0):
 
 def centered_grid(n=40, ratio=125.0):
     geom = Circle(R)
-    film = default_film(geom)
+    film = FilmSpec()
     grid = make_grid(
         geom,
         film,
@@ -269,7 +269,7 @@ def test_exact_hole_keeps_the_system_well_conditioned():
 def test_kernel_rows_kept_for_film_on_the_grid_edge():
     # a film reaching the grid edge has film points without an operator row
     geom = Circle(R)
-    film = FilmSpec(film_half_extent=20 * R, grid_half_extent=20 * R)
+    film = FilmSpec(film_factor=20, grid_factor=20)
     grid = make_grid(geom, film, 24, 40.0)
     assert not np.any(grid.region == REGION_EXTERIOR)
     system = BrandtSystem(geom, film, grid)
@@ -292,7 +292,7 @@ def test_far_field_approaches_applied_for_isolated_patch():
     # uniform applied field over a small film patch: the screening response
     # decays like a dipole, so a few patch sizes away H_z returns to H_a
     geom = Circle(R)
-    film = FilmSpec(film_half_extent=5 * R, grid_half_extent=100 * R)
+    film = FilmSpec(film_factor=5, grid_factor=100)
     grid = make_grid(geom, film, 40, 40.0)
     system = BrandtSystem(geom, film, grid)
     sol = system.solve_applied(FieldMap(grid, np.ones(grid.n_points)))
@@ -311,7 +311,7 @@ def test_pearl_length_trend():
     positions = []
     for lam in (100e-9, 50e-9, 25e-9):
         film = FilmSpec(london_depth=lam, thickness=80e-9,
-                        film_half_extent=90 * R, grid_half_extent=100 * R)
+                        film_factor=90, grid_factor=100)
         grid = make_grid(
             geom, film, 40, 125.0,
             refine_x=[0.0],
@@ -331,7 +331,7 @@ def test_pearl_length_trend():
 def test_convergence_cauchy():
     # refining the grid changes the extracted edge field by a shrinking step
     geom = Circle(R)
-    film = default_film(geom)
+    film = FilmSpec()
     vals = []
     for n in (40, 60, 80):
         grid = make_grid(
@@ -360,7 +360,7 @@ def test_return_flux_core_left_of_nearest_grid_point():
     # the dipole lies left of its nearest grid point; the core used to take
     # the interval right of that point and miss every aperture point
     geom = Circle(R)
-    grid = scenario_grid(geom, default_film(geom), 60, probe_x=0.9e-6, y_line=5e-9)
+    grid = scenario_grid(geom, FilmSpec(), 60, probe_x=0.9e-6, y_line=5e-9)
     dipole = z_dipole(x=6.349884729052447e-07, y=-4.708942752498045e-08)
     h_a = compensated_source(dipole, grid)
     net = h_a.values @ grid.weights
@@ -370,7 +370,7 @@ def test_return_flux_core_left_of_nearest_grid_point():
 def test_source_of_a_dipole_on_a_grid_point_does_not_warn():
     # max(r, 1e-300)**3 underflowed to 0 at the dipole's own grid point
     geom = Circle(R)
-    grid = scenario_grid(geom, default_film(geom), 40, probe_x=0.9e-6, y_line=5e-9)
+    grid = scenario_grid(geom, FilmSpec(), 40, probe_x=0.9e-6, y_line=5e-9)
     dipole = z_dipole(x=-0.9e-6, y=5e-9)
     assert np.hypot(*(grid.points - [-0.9e-6, 5e-9]).T).min() == 0.0
     with warnings.catch_warnings():
@@ -388,12 +388,12 @@ def test_off_plane_dipole_rejected():
 
 
 def test_dogbone_solve_smoke():
-    from scaperture.geometry import DogBone, default_film
+    from scaperture.geometry import DogBone
     from scaperture.experiments.grids import scenario_grid
 
     geom = DogBone(end_radius=250e-9, center_distance=1.5e-6,
                    channel_half_width=100e-9)
-    film = default_film(geom)
+    film = FilmSpec()
     x0 = -(geom.edge_x - 100e-9)
     grid = scenario_grid(geom, film, 40, dipole_x=x0,
                          probe_x=geom.edge_x - 100e-9, y_line=5e-9)
