@@ -88,24 +88,20 @@ def _resolve_config(args, command):
     return cfg
 
 
-def _value_csv(path, coords: dict, values, unit, cfg):
-    """The coordinate columns, then the values and their level in dB."""
+def _value_csv(path, coords: dict, values, unit, b_z=None):
+    """The coordinate columns, then the values and, given the B_z they
+    describe (tesla), its level in dB re 1 gauss."""
     import numpy as np
 
     from scaperture.constants import GAUSS
     from scaperture.io.writers import write_csv_atomic
 
-    factor = 20.0 if cfg.db_convention == "amplitude20" else 10.0
-    with np.errstate(divide="ignore"):
-        db = factor * np.log10(np.abs(values) / GAUSS)
-    write_csv_atomic(
-        path,
-        {**coords, "value": values, "value_db": db},
-        header_comments=[
-            f"value unit: {unit}",
-            f"value_db: {factor} log10(|value| / 1 gauss), convention {cfg.db_convention}",
-        ],
-    )
+    columns, comments = {**coords, "value": values}, [f"value unit: {unit}"]
+    if b_z is not None:
+        with np.errstate(divide="ignore"):
+            columns["value_db"] = 20.0 * np.log10(np.abs(b_z) / GAUSS)
+        comments.append("value_db: 20 log10(|B_z| / 1 gauss), B_z in tesla")
+    write_csv_atomic(path, columns, header_comments=comments)
 
 
 def _cmd_analytic(cfg, out) -> None:
@@ -120,7 +116,7 @@ def _cmd_analytic(cfg, out) -> None:
         xs = np.linspace(0.02 * radius, 3.0 * radius, cfg.analytic_samples)
         bz = field_inplane("z", cfg.moment, xs, radius)[:, 2]
         _value_csv(out / "curve.csv", {"x_m": xs}, bz,
-                   "tesla (Bz of a z dipole at the aperture center, z = 0)", cfg)
+                   "tesla (Bz of a z dipole at the aperture center, z = 0)", bz)
         print(f"curve: {out / 'curve.csv'}")
     else:
         span = np.linspace(-2.0 * radius, 2.0 * radius, cfg.analytic_samples)
@@ -141,6 +137,7 @@ def _cmd_analytic(cfg, out) -> None:
 
 
 def _cmd_solve(cfg, out) -> None:
+    from scaperture.constants import MU0
     from scaperture.experiments.grids import place, solve_scenario
     from scaperture.io.writers import write_json_atomic
 
@@ -151,8 +148,9 @@ def _cmd_solve(cfg, out) -> None:
     )
     sol, pts = solved.solution, solved.grid.points
     xy = {"x_m": pts[:, 0], "y_m": pts[:, 1]}
-    _value_csv(out / "hz.csv", xy, sol.h_z.values, "A/m (perpendicular field)", cfg)
-    _value_csv(out / "g.csv", xy, sol.g.values, "A (stream function)", cfg)
+    _value_csv(out / "hz.csv", xy, sol.h_z.values, "A/m (perpendicular field H_z = B_z / mu0)",
+               MU0 * sol.h_z.values)
+    _value_csv(out / "g.csv", xy, sol.g.values, "A (stream function)")
     write_json_atomic(
         out / "summary.json",
         {
@@ -175,7 +173,6 @@ def _cmd_sweep(cfg, out) -> None:
         y_offset=cfg.y_offset if cfg.engine == "numeric" else 0.0,
         n=cfg.n_x,
         ratio=cfg.ratio,
-        smooth_window=cfg.smooth_window,
         film=cfg.film,
     )
     if isinstance(cfg.geometry, Ellipse):
@@ -187,8 +184,7 @@ def _cmd_sweep(cfg, out) -> None:
         "d_m": res.d,
         "y_offset_m": res.y_offset,
         "points": [
-            {"L_m": float(length), "B_T": float(b), "sigma_B_T": float(s)}
-            for length, b, s in res.points()
+            {"L_m": float(length), "B_T": float(b)} for length, b in zip(res.lengths, res.fields)
         ],
         "fit": {
             "slope": res.fit.slope,
@@ -196,7 +192,6 @@ def _cmd_sweep(cfg, out) -> None:
             "intercept": res.fit.intercept,
         },
         "metadata": res.metadata,
-        "db_convention": cfg.db_convention,
     }
     write_json_atomic(out / "sweep.json", payload)
     print(f"sweep: {out / 'sweep.json'}")
@@ -226,10 +221,6 @@ def _cmd_compare(cfg, out) -> None:
             "bz_analytic_t": rep.analytic_bz,
             "delta_db": rep.delta_db,
         },
-        header_comments=[
-            "numeric field converted to the physical in-plane dipole convention",
-            f"conventional offset if unconverted: {rep.convention_offset_db:.4f} dB",
-        ],
     )
     write_json_atomic(
         out / "compare.json",
@@ -239,7 +230,6 @@ def _cmd_compare(cfg, out) -> None:
             "quantiles_abs_db": {str(k): v for k, v in rep.quantiles_abs_db.items()},
             "sign_agreement": rep.sign_agreement,
             "exterior_peak_ratio": rep.exterior_peak_ratio,
-            "convention_offset_db": rep.convention_offset_db,
             "n_points": int(len(rep.delta_db)),
         },
     )

@@ -2,7 +2,6 @@ from scaperture.experiments.compare import DeviationReport, compare_engines
 from scaperture.experiments.coupling import CouplingEstimate, coupling_estimate, numeric_coupling
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import ScenarioSolution, scenario_grid, solve_scenario
-from scaperture.experiments.smoothing import smooth
 from scaperture.experiments.sweeps import SweepResult, sweep
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "fit_power_law",
     "numeric_coupling",
     "scenario_grid",
-    "smooth",
     "solve_scenario",
     "sweep",
 ]

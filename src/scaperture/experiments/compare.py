@@ -1,9 +1,4 @@
-"""Point-by-point comparison of the two engines on circular apertures.
-
-Both fields are physical.  The solver's source formula is -2x the physical
-in-plane dipole field, and the offset that skipping the conversion in
-`solve_scenario` would add is reported alongside.
-"""
+"""Point-by-point comparison of the two engines on circular apertures."""
 
 from __future__ import annotations
 
@@ -33,7 +28,6 @@ class DeviationReport:
     quantiles_abs_db: dict
     sign_agreement: float
     exterior_peak_ratio: float   # max numeric |H_z| outside / peak inside
-    convention_offset_db: float  # what skipping the factor -2 would add
 
 
 def compare_engines(
@@ -99,5 +93,4 @@ def compare_engines(
         },
         sign_agreement=sign_agreement,
         exterior_peak_ratio=exterior_peak_ratio,
-        convention_offset_db=float(20.0 * np.log10(2.0)),
     )

@@ -6,8 +6,7 @@ numeric engine.
 the aperture edges, refined also at the dipole abscissa and at the midline
 (for the evaluation line), with the probe abscissa and the evaluation line
 snapped onto exact coordinates.  `solve_scenario` runs geometry -> grid ->
-system -> solve -> probe for every numeric caller and is the one place where
-the solver's field becomes the physical one.
+system -> solve -> probe for every numeric caller.
 """
 
 from __future__ import annotations
@@ -56,20 +55,20 @@ def scenario_grid(
 
 @dataclass(frozen=True)
 class ScenarioSolution:
-    """A solved scenario and its physical field along the evaluation line."""
+    """A solved scenario and its field along the evaluation line."""
 
     grid: Grid
     system: solver.BrandtSystem
-    solution: solver.StreamSolution  # h_z in the solver's source convention, A/m
+    solution: solver.StreamSolution
     dipole: Dipole
     line: np.ndarray    # flat grid indices of the evaluation line, by increasing x
     y_line: float       # height of that line on the grid, m
-    b_z: np.ndarray     # physical B_z on the line, tesla
+    b_z: np.ndarray     # B_z on the line, tesla
     probe: int          # index of the probe on the line
 
     @property
     def b_probe(self) -> float:
-        """Physical B_z at the probe, tesla.
+        """B_z at the probe, tesla.
 
         Inside the dipole's return-flux core the source is the compensating
         bump, not the dipole's field, so a probe there is a configuration error.
@@ -106,9 +105,7 @@ def solve_scenario(
     system = solver.BrandtSystem(geometry, film, grid)
     solution = system.solve(dipole)
     line, y_actual = grid.x_line(y_line)
-    # the source formula H_a = m / (2 pi r^3) is -2x the physical in-plane
-    # field of a z dipole, and so is every H_z the solver returns
-    b_z = -0.5 * MU0 * solution.h_z.values[line]
+    b_z = MU0 * solution.h_z.values[line]
     return ScenarioSolution(
         grid=grid,
         system=system,

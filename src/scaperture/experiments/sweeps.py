@@ -2,7 +2,7 @@
 
 Each sweep places the dipole and the probe of every radius with `place`,
 evaluates Bz at the probe, and records the value against the
-dipole-to-probe separation L.  Both engines report the physical field.
+dipole-to-probe separation L.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from scaperture.analytic.shifted import field_shifted_bz_plane
 from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
-from scaperture.experiments.smoothing import smooth
 from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
 
 ENGINES = ("analytic", "numeric")
@@ -30,13 +29,9 @@ class SweepResult:
     d: float
     lengths: np.ndarray          # dipole-to-probe separations, m
     fields: np.ndarray           # Bz at the probe, tesla
-    sigma: np.ndarray            # per-point errors, tesla
     fit: PowerLawFit
     y_offset: float
     metadata: dict = field(default_factory=dict)
-
-    def points(self):
-        return list(zip(self.lengths, self.fields, self.sigma))
 
 
 def _analytic_point(scenario, m, radius, dipole_x, probe_x, y_offset):
@@ -59,7 +54,6 @@ def sweep(
     ratio: float = DEFAULT_RATIO,
     b: float = 100e-9,
     film: FilmSpec = FilmSpec(),
-    smooth_window: int = 1,
 ) -> SweepResult:
     """Evaluate the probe field across aperture radii and fit the decay.
 
@@ -75,8 +69,6 @@ def sweep(
     radii = np.sort(np.asarray(radii, dtype=float))
     if len(radii) < MIN_FIT_RADII:
         raise ConfigurationError(f"the power-law fit needs at least {MIN_FIT_RADII} radii")
-    if not (smooth_window % 2 == 1 and 1 <= smooth_window <= len(radii)):
-        raise ConfigurationError("smooth_window must be odd and 1 to the radius count")
     if engine == "analytic" and scenario == "ellipse":
         raise ConfigurationError("no closed form for elliptical apertures")
     if y_offset is None:
@@ -96,10 +88,8 @@ def sweep(
                 moment=moment, probe_x=probe_x, y_line=y_offset,
             ).b_probe
 
-    fields, sigma = smooth(fields, smooth_window)  # the identity for window 1
-
-    fit = fit_power_law(lengths, fields, sigma)
-    meta = {"engine": engine, "field_convention": "physical", "smooth_window": smooth_window}
+    fit = fit_power_law(lengths, fields)
+    meta = {"engine": engine}
     if engine == "numeric":
         meta.update({"n": n, "ratio": ratio})
         if scenario == "ellipse":
@@ -110,7 +100,6 @@ def sweep(
         d=d,
         lengths=lengths,
         fields=fields,
-        sigma=sigma,
         fit=fit,
         y_offset=y_offset,
         metadata=meta,

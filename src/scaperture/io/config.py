@@ -37,45 +37,69 @@ class ScenarioConfig:
     scenario: str
     sweep_d: float
     sweep_radii: tuple
-    smooth_window: int
     y_offset: float
-    db_convention: str
     analytic_kind: str
     analytic_samples: int
     raw: dict = field(repr=False, default_factory=dict)
 
 
+# each shape's class and the fields its config gives in nanometers
+_GEOMETRIES = {
+    "circle": (Circle, ("radius",)),
+    "ellipse": (Ellipse, ("a", "b")),
+    "dogbone": (DogBone, ("end_radius", "center_distance", "channel_half_width")),
+}
+# the keys of each config section but the geometry, whose keys follow its kind
+_SECTIONS = {
+    "film": ("london_depth_nm", "thickness_nm", "film_factor", "grid_factor"),
+    "dipole": ("x_nm", "y_nm", "moment"),
+    "grid": ("n_x", "n_y", "ratio"),
+    "sweep": ("d_nm", "radii_nm"),
+    "analytic": ("kind", "samples"),
+}
+_TOP_LEVEL = (*_SECTIONS, "geometry", "engine", "scenario", "y_offset_nm")
+
+
+def _checked(doc, name: str, keys=None) -> dict:
+    """`doc`, the config section `name`, if it is an object holding only `keys`."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{name} must be an object")
+    unknown = [] if keys is None else sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"{name}: unknown key {unknown[0]!r}")
+    return doc
+
+
+def _count(doc: dict, name: str, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name}.{key} must be an integer, not {value!r}")
+    return value
+
+
 def _geometry_from(doc: dict) -> ApertureGeometry:
-    kind = doc.get("kind", "circle")
-    if kind == "circle":
-        return Circle(doc["radius_nm"] * _NM)
-    if kind == "ellipse":
-        return Ellipse(a=doc["a_nm"] * _NM, b=doc["b_nm"] * _NM)
-    if kind == "dogbone":
-        return DogBone(
-            end_radius=doc["end_radius_nm"] * _NM,
-            center_distance=doc["center_distance_nm"] * _NM,
-            channel_half_width=doc["channel_half_width_nm"] * _NM,
-        )
-    raise ConfigurationError(f"geometry.kind: unknown value {kind!r}")
+    kind = _checked(doc, "geometry").get("kind", "circle")
+    if kind not in _GEOMETRIES:
+        raise ConfigurationError(f"geometry.kind: unknown value {kind!r}")
+    cls, fields = _GEOMETRIES[kind]
+    _checked(doc, "geometry", ("kind", *(f"{f}_nm" for f in fields)))
+    return cls(**{f: doc[f"{f}_nm"] * _NM for f in fields})
 
 
 def parse_config(doc: dict, command: str) -> ScenarioConfig:
     try:
+        _checked(doc, "config", _TOP_LEVEL)
+        film_doc, dipole_doc, grid_doc, sweep_doc, analytic_doc = (
+            _checked(doc.get(name, {}), name, keys) for name, keys in _SECTIONS.items())
         geometry = _geometry_from(doc.get("geometry", {"kind": "circle", "radius_nm": 1000}))
-        film_doc = doc.get("film", {})
         film = FilmSpec(
             london_depth=film_doc.get("london_depth_nm", 50) * _NM,
             thickness=film_doc.get("thickness_nm", 80) * _NM,
             film_factor=film_doc.get("film_factor", 90),
             grid_factor=film_doc.get("grid_factor", 100),
         )
-        dipole_doc = doc.get("dipole", {})
-        grid_doc = doc.get("grid", {})
-        sweep_doc = doc.get("sweep", {})
-        analytic_doc = doc.get("analytic", {})
-        n = int(grid_doc.get("n_x", 60))
-        if int(grid_doc.get("n_y", n)) != n:
+        n = _count(grid_doc, "grid", "n_x", 60)
+        if _count(grid_doc, "grid", "n_y", n) != n:
             # every engine builds square grids from n_x
             raise ConfigurationError(f"grid: n_x = {n} and n_y = {grid_doc['n_y']} must be equal")
         cfg = ScenarioConfig(
@@ -90,18 +114,16 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
             scenario=doc.get("scenario", "centered"),
             sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
             sweep_radii=tuple(r * _NM for r in sweep_doc.get("radii_nm", [])),
-            smooth_window=int(sweep_doc.get("smooth_window", 1)),
             y_offset=doc.get("y_offset_nm", 5.0) * _NM,
-            db_convention=doc.get("db_convention", "amplitude20"),
             analytic_kind=analytic_doc.get("kind", "curve"),
-            analytic_samples=int(analytic_doc.get("samples", 200)),
+            analytic_samples=_count(analytic_doc, "analytic", "samples", 200),
             raw=doc,
         )
+        _validate(cfg, command)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"config field error: {exc}") from exc
-    _validate(cfg, command)
     return cfg
 
 
@@ -117,8 +139,6 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
             raise ConfigurationError(f"analytic.kind: unknown value {cfg.analytic_kind!r}")
         if cfg.analytic_samples < 2:
             raise ConfigurationError("analytic.samples must be at least 2")
-    if cfg.db_convention not in ("amplitude20", "power10"):
-        raise ConfigurationError("db_convention must be amplitude20 or power10")
     if command == "sweep":
         if len(cfg.sweep_radii) < MIN_FIT_RADII:
             raise ConfigurationError(f"sweep.radii_nm: the fit needs at least {MIN_FIT_RADII} radii")

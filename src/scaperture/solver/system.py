@@ -57,7 +57,8 @@ def core_radii(grid: Grid, dipole: Dipole):
 
 
 def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
-    """Applied field m / (2 pi r^3) (A/m) with the dipole's return flux restored.
+    """Physical H_z = -m / (4 pi r^3) (A/m) of the z dipole in its own plane,
+    with the dipole's return flux restored.
 
     r is the in-plane distance to the dipole.  The raw 1/r^3 sample has
     grid-dependent net flux, while the true in-plane dipole carries none;
@@ -74,7 +75,7 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
     dy = pts[:, 1] - dipole.position[1]
     r = np.hypot(dx, dy)
     e2 = (dx / rcx) ** 2 + (dy / rcy) ** 2
-    values = np.divide(m, 2 * np.pi * r**3, out=np.zeros_like(r), where=e2 >= 1.0)
+    values = np.divide(-m, 4 * np.pi * r**3, out=np.zeros_like(r), where=e2 >= 1.0)
     bump = np.where((e2 < 1.0) & (grid.region == REGION_APERTURE), (1.0 - e2) ** 2, 0.0)
     support = bump @ grid.weights
     if not support > 0:

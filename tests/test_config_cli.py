@@ -80,10 +80,10 @@ def test_cli_sweep_with_too_few_radii_is_config_error(tmp_path, capsys):
     assert not (out / "sweep.json").exists()
 
 
-@pytest.mark.parametrize("window", [0, 2, 7])
+@pytest.mark.parametrize("window", [0, 1, 2, 7])
 def test_cli_sweep_with_bad_smooth_window_is_config_error(tmp_path, capsys, window):
-    # window 2 and a window wider than the five radii used to end in a
-    # ValueError traceback from the smoother
+    # sweeps are not smoothed: the removed key is an unknown key, whatever
+    # its value, and not silently ignored
     path = tmp_path / "smooth.json"
     path.write_text(json.dumps({"engine": "analytic", "sweep": {
         "d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000], "smooth_window": window}}))
@@ -91,6 +91,97 @@ def test_cli_sweep_with_bad_smooth_window_is_config_error(tmp_path, capsys, wind
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "smooth_window" in capsys.readouterr().err
     assert not (out / "sweep.json").exists()
+
+
+_RADII = {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # each ended in a TypeError traceback (exit 1) or ran truncated (exit 0)
+    *[(command, {"dipole": {"moment": "1e-23"}, "sweep": _RADII}, "config field error")
+      for command in ("analytic", "solve", "sweep", "compare", "coupling")],
+    ("sweep", {"scenario": ["x"], "sweep": _RADII}, "config field error"),
+    ("solve", {"grid": {"n_x": 24.7}}, "grid.n_x must be an integer"),
+    ("solve", {"grid": {"n_x": 24, "n_y": 24.0}}, "grid.n_y must be an integer"),
+    ("solve", {"grid": {"n_x": True}}, "grid.n_x must be an integer"),
+    ("analytic", {"analytic": {"samples": 20.5}}, "analytic.samples must be an integer"),
+    ("solve", {"film": []}, "film must be an object"),
+    ("solve", {"geometry": "circle"}, "geometry must be an object"),
+])
+def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, doc, message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"film": {"london_depth": 80}}, "'london_depth'"),  # ran at the default 50 nm
+    ({"db_convention": "amplitude20"}, "'db_convention'"),
+    ({"grid": {"nx": 40}}, "'nx'"),
+    ({"geometry": {"kind": "circle", "radius_nm": 1000, "a_nm": 500}}, "'a_nm'"),
+    ({"dipole": {"x_nm": 0, "z_nm": 10}}, "'z_nm'"),
+    ({"engines": "numeric"}, "'engines'"),
+])
+def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown key {key}" in capsys.readouterr().err
+    assert not (out / "hz.csv").exists()
+
+
+def _csv(path):
+    """Header comments and named columns of a CLI CSV."""
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    return comments, {name: data[:, i] for i, name in enumerate(rows[0])}
+
+
+def test_cli_solve_writes_db_of_the_field_in_gauss(tmp_path):
+    # value_db was 20 log10(|H_z| / 1e-4) with H_z in A/m, labelled re 1
+    # gauss, and g.csv gave a level in dB for a current
+    from scaperture.constants import GAUSS, MU0
+
+    out = tmp_path / "o"
+    assert main(["solve", "--preset", "fig7a", "--grid", "24", "--out", str(out)]) == EXIT_OK
+    comments, hz = _csv(out / "hz.csv")
+    assert any("H_z = B_z / mu0" in c for c in comments)
+    assert any("value_db: 20 log10(|B_z| / 1 gauss)" in c for c in comments)
+    with np.errstate(divide="ignore"):
+        want = 20.0 * np.log10(MU0 * np.abs(hz["value"]) / GAUSS)
+    assert np.array_equal(hz["value_db"], want)
+    # 1 uT in a 1 um aperture is tens of dB below a gauss; 1 A/m read as
+    # tesla would be 80 dB above one
+    probe = np.argmin(np.hypot(hz["x_m"] - 0.9e-6, hz["y_m"] - 5e-9))
+    assert -140.0 < hz["value_db"][probe] < -40.0
+    comments, g = _csv(out / "g.csv")
+    assert list(g) == ["x_m", "y_m", "value"]
+    assert not any("value_db" in c for c in comments)
+
+
+def test_cli_outputs_carry_one_convention(tmp_path):
+    # the -2x source field, the power10 dB scale and the smoothing window
+    # are gone, and so are the keys that reported them
+    sweep_out, compare_out = tmp_path / "s", tmp_path / "c"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"engine": "analytic", "sweep": _RADII}))
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(sweep_out)]) == EXIT_OK
+    payload = json.loads((sweep_out / "sweep.json").read_text())
+    assert "db_convention" not in payload
+    assert set(payload["metadata"]) == {"engine"}
+    assert all(set(point) == {"L_m", "B_T"} for point in payload["points"])
+    assert main(["compare", "--preset", "fig5a", "--grid", "40",
+                 "--out", str(compare_out)]) == EXIT_OK
+    assert "convention_offset_db" not in json.loads((compare_out / "compare.json").read_text())
+    comments, columns = _csv(compare_out / "compare.csv")
+    assert comments == []
+    assert list(columns) == ["x_m", "bz_numeric_t", "bz_analytic_t", "delta_db"]
 
 
 def test_cli_analytic_fig4_curve(tmp_path):

@@ -49,19 +49,6 @@ def test_sweep_validation():
         sweep("sideways", 1.0, np.geomspace(10, 100, 6), "analytic")
 
 
-def test_numeric_sweep_checks_smooth_window_before_solving(monkeypatch):
-    # an even window used to surface as a ValueError from the smoother,
-    # after every radius had been solved
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_scenario called before smooth_window was checked")
-
-    monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
-    radii = [500e-9 * 2**k for k in range(5)]
-    for window in (0, 2, 7):
-        with pytest.raises(ConfigurationError, match="smooth_window"):
-            sweep("centered", 100e-9, radii, "numeric", smooth_window=window)
-
-
 @pytest.mark.parametrize("geometry", [
     Circle(1e-6),
     Ellipse(a=250e-9, b=100e-9),
@@ -133,6 +120,17 @@ def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, scenari
         assert half_extent == film.grid_factor * scale
 
 
+def test_solve_scenario_reads_b_z_off_the_solver_field():
+    # the solver's H_z is the physical field, so B_z is mu0 H_z with no
+    # second convention in between
+    geometry = Circle(1e-6)
+    solved = solve_scenario(geometry, FilmSpec(), 40, ratio=DEFAULT_RATIO, dipole_x=0.0,
+                            moment=DEFAULT_MOMENT, probe_x=0.9e-6, y_line=5e-9)
+    h_line = solved.solution.h_z.values[solved.line]
+    assert np.array_equal(solved.b_z, MU0 * h_line)
+    assert solved.b_probe == MU0 * h_line[solved.probe]
+
+
 def test_sweep_lengths_follow_caption_relations():
     radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
     cen = sweep("centered", 1.0, radii, "analytic")
@@ -167,7 +165,6 @@ def test_compare_engines_centered_smoke():
     assert rep.median_abs_db < 3.0
     assert rep.sign_agreement > 0.95
     assert rep.exterior_peak_ratio < 0.01
-    assert rep.convention_offset_db == pytest.approx(6.0206, abs=1e-3)
 
 
 def test_coupling_estimate_zero_field():

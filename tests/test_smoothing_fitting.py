@@ -2,40 +2,6 @@ import numpy as np
 import pytest
 
 from scaperture.experiments.fitting import fit_power_law
-from scaperture.experiments.smoothing import smooth
-
-
-def test_smooth_constant_unchanged():
-    means, errs = smooth(np.full(11, 3.5), 5)
-    assert np.allclose(means, 3.5)
-    assert np.allclose(errs, 0.0)
-
-
-def test_smooth_window_one_identity():
-    x = np.array([1.0, -2.0, 7.0])
-    means, errs = smooth(x, 1)
-    assert np.array_equal(means, x)
-    assert np.all(errs == 0.0)
-
-
-def test_smooth_linear_window3_hand_computed():
-    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    means, errs = smooth(x, 3)
-    # interior points are means of symmetric neighbors, hence unchanged;
-    # error is the population std of the 3-sample window
-    assert np.allclose(means[1:-1], x[1:-1])
-    want_std = np.std([0.0, 1.0, 2.0])
-    assert np.allclose(errs[1:-1], want_std)
-    # edge windows shrink to a single sample
-    assert means[0] == 0.0 and errs[0] == 0.0
-    assert means[-1] == 4.0 and errs[-1] == 0.0
-
-
-def test_smooth_rejects_bad_windows():
-    with pytest.raises(ValueError):
-        smooth(np.arange(5.0), 4)
-    with pytest.raises(ValueError):
-        smooth(np.arange(5.0), 7)
 
 
 def test_fit_exact_power_law():
@@ -81,13 +47,3 @@ def test_fit_rejects_mixed_signs():
 def test_fit_rejects_short_series():
     with pytest.raises(ValueError):
         fit_power_law([1, 2, 3, 4], [1, 1, 1, 1])
-
-
-def test_smooth_then_fit_preserves_exponent():
-    # smoothing a clean decaying series with a small window perturbs the
-    # fitted exponent only slightly
-    L = np.geomspace(1.0, 1000.0, 40)
-    B = L**-2.5
-    means, errs = smooth(B, 5)
-    fit = fit_power_law(L, means, errs)
-    assert fit.slope == pytest.approx(-2.5, abs=0.01)

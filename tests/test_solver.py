@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON
+from scaperture.analytic.free_dipole import free_dipole_field
+from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON, MU0
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
@@ -42,14 +43,19 @@ def centered_grid(n=40, ratio=125.0):
 
 def test_applied_field_magnitude():
     # independent constants arithmetic: m = 2 g mu_B evaluated directly;
-    # outside the return-flux core the source is m / (2 pi r^3)
+    # outside the return-flux core the source is the physical H_z of the
+    # free dipole in its own plane
     m = 2 * ELECTRON_G * BOHR_MAGNETON
     assert m == pytest.approx(3.7139e-23, rel=1e-4)
     geom, film, grid = centered_grid(n=24)
-    ha = compensated_source(z_dipole(m), grid)
-    p = grid.index_of(1e-6, 0.0)
-    r = np.hypot(*grid.points[p])
-    assert ha.values[p] == pytest.approx(m / (2 * np.pi * r**3), rel=1e-12)
+    ha = compensated_source(z_dipole(m), grid).values
+    rcx, rcy = system_module.core_radii(grid, z_dipole(m))
+    x, y = grid.points.T
+    outside = (x / rcx) ** 2 + (y / rcy) ** 2 >= 1.0
+    assert outside.sum() > grid.n_points // 2
+    free = free_dipole_field([0.0, 0.0, m], np.column_stack([x, y, 0 * x])[outside])[:, 2] / MU0
+    assert np.all(free < 0)
+    assert np.all(np.abs(ha[outside] - free) <= 1e-14 * np.abs(free))
 
 
 def test_applied_field_inverse_cube():
