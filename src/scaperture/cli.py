@@ -142,7 +142,7 @@ def _cmd_solve(cfg, out) -> None:
     from scaperture.io.writers import write_json_atomic
 
     solved = solve_scenario(
-        cfg.geometry, cfg.film, cfg.n_x, ratio=cfg.ratio,
+        cfg.geometry, cfg.film, cfg.n_x,
         dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
         probe_x=place(cfg.scenario, cfg.geometry, cfg.sweep_d)[1], y_line=cfg.y_offset,
     )
@@ -170,9 +170,8 @@ def _cmd_sweep(cfg, out) -> None:
 
     kwargs = dict(
         moment=cfg.moment,
-        y_offset=cfg.y_offset if cfg.engine == "numeric" else 0.0,
+        y_offset=cfg.y_offset,
         n=cfg.n_x,
-        ratio=cfg.ratio,
         film=cfg.film,
     )
     if isinstance(cfg.geometry, Ellipse):
@@ -209,7 +208,6 @@ def _cmd_compare(cfg, out) -> None:
         cfg.sweep_d,
         moment=cfg.moment,
         n=cfg.n_x,
-        ratio=cfg.ratio,
         y_line=cfg.y_offset,
         film=cfg.film,
     )
@@ -247,7 +245,6 @@ def _cmd_coupling(cfg, out) -> None:
         cfg.sweep_d,
         moment=cfg.moment,
         n=cfg.n_x,
-        ratio=cfg.ratio,
         y_line=cfg.y_offset,
         film=cfg.film,
     )

@@ -8,7 +8,7 @@ import numpy as np
 
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO
+from scaperture.constants import DEFAULT_MOMENT
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
 from scaperture.solver.system import core_radii
@@ -17,9 +17,6 @@ from scaperture.solver.system import core_radii
 @dataclass(frozen=True)
 class DeviationReport:
     scenario: str
-    radius: float
-    d: float
-    y_line: float
     x_positions: np.ndarray
     numeric_bz: np.ndarray       # tesla
     analytic_bz: np.ndarray      # tesla
@@ -37,7 +34,6 @@ def compare_engines(
     *,
     moment: float = DEFAULT_MOMENT,
     n: int = 60,
-    ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
     band=(0.1, 0.8),
     film: FilmSpec = FilmSpec(),
@@ -49,7 +45,7 @@ def compare_engines(
         raise ConfigurationError("comparison scenarios: centered, shifted")
     radius = geometry.radius
     x0, probe_x = place(scenario, geometry, d)
-    solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
+    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment,
                             probe_x=probe_x, y_line=y_line)
     xs, y_actual = solved.grid.x, solved.y_line
     hz = solved.solution.h_z.values[solved.line]
@@ -80,9 +76,6 @@ def compare_engines(
 
     return DeviationReport(
         scenario=scenario,
-        radius=radius,
-        d=d,
-        y_line=float(y_actual),
         x_positions=xs[in_band],
         numeric_bz=numeric_bz,
         analytic_bz=analytic_bz,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, PLANCK
+from scaperture.constants import DEFAULT_MOMENT, PLANCK
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import ApertureGeometry, FilmSpec
 
@@ -35,7 +35,6 @@ def numeric_coupling(
     *,
     moment: float = DEFAULT_MOMENT,
     n: int = 60,
-    ratio: float = DEFAULT_RATIO,
     y_line: float = 5e-9,
     film: FilmSpec = FilmSpec(),
 ) -> CouplingEstimate:
@@ -45,6 +44,6 @@ def numeric_coupling(
     Needs 0 < d < the x semi-axis, so that the two sites do not cross.
     """
     x0, probe = place("shifted", geometry, d)
-    solved = solve_scenario(geometry, film, n, ratio=ratio, dipole_x=x0, moment=moment,
+    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment,
                             probe_x=probe, y_line=y_line)
     return coupling_estimate(moment, solved.b_probe, probe - x0)

@@ -3,10 +3,11 @@ numeric engine.
 
 `place` is the one placement rule of `sweep`, `compare` and `coupling`.
 `scenario_grid` is the one self-similar grid rule: `make_grid`'s grading at
-the aperture edges, refined also at the dipole abscissa and at the midline
-(for the evaluation line), with the probe abscissa and the evaluation line
-snapped onto exact coordinates.  `solve_scenario` runs geometry -> grid ->
-system -> solve -> probe for every numeric caller.
+the aperture edges, at the fixed ratio `DEFAULT_RATIO`, refined also at the
+dipole abscissa and at the midline (for the evaluation line), with the probe
+abscissa and the evaluation line snapped onto exact coordinates.
+`solve_scenario` runs geometry -> grid -> system -> solve -> probe for every
+numeric caller.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ def scenario_grid(
     dipole_x: float = 0.0,
     probe_x: float | None = None,
     y_line: float = 5e-9,
-    ratio: float = DEFAULT_RATIO,
 ) -> Grid:
-    return make_grid(geometry, film, n, ratio, refine_x=[abs(dipole_x)], refine_y=[0.0],
+    return make_grid(geometry, film, n, DEFAULT_RATIO, refine_x=[abs(dipole_x)], refine_y=[0.0],
                      anchor_x=probe_x, anchor_y=y_line or None)
 
 
@@ -89,7 +89,6 @@ def solve_scenario(
     film: FilmSpec,
     n: int,
     *,
-    ratio: float,
     dipole_x: float,
     dipole_y: float = 0.0,
     moment: float,
@@ -99,8 +98,7 @@ def solve_scenario(
     """Solve a z dipole of `moment` at (dipole_x, dipole_y) on the scenario
     grid and read B_z along y = y_line and at the probe (probe_x, y_line).
     """
-    grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x,
-                         y_line=y_line, ratio=ratio)
+    grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x, y_line=y_line)
     dipole = Dipole(position=[dipole_x, dipole_y, 0.0], moment=[0.0, 0.0, moment])
     system = solver.BrandtSystem(geometry, film, grid)
     solution = system.solve(dipole)

@@ -14,7 +14,7 @@ import numpy as np
 from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, MIN_FIT_RADII
+from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
@@ -51,7 +51,6 @@ def sweep(
     moment: float = DEFAULT_MOMENT,
     y_offset: float | None = None,
     n: int = 60,
-    ratio: float = DEFAULT_RATIO,
     b: float = 100e-9,
     film: FilmSpec = FilmSpec(),
 ) -> SweepResult:
@@ -83,15 +82,13 @@ def sweep(
             fields[i] = _analytic_point(scenario, moment, radii[i], dipole_x, probe_x, y_offset)
         else:
             # only the probe value outlives the call, so no two systems coexist
-            fields[i] = solve_scenario(
-                geometry, film, n, ratio=ratio, dipole_x=dipole_x,
-                moment=moment, probe_x=probe_x, y_line=y_offset,
-            ).b_probe
+            fields[i] = solve_scenario(geometry, film, n, dipole_x=dipole_x, moment=moment,
+                                       probe_x=probe_x, y_line=y_offset).b_probe
 
     fit = fit_power_law(lengths, fields)
     meta = {"engine": engine}
     if engine == "numeric":
-        meta.update({"n": n, "ratio": ratio})
+        meta["n"] = n
         if scenario == "ellipse":
             meta["b"] = b
     return SweepResult(

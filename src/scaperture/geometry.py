@@ -37,10 +37,6 @@ class Dipole:
         self.position.setflags(write=False)
         self.moment.setflags(write=False)
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.moment))
-
 
 @dataclass(frozen=True)
 class Circle:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scaperture.constants import DEFAULT_MOMENT, DEFAULT_RATIO, MIN_FIT_RADII
+from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
 from scaperture.geometry import (
     ApertureGeometry,
     Circle,
@@ -32,7 +32,6 @@ class ScenarioConfig:
     dipole_y: float
     moment: float
     n_x: int
-    ratio: float
     engine: str
     scenario: str
     sweep_d: float
@@ -53,7 +52,7 @@ _GEOMETRIES = {
 _SECTIONS = {
     "film": ("london_depth_nm", "thickness_nm", "film_factor", "grid_factor"),
     "dipole": ("x_nm", "y_nm", "moment"),
-    "grid": ("n_x", "n_y", "ratio"),
+    "grid": ("n_x", "n_y"),
     "sweep": ("d_nm", "radii_nm"),
     "analytic": ("kind", "samples"),
 }
@@ -109,7 +108,6 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
             dipole_y=dipole_doc.get("y_nm", 0.0) * _NM,
             moment=dipole_doc.get("moment", DEFAULT_MOMENT),
             n_x=n,
-            ratio=float(grid_doc.get("ratio", DEFAULT_RATIO)),
             engine=doc.get("engine", "numeric"),
             scenario=doc.get("scenario", "centered"),
             sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
@@ -165,7 +163,7 @@ def _doc(**over):
         "geometry": {"kind": "circle", "radius_nm": 1000},
         "film": {"london_depth_nm": 50, "thickness_nm": 80,
                  "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60, "ratio": DEFAULT_RATIO},
+        "grid": {"n_x": 60, "n_y": 60},
         "y_offset_nm": 5.0,
     }
     doc.update(over)

@@ -270,9 +270,7 @@ class BrandtSystem:
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
             system /= row_scale[:, None]
-            # np.linalg.norm(system, 1), without a temporary |system|
-            anorm = max(np.abs(system[:, j:j + 256]).sum(axis=0).max()
-                        for j in range(0, len(system), 256))
+            anorm = la.get_lapack_funcs("lange", (system,))("1", system)
             try:
                 lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=True)
             except la.LinAlgError as exc:

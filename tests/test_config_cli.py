@@ -124,6 +124,8 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, do
     ({"geometry": {"kind": "circle", "radius_nm": 1000, "a_nm": 500}}, "'a_nm'"),
     ({"dipole": {"x_nm": 0, "z_nm": 10}}, "'z_nm'"),
     ({"engines": "numeric"}, "'engines'"),
+    # the grading ratio is the scenario grid's own; the key used to be read
+    ({"grid": {"n_x": 24, "ratio": 125.0}}, "'ratio'"),
 ])
 def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     cfgfile = tmp_path / "cfg.json"
@@ -132,6 +134,36 @@ def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
     assert f"unknown key {key}" in capsys.readouterr().err
     assert not (out / "hz.csv").exists()
+
+
+def test_cli_analytic_sweep_reads_y_offset(tmp_path):
+    # the analytic sweep was evaluated on the axis whatever y_offset_nm said:
+    # 5 and 50 nm wrote the same sweep.json, with y_offset_m = 0
+    payloads = []
+    for y_offset_nm in (5, 50):
+        cfgfile = tmp_path / f"cfg{y_offset_nm}.json"
+        cfgfile.write_text(json.dumps({"engine": "analytic", "y_offset_nm": y_offset_nm,
+                                       "sweep": _RADII}))
+        out = tmp_path / f"o{y_offset_nm}"
+        assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        payloads.append(json.loads((out / "sweep.json").read_text()))
+    assert payloads[1]["y_offset_m"] == pytest.approx(5e-8, rel=1e-12)
+    fields = [[point["B_T"] for point in payload["points"]] for payload in payloads]
+    assert all(a != b for a, b in zip(*fields))
+
+
+def test_cli_numeric_sweep_metadata_records_n_only(tmp_path):
+    # the grid's grading ratio is fixed by the scenario grid, so it is no
+    # longer a setting the sweep reports
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "grid": {"n_x": 24},
+        "sweep": {"d_nm": 100, "radii_nm": [1000, 1400, 2000, 2800, 4000]},
+    }))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    metadata = json.loads((out / "sweep.json").read_text())["metadata"]
+    assert metadata == {"engine": "numeric", "n": 24}
 
 
 def _csv(path):
@@ -231,7 +263,7 @@ def test_cli_csv_roundtrip_lossless(tmp_path):
 def test_cli_solve_and_manifest_determinism(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "grid": {"n_x": 24, "n_y": 24},
         "sweep": {"d_nm": 100},
     }
     cfgfile = tmp_path / "cfg.json"
@@ -264,11 +296,11 @@ def test_cli_solve_summary_identical_across_processes(tmp_path):
     assert summaries[0] == summaries[1]
 
 
-def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):
+def test_cli_probe_on_mirror_axis_is_config_error(tmp_path, capsys):
     # d equal to the x semi-axis puts the probe anchor at x = 0
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "grid": {"n_x": 24, "n_y": 24},
         "sweep": {"d_nm": 1000},
     }
     cfgfile = tmp_path / "cfg.json"
@@ -276,6 +308,7 @@ def test_cli_probe_on_mirror_axis_is_config_error(tmp_path):
     for command in ("solve", "coupling"):
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)])
         assert code == EXIT_CONFIG
+        assert "strictly between 0 and the x semi-axis" in capsys.readouterr().err
 
 
 def test_cli_coupling_with_crossed_sites_is_config_error(tmp_path, capsys):
@@ -356,18 +389,19 @@ def test_cli_unused_far_dipole_is_accepted(tmp_path):
         assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) == code
 
 
-def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path):
-    # at n = 24 and ratio 30 the aperture has grid points at |x| = 268 and
-    # 900 nm only, so a centred dipole's core (1,181 nm along x) holds the
-    # probe 100 nm inside the edge, and the sweep would fit the core's bump
+def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path, capsys):
+    # at n = 24 a centred dipole's core in the 500 nm circle reaches 440 nm
+    # along x; d = 400 nm puts the probe 100 nm from the dipole, inside the
+    # core, and the sweep would fit the core's bump
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "grid": {"n_x": 24, "n_y": 24},
         "scenario": "centered",
-        "sweep": {"d_nm": 100, "radii_nm": [500, 700, 1000, 1400, 2000]},
+        "sweep": {"d_nm": 400, "radii_nm": [500, 700, 1000, 1400, 2000]},
     }))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "return-flux core" in capsys.readouterr().err
     assert not (out / "sweep.json").exists()
 
 
@@ -396,7 +430,7 @@ def test_cli_film_reaching_the_grid_edge(tmp_path, command):
 def test_cli_grid_override(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "grid": {"n_x": 24, "n_y": 24},
         "sweep": {"d_nm": 100},
     }
     cfgfile = tmp_path / "cfg.json"
@@ -460,7 +494,7 @@ def test_cli_non_square_grid_is_config_error(tmp_path):
     # in the manifest but never used
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24, "ratio": 30.0},
+        "grid": {"n_x": 24, "n_y": 24},
         "sweep": {"d_nm": 100},
     }
     cfgfile = tmp_path / "cfg.json"

