@@ -49,7 +49,7 @@ def sweep(
     engine: str,
     *,
     moment: float = DEFAULT_MOMENT,
-    y_offset: float | None = None,
+    y_offset: float = 5e-9,
     n: int = 60,
     b: float = 100e-9,
     film: FilmSpec = FilmSpec(),
@@ -60,7 +60,8 @@ def sweep(
     d from the left edge, R = L/2 + d.  ellipse: like shifted with the x
     semi-axis varying at fixed b.  Every radius is placed (`place`) before
     any is solved.  The numeric engine gives each radius the film and grid
-    of `film`'s factors times that aperture's scale radius.  The power-law
+    of `film`'s factors times that aperture's scale radius.  Both engines
+    read the probe `y_offset` off the x axis (on it for 0).  The power-law
     fit needs at least MIN_FIT_RADII radii.
     """
     if engine not in ENGINES:
@@ -70,8 +71,6 @@ def sweep(
         raise ConfigurationError(f"the power-law fit needs at least {MIN_FIT_RADII} radii")
     if engine == "analytic" and scenario == "ellipse":
         raise ConfigurationError("no closed form for elliptical apertures")
-    if y_offset is None:
-        y_offset = 0.0 if engine == "analytic" else 5e-9
 
     geometries = [Ellipse(a=r, b=b) if scenario == "ellipse" else Circle(r) for r in radii]
     placed = [place(scenario, geometry, d) for geometry in geometries]

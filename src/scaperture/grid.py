@@ -34,11 +34,16 @@ def graded_half_axis(n_half, half_extent, positions, h_edge, h_cap):
     with n_half.
     """
     t = np.linspace(0.0, half_extent, _DENSITY_SAMPLES)
-    h = np.full_like(t, float(h_cap))
+    # in place on three arrays: h, then 1/h; w, then the trapezoid areas
+    h, w = np.full_like(t, float(h_cap)), np.empty_like(t)
     for pos in positions:
-        np.minimum(h, h_edge + GRADING_SLOPE * np.abs(t - pos), out=h)
-    dens = 1.0 / h
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
+        np.multiply(np.abs(np.subtract(t, pos, out=w), out=w), GRADING_SLOPE, out=w)
+        np.minimum(h, np.add(w, h_edge, out=w), out=h)
+    dens = np.divide(1.0, h, out=h)
+    np.multiply(np.add(dens[1:], dens[:-1], out=w[1:]), 0.5, out=w[1:])
+    w[1:] *= np.subtract(t[1:], t[:-1], out=dens[1:])
+    w[0] = 0.0
+    cdf = np.cumsum(w, out=w)
     targets = (np.arange(n_half) + 0.5) / n_half * cdf[-1]
     return np.interp(targets, cdf, t)
 

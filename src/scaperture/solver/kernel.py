@@ -43,18 +43,33 @@ def folded_kernel_rows(grid: Grid, rows, cells, blocks) -> list:
     hx, hy = grid.n_x // 2, grid.n_y // 2
     xe, ye = grid.x_edges[hx:hx + cells[0] + 1], grid.y_edges[hy:hy + cells[1] + 1]
     px, py = grid.points[rows, 0], grid.points[rows, 1]
-    a, b = _inverse_offsets(xe, px), _inverse_offsets(ye, py)
-    a_m, b_m = _inverse_offsets(-xe, px), _inverse_offsets(-ye, py)
-    sign_a, sign_b = np.sign(a)[:, :, None], np.sign(b)[:, None, :]
-    near, near_m = (sign_a * np.sqrt((a * a)[:, :, None] + (v * v)[:, None, :]) for v in (b, b_m))
-    far, far_m = (np.sqrt((a_m * a_m)[:, :, None] + (v * v)[:, None, :]) for v in (b, b_m))
+    a, a_m = _inverse_offsets(xe, px), _inverse_offsets(-xe, px)
+    # each step writes in place where it can, so at most three corner tables
+    # are live for one x parity, five for both
+
+    def table(u, v, sign=None):
+        t = (u * u)[:, :, None] + (v * v)[:, None, :]
+        np.sqrt(t, out=t)
+        return t if sign is None else np.multiply(t, sign, out=t)
+
+    def fold(p, q, parities):
+        """{0: p + q, 1: p - q} for the sorted `parities`, the last in p's place."""
+        out = {0: p + q} if len(parities) == 2 else {}
+        out[parities[-1]] = (np.subtract if parities[-1] else np.add)(p, q, out=p)
+        return out
+
     # folded over x with parity sx, per y image: sign(v) (sign(u) S(u, v)
     # + sx S(-x - px, v)) for v = y - py, and the bracket alone for -y - py
-    x_folds = {odd: (sign_b * fold(near, far), fold(near_m, far_m))
-               for odd, fold in enumerate((np.add, np.subtract)) if odd in [k & 1 for k in blocks]}
-    out = []
-    for blk in blocks:
-        table = (np.subtract if blk & 2 else np.add)(*x_folds[blk & 1])
-        dy = table[:, :, 1:] - table[:, :, :-1]
-        out.append((dy[:, 1:] - dy[:, :-1]).reshape(len(rows), cells[0] * cells[1]))
-    return out
+    xs, x_folds = sorted({k & 1 for k in blocks}), []
+    b, b_m = _inverse_offsets(ye, py), _inverse_offsets(-ye, py)
+    for v in (b, b_m):
+        x_folds.append(fold(table(a, v, np.sign(a)[:, :, None]), table(a_m, v), xs))
+    for t in x_folds[0].values():
+        t *= np.sign(b)[:, None, :]
+    out = {}
+    for sx in xs:
+        ys = sorted(k >> 1 for k in blocks if k & 1 == sx)
+        for sy, t in fold(x_folds[0].pop(sx), x_folds[1].pop(sx), ys).items():
+            dy = t[:, :, 1:] - t[:, :, :-1]
+            out[sx | sy << 1] = (dy[:, 1:] - dy[:, :-1]).reshape(len(rows), cells[0] * cells[1])
+    return [out[k] for k in blocks]

@@ -3,53 +3,49 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from scaperture.grid import Grid
 
+# the (x, y) offsets of `div_lambda_grad`'s planes, in flat index order
+STENCIL = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
-def div_lambda_grad(grid: Grid, lam: np.ndarray) -> sp.csr_matrix:
-    """Flux-form operator div(Lambda grad g) with harmonic face means.
+
+def div_lambda_grad(grid: Grid, lam: np.ndarray) -> np.ndarray:
+    """Flux-form operator div(Lambda grad g) with harmonic face means, as
+    five-point coefficients (5, n_x, n_y): each point's couplings to its
+    neighbours at the offsets `STENCIL`, zero on the boundary ring (no row).
 
     For uniform Lambda this equals Lambda times the five-point Laplacian on
     any spacing.  Lambda may be infinite (on an aperture): a face mean
     2 / (1/Lambda + 1/Lambda') is then 2 Lambda' toward a finite neighbor
-    and 0 between two infinite points, so the matrix stays finite.
+    and 0 between two infinite points, so every coefficient stays finite.
     """
-    nx, ny = grid.n_x, grid.n_y
-    inv = 1.0 / np.asarray(lam, dtype=float).reshape(nx, ny)
-    hx = np.diff(grid.x)
-    hy = np.diff(grid.y)
+    inv = 1.0 / np.asarray(lam, dtype=float).reshape(grid.n_x, grid.n_y)
 
-    ix = np.arange(1, nx - 1)
-    iy = np.arange(1, ny - 1)
-    ixg, iyg = np.meshgrid(ix, iy, indexing="ij")
-    p = (ixg * ny + iyg).ravel()
-    ixf, iyf = ixg.ravel(), iyg.ravel()
-
-    inv_c = inv[ixf, iyf]
-
-    def face(inv_other):
-        total = inv_c + inv_other
+    def face(inv_a, inv_b):
+        total = inv_a + inv_b
         return np.divide(2.0, total, out=np.zeros_like(total), where=total > 0)
 
-    hxl, hxr = hx[ixf - 1], hx[ixf]
-    wx = 0.5 * (hxl + hxr)
-    lfl = face(inv[ixf - 1, iyf])
-    lfr = face(inv[ixf + 1, iyf])
-    hyl, hyr = hy[iyf - 1], hy[iyf]
-    wy = 0.5 * (hyl + hyr)
-    lfd = face(inv[ixf, iyf - 1])
-    lfu = face(inv[ixf, iyf + 1])
-
-    offsets = (-ny, ny, -1, 1, 0)
-    vals = (
+    # face means between neighbours along x and along y, on the interior rows
+    lf_x, lf_y = face(inv[:-1, 1:-1], inv[1:, 1:-1]), face(inv[1:-1, :-1], inv[1:-1, 1:])
+    lfl, lfr, lfd, lfu = lf_x[:-1], lf_x[1:], lf_y[:, :-1], lf_y[:, 1:]
+    hx, hy = np.diff(grid.x)[:, None], np.diff(grid.y)[None, :]
+    hxl, hxr, hyl, hyr = hx[:-1], hx[1:], hy[:, :-1], hy[:, 1:]
+    wx, wy = 0.5 * (hxl + hxr), 0.5 * (hyl + hyr)
+    coef = np.zeros((len(STENCIL), grid.n_x, grid.n_y))
+    coef[:, 1:-1, 1:-1] = (
         lfl / (hxl * wx),
-        lfr / (hxr * wx),
         lfd / (hyl * wy),
-        lfu / (hyr * wy),
         -(lfl / hxl + lfr / hxr) / wx - (lfd / hyl + lfu / hyr) / wy,
+        lfu / (hyr * wy),
+        lfr / (hxr * wx),
     )
-    cols = np.concatenate([p + d for d in offsets])
-    return sp.csr_matrix((np.concatenate(vals), (np.tile(p, len(offsets)), cols)),
-                         shape=(grid.n_points, grid.n_points))
+    return coef
+
+
+def apply_stencil(coef: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The operator with coefficients `coef` applied to the flat values g, flat."""
+    n_x, n_y = coef.shape[1:]
+    g = np.pad(g.reshape(n_x, n_y), 1)
+    return sum(c * g[1 + dx:n_x + 1 + dx, 1 + dy:n_y + 1 + dy]
+               for c, (dx, dy) in zip(coef, STENCIL)).ravel()

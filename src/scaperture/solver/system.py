@@ -14,9 +14,10 @@ over the +x,+y quadrant; I is even-even, so the odd blocks have g = 0 on
 the aperture.  A block is assembled and factored the first time a source
 has a nonzero part of its parity (a centred dipole excites only the
 even-even block): the quadrant's kernel rows are folded into the blocks a
-few rows at a time, and the blocks are factored in place.  On a film row
-the system row is the London relation, so h_z there is the sparse operator
-applied to g; kernel rows, for h_z = h_a + K g, are kept only elsewhere.
+few rows at a time, the folded five-point London stencil is added in, and
+the blocks are factored in place.  On a film row the system row is the
+London relation, so h_z there is the stencil applied to g; kernel rows,
+for h_z = h_a + K g, are kept only elsewhere.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
 from scaperture.solver.kernel import folded_kernel_rows
-from scaperture.solver.laplacian import div_lambda_grad
+from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
 
 
 def _z_moment(dipole: Dipole) -> float:
@@ -130,55 +130,58 @@ def _unfold(parts, shape) -> np.ndarray:
     return out.ravel()
 
 
-def _block_maps(film: np.ndarray, hole, weights: np.ndarray):
-    """Sparse maps between the quadrant and one parity block's unknowns: g on
-    the quadrant points `film`, then, given a `hole`, the aperture's constant I.
-
-    `collapse` gives quadrant g from the unknowns (0 elsewhere); `fold` gives
-    the block's rows from quadrant rows: the film rows, then with a hole the
-    fluxoid row, the sum of the hole rows weighted by `weights` (cell areas).
+def _london_block(stencil: np.ndarray, film, hole, hole_w, b):
+    """Entries (rows, columns, values) of parity block b's London part, from
+    the coefficients `stencil`.  The unknowns are g on the quadrant points
+    `film`, then in block 0 the constant I of the `hole` points, whose rows
+    weighted by their cell areas `hole_w` sum to the fluxoid row.  The -x
+    link of the first quadrant column and the -y link of the first row reach
+    the point's own mirror image, so they fold into the centre with sx, sy.
     """
-    points = film if hole is None else np.concatenate([film, hole])
-    unknowns = np.minimum(np.arange(len(points)), len(film))  # the hole's are all I
-    shape = (len(weights), len(film) + (hole is not None))
-    collapse = sp.csr_matrix((np.ones(len(points)), (points, unknowns)), shape=shape)
-    fold = sp.csr_matrix((weights[points], (unknowns, points)), shape=shape[::-1])
-    return collapse, fold
+    c = _mirror_views(stencil)[0].copy()
+    # planes 0, 1, 2 are the -x, -y and centre links (STENCIL)
+    c[2, 0] += (-1.0 if b & 1 else 1.0) * c[0, 0]
+    c[2, :, 0] += (-1.0 if b & 2 else 1.0) * c[1, :, 0]
+    c[0, 0] = c[1, :, 0] = 0.0
+    unknown, weight = np.full(c.shape[1:], -1), np.ones(c.shape[1:])  # -1: no unknown
+    unknown.flat[film] = np.arange(len(film))
+    if b == 0:
+        unknown.flat[hole], weight.flat[hole] = len(film), hole_w
+    # a link that wraps around has a zero coefficient: folded, or on the boundary ring
+    cols = np.stack([np.roll(unknown, (-dx, -dy), axis=(0, 1)) for dx, dy in STENCIL])
+    on = (unknown >= 0) & (cols >= 0) & (c != 0.0)
+    return np.broadcast_to(unknown, cols.shape)[on], cols[on], (weight * c)[on]
 
 
-def _fold_kernel(grid: Grid, quad: np.ndarray, film: np.ndarray, keep: np.ndarray, maps):
-    """Kernel rows of the quadrant points `quad`, folded into the parity blocks.
-
-    Block b's kernel part is fold @ K_b @ collapse with the `maps[b]` of
-    `_block_maps`; it is returned in a Fortran-order system buffer, with the
-    block's rows `keep` on its unknowns (unscaled).  A block whose `maps[b]`
-    is None is skipped and gets None for both.  Folded rows are made n_y / 2
-    at a time, and since g = 0 on the exterior, only on the corner rectangle
-    of the quadrant's cells that holds every film and hole point; the
-    fluxoid row sums kept hole rows.
+def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks):
+    """Kernel rows of the quadrant points `quad`, folded into the parity
+    `blocks` on the unknowns of `_london_block`: per block (None if not in
+    `blocks`), the system buffer in Fortran order (film rows, then in block
+    0 the fluxoid row, which sums kept hole rows) and the rows `keep`.  Rows
+    are made n_y / 2 at a time and, since g = 0 on the exterior, only on the
+    corner rectangle of quadrant cells that holds every film and hole point.
     """
-    nq, chunk = len(quad), grid.n_y // 2
+    nq, chunk, n_film = len(quad), grid.n_y // 2, len(film)
     used = (grid.region[quad] != REGION_EXTERIOR).reshape(-1, chunk)
     cells = tuple(len(np.trim_zeros(used.any(axis=k), "b")) for k in (1, 0))
-    on_cells = np.arange(nq).reshape(used.shape)[:cells[0], :cells[1]].ravel()
-    wanted = [b for b, m in enumerate(maps) if m is not None]
-    systems, kept = [None] * len(maps), [None] * len(maps)
-    # rows @ collapse is (collapse.T @ rows.T).T: transpose the maps once
-    collapse_t = [None if m is None else m[0][on_cells].T for m in maps]
-    for b in wanted:
-        n_unknowns = maps[b][1].shape[0]
-        systems[b] = np.empty((n_unknowns, n_unknowns), order="F")
-        kept[b] = np.empty((len(keep), n_unknowns))
+    # a quadrant point's column on that rectangle
+    film_c, hole_c = (p // chunk * cells[1] + p % chunk for p in (film, hole))
+    systems, kept = [None] * 4, [None] * 4
+    for b in blocks:
+        n = n_film + (b == 0)
+        systems[b], kept[b] = np.empty((n, n), order="F"), np.empty((len(keep), n))
     for a in range(0, nq, chunk):
-        blocks = folded_kernel_rows(grid, quad[a:a + chunk], cells, wanted)
+        folded = folded_kernel_rows(grid, quad[a:a + chunk], cells, blocks)
         # the chunk's rows of film and of keep are consecutive in the buffers
         f0, f1 = np.searchsorted(film, [a, a + chunk])
         k0, k1 = np.searchsorted(keep, [a, a + chunk])
-        for b, block in zip(wanted, blocks):
-            systems[b][f0:f1] = (collapse_t[b] @ block[film[f0:f1] - a].T).T
-            kept[b][k0:k1] = (collapse_t[b] @ block[keep[k0:k1] - a].T).T
-    for b in wanted:
-        systems[b][len(film):] = maps[b][1][len(film):, keep] @ kept[b]
+        for b, rows in zip(blocks, folded):
+            for out, points in ((systems[b][f0:f1], film[f0:f1]), (kept[b][k0:k1], keep[k0:k1])):
+                out[:, :n_film] = rows[np.ix_(points - a, film_c)]
+                if b == 0:
+                    out[:, n_film] = rows[np.ix_(points - a, hole_c)].sum(axis=1)
+    if 0 in blocks:
+        systems[0][n_film] = hole_w @ kept[0][np.searchsorted(keep, hole)]
     return systems, kept
 
 
@@ -219,29 +222,22 @@ class BrandtSystem:
 
         # Lambda is infinite on the aperture: no face between two aperture
         # points carries current, and a film-aperture face carries 2 Lambda
-        lattice = div_lambda_grad(grid, np.where(grid.region == REGION_APERTURE, np.inf, lam_film))
+        self._stencil = div_lambda_grad(
+            grid, np.where(grid.region == REGION_APERTURE, np.inf, lam_film))
         # the system row of a film point with an operator row is the London
         # relation, so h_z there is the operator applied to g
-        film_rows = (grid.region == REGION_FILM) & (np.diff(lattice.indptr) > 0)
+        film_rows = (grid.region == REGION_FILM) & self._stencil.any(axis=0).ravel()
         self._film = np.flatnonzero(film_rows)
-        self._london = lattice[self._film]
 
         self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
-        images = [v.ravel() for v in _mirror_views(flat)]
-        quad = self._quad = images[0]
+        quad = self._quad = _mirror_views(flat)[0].ravel()
         region_q = grid.region[quad]
         self._film_q = np.flatnonzero(region_q == REGION_FILM)
-        hole_q = np.flatnonzero(region_q == REGION_APERTURE)
-        weights = np.where(region_q == REGION_APERTURE, grid.weights[quad], 1.0)
         # I is even in x and in y, so the odd blocks have g = 0 on the hole
-        self._maps = [_block_maps(self._film_q, hole_q if b == 0 else None, weights)
-                      for b in range(4)]
+        self._hole_q = np.flatnonzero(region_q == REGION_APERTURE)
+        self._hole_w = grid.weights[quad[self._hole_q]]
         self._keep = np.flatnonzero(~film_rows[quad])
-        lattice_q = lattice[quad]
-        lattice_images = [lattice_q[:, cols] for cols in images]
-        self._lattice = [(fold @ _parity(*lattice_images, b) @ collapse).tocoo()
-                         for b, (collapse, fold) in enumerate(self._maps)]
         # per block, filled by _factor: LU factors with the row scale, the
         # kept kernel rows and the reciprocal condition estimate
         self._factors, self._kernel, self._rcond = [None] * 4, [None] * 4, [None] * 4
@@ -261,18 +257,21 @@ class BrandtSystem:
     def _factor(self, blocks) -> None:
         """Assemble, row-scale and LU-factor the parity `blocks` in place, all
         from one pass over the kernel rows."""
-        maps = [m if b in blocks else None for b, m in enumerate(self._maps)]
-        systems, kept = _fold_kernel(self.grid, self._quad, self._film_q, self._keep, maps)
+        unknowns = (self._film_q, self._hole_q, self._hole_w)
+        systems, kept = _fold_kernel(self.grid, self._quad, *unknowns, self._keep, blocks)
         for b in blocks:
-            system, lat = systems[b], self._lattice[b]
-            system[lat.row, lat.col] -= lat.data  # a product: no repeated entry
+            system, (rows, cols, values) = systems[b], _london_block(self._stencil, *unknowns, b)
+            np.add.at(system, (rows, cols), -values)
             row_scale = np.maximum(system.max(axis=1), -system.min(axis=1))
+            # max and min propagate NaN and +-inf: this sees every entry
+            if not np.isfinite(row_scale).all():
+                raise SolverError("system has a non-finite entry")
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
             system /= row_scale[:, None]
             anorm = la.get_lapack_funcs("lange", (system,))("1", system)
             try:
-                lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=True)
+                lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=False)
             except la.LinAlgError as exc:
                 raise SolverError(f"factorization failed: {exc}") from exc
             rcond = _reciprocal_condition(lu_piv[0], anorm)
@@ -286,7 +285,7 @@ class BrandtSystem:
         """Solve for an explicit applied-field map (A/m)."""
         shape = (self.grid.n_x, self.grid.n_y)
         images = _mirror_views(h_a.values.reshape(shape))
-        parts = [_parity(*images, b) for b in range(4)]
+        parts = [_parity(*images, b).ravel() for b in range(4)]
         # a part that is exactly zero has zero g and K g
         excited = [b for b, part in enumerate(parts) if part.any()]
         missing = [b for b in excited if self._factors[b] is None]
@@ -296,17 +295,18 @@ class BrandtSystem:
         for b, part in enumerate(parts):
             g_part, kg_part = np.zeros(part.size), np.zeros(part.size)
             if b in excited:
-                (lu_piv, row_scale), (collapse, fold) = self._factors[b], self._maps[b]
-                u = la.lu_solve(lu_piv, -0.25 * (fold @ part.ravel()) / row_scale)
-                g_part = collapse @ u
-                kg_part[self._keep] = self._kernel[b] @ u
+                lu_piv, row_scale = self._factors[b]
+                fluxoid = [self._hole_w @ part[self._hole_q]] if b == 0 else []
+                u = la.lu_solve(lu_piv, -0.25 * np.append(part[self._film_q], fluxoid) / row_scale)
+                g_part[self._film_q] = u[:len(self._film_q)]
                 if b == 0:
-                    current = u[-1]  # I, even-even
-            g_parts.append(g_part.reshape(part.shape))
-            kg_parts.append(kg_part.reshape(part.shape))
+                    current = g_part[self._hole_q] = u[-1]  # I, even-even
+                kg_part[self._keep] = self._kernel[b] @ u
+            g_parts.append(g_part.reshape(images[0].shape))
+            kg_parts.append(kg_part.reshape(images[0].shape))
         g = _unfold(g_parts, shape)
         hz = h_a.values + _unfold(kg_parts, shape)
-        hz[self._film] = self._london @ g
+        hz[self._film] = apply_stencil(self._stencil, g)[self._film]
         return StreamSolution(g=FieldMap(self.grid, g), h_z=FieldMap(self.grid, hz),
                               h_a=h_a, aperture_current=float(current))
 

@@ -1,15 +1,18 @@
-"""Whole-grid forms of the solver's kernel, for tests.
+"""Whole-grid forms of the solver's kernel and London operator, for tests.
 
 The solver only ever makes parity-folded quadrant rows a batch at a time
 (`folded_kernel_rows`); these give the whole unfolded matrix and the sum
 rule's outside integral per point, so that tests can check the folded rows,
-the sum rule and quadrature against them and rebuild h_z = h_a + K g.
+the sum rule and quadrature against them and rebuild h_z = h_a + K g.  The
+solver keeps the London operator as five-point coefficients
+(`div_lambda_grad`); `dense_london` gives its whole-grid matrix.
 """
 
 import numpy as np
 
 from scaperture.grid import Grid
 from scaperture.solver.kernel import _inverse_offsets
+from scaperture.solver.laplacian import STENCIL, div_lambda_grad
 
 
 def _outside(X, px, py) -> np.ndarray:
@@ -44,3 +47,16 @@ def cell_integrated_kernel(grid: Grid, rows=None) -> np.ndarray:
     corners *= np.sign(a)[:, :, None] * np.sign(b)[:, None, :]
     dy = corners[:, :, 1:] - corners[:, :, :-1]
     return (dy[:, 1:] - dy[:, :-1]).reshape(len(rows), grid.n_points)
+
+
+def dense_london(grid: Grid, lam) -> np.ndarray:
+    """The whole-grid matrix of `div_lambda_grad(grid, lam)`: row p holds
+    point p's coefficients at its neighbours' columns; the grid's boundary
+    ring has empty rows."""
+    coef = div_lambda_grad(grid, lam)
+    ix, iy = np.meshgrid(np.arange(1, grid.n_x - 1), np.arange(1, grid.n_y - 1), indexing="ij")
+    p = ix * grid.n_y + iy
+    out = np.zeros((grid.n_points, grid.n_points))
+    for c, (dx, dy) in zip(coef, STENCIL):
+        out[p, p + dx * grid.n_y + dy] = c[ix, iy]
+    return out

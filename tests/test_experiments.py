@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,34 @@ def test_sweep_with_too_few_radii_raises_before_solving(monkeypatch):
     for engine in ("analytic", "numeric"):
         with pytest.raises(ConfigurationError, match="at least 5 radii"):
             sweep("centered", 100e-9, [500e-9, 1e-6, 2e-6, 4e-6], engine)
+
+
+def test_sweep_y_offset_default_is_the_same_for_both_engines(monkeypatch):
+    # the library default was 0 for analytic and 5 nm for numeric, so
+    # switching only the engine moved the probe line
+    lines = []
+
+    def probe_line(*args, y_line, **kwargs):
+        lines.append(y_line)
+        return types.SimpleNamespace(b_probe=-1.0 / len(lines))
+
+    on_axis_calls = []
+    field_inplane = sweeps.field_inplane
+
+    def count_on_axis(*args):
+        on_axis_calls.append(args)
+        return field_inplane(*args)
+
+    monkeypatch.setattr(sweeps, "solve_scenario", probe_line)
+    monkeypatch.setattr(sweeps, "field_inplane", count_on_axis)
+    radii = np.geomspace(1e-6, 4e-6, 5)
+    numeric = sweep("centered", 100e-9, radii, "numeric")
+    analytic = sweep("centered", 100e-9, radii, "analytic")
+    assert analytic.y_offset == numeric.y_offset == 5e-9
+    assert lines == [5e-9] * len(radii) and not on_axis_calls
+    # an explicit 0 still takes the on-axis closed form
+    assert sweep("centered", 100e-9, radii, "analytic", y_offset=0.0).y_offset == 0.0
+    assert len(on_axis_calls) == len(radii)
 
 
 @pytest.mark.parametrize("scenario, radii", [

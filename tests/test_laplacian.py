@@ -4,7 +4,9 @@ import scipy.sparse as sp
 
 from scaperture.geometry import Circle, FilmSpec
 from scaperture.grid import Grid, make_grid
-from scaperture.solver.laplacian import div_lambda_grad
+from scaperture.solver.laplacian import apply_stencil, div_lambda_grad
+
+from kernel_oracles import dense_london
 
 
 # the plain five-point Laplacian, the reference div_lambda_grad reduces to
@@ -110,7 +112,7 @@ def test_cubic_error_scales_with_spacing():
 def test_divergence_form_reduces_to_laplacian_for_uniform_lambda():
     grid = grid_with_ratio(20, 25.0)
     lam = np.full(grid.n_points, 0.37)
-    op = div_lambda_grad(grid, lam).toarray()
+    op = dense_london(grid, lam)
     ref = 0.37 * assemble_laplacian(grid).toarray()
     scale = np.abs(ref).max()
     assert np.abs(op - ref).max() < 1e-12 * scale
@@ -124,7 +126,7 @@ def test_divergence_form_blocks_gradient_through_barrier():
     pts = grid.points
     stripe = np.abs(pts[:, 0]) < 2.0
     lam[stripe] = 1e8
-    op = div_lambda_grad(grid, lam)
+    op = dense_london(grid, lam)
     g = pts[:, 0].copy()
     out = op @ g
     inner = interior_mask(grid)
@@ -142,11 +144,11 @@ def test_infinite_lambda_is_the_boost_limit():
     lam = np.ones(grid.n_points)
     stripe = np.abs(grid.points[:, 0]) < 2.0
     lam[stripe] = np.inf
-    op = div_lambda_grad(grid, lam).toarray()
+    op = dense_london(grid, lam)
     assert np.all(np.isfinite(op))
     boosted = lam.copy()
     boosted[stripe] = 1e12
-    limit = div_lambda_grad(grid, boosted).toarray()
+    limit = dense_london(grid, boosted)
     scale = np.abs(op).max()
     # rows off the stripe, and the stripe rows' couplings off the stripe
     assert np.abs(op[~stripe] - limit[~stripe]).max() <= 1e-9 * scale
@@ -155,3 +157,16 @@ def test_infinite_lambda_is_the_boost_limit():
     assert not (inside - np.diag(np.diag(inside))).any()
     # constants are still annihilated
     assert np.abs(op.sum(axis=1)).max() <= 1e-12 * scale
+
+
+def test_coefficients_and_their_application():
+    # zero on the boundary ring; applied to g they are the dense operator's product
+    grid = grid_with_ratio(20, 25.0)
+    lam = np.where(np.abs(grid.points[:, 0]) < 2.0, np.inf, 0.37)
+    coef = div_lambda_grad(grid, lam)
+    assert coef.shape == (5, grid.n_x, grid.n_y)
+    ring = ~interior_mask(grid).reshape(grid.n_x, grid.n_y)
+    assert not coef[:, ring].any()
+    g = np.random.default_rng(3).standard_normal(grid.n_points)
+    want = dense_london(grid, lam) @ g
+    assert np.abs(apply_stencil(coef, g) - want).max() <= 1e-14 * np.abs(want).max()

@@ -1,7 +1,7 @@
 """The mirror-parity block solver against dense whole-grid oracles.
 
 The exact oracle assembles the whole-grid system from
-`cell_integrated_kernel` and `div_lambda_grad`, with g on the film points
+`cell_integrated_kernel` and `dense_london`, with g on the film points
 and the hole's one constant as unknowns, the film rows and the fluxoid row
 (the cell-area-weighted sum of the hole rows) as rows, no parity split;
 it scales every row by its largest entry and solves densely.  The limit
@@ -14,7 +14,6 @@ row, film rows included.
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,17 +22,16 @@ from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, DogBone, Ellipse, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, Grid, build_grid
 from scaperture.solver.kernel import folded_kernel_rows
-from scaperture.solver.laplacian import div_lambda_grad
 from scaperture.solver.system import (
     BrandtSystem,
-    _block_maps,
     _fold_kernel,
+    _london_block,
     _mirror_views,
     _parity,
     _unfold,
 )
 
-from kernel_oracles import cell_integrated_kernel
+from kernel_oracles import cell_integrated_kernel, dense_london
 
 # (geometry, dipole x, dipole y); the probe sits 100 nm inside the right edge
 CASES = {
@@ -65,7 +63,7 @@ def dense_exact_solve(system, h_a):
     kernel = cell_integrated_kernel(grid)
     hole = grid.region == REGION_APERTURE
     lam = np.where(hole, np.inf, system.film.pearl_length)
-    full = kernel - div_lambda_grad(grid, lam).toarray()
+    full = kernel - dense_london(grid, lam)
     film = np.flatnonzero(grid.region == REGION_FILM)
     fluxoid = np.where(hole, grid.weights, 0.0)
     rows = np.vstack([full[film], fluxoid @ full])
@@ -84,10 +82,28 @@ def dense_boost_solve(system, h_a, boost=1e8):
     lam = np.full(grid.n_points, system.film.pearl_length)
     lam[grid.region == REGION_APERTURE] *= boost
     s = np.flatnonzero(grid.region != REGION_EXTERIOR)
-    a = kernel[np.ix_(s, s)] - div_lambda_grad(grid, lam).toarray()[np.ix_(s, s)]
+    a = kernel[np.ix_(s, s)] - dense_london(grid, lam)[np.ix_(s, s)]
     g = np.zeros(grid.n_points)
     g[s] = row_scaled_solve(a, -h_a[s])
     return h_a + kernel @ g
+
+
+def dense_maps(system):
+    """Per parity block, dense maps between the quadrant and the block's
+    unknowns: `collapse` gives quadrant g from the unknowns (g on the film
+    points, then in block 0 the hole's constant I), `fold` the block's rows
+    from quadrant rows (the film rows, then in block 0 the fluxoid row)."""
+    nq, film, hole = len(system._quad), system._film_q, system._hole_q
+    maps = []
+    for b in range(4):
+        n_unknowns = len(film) + (b == 0)
+        collapse, fold = np.zeros((nq, n_unknowns)), np.zeros((n_unknowns, nq))
+        collapse[film, np.arange(len(film))] = fold[np.arange(len(film)), film] = 1.0
+        if b == 0:
+            collapse[hole, -1] = 1.0
+            fold[-1, hole] = system._hole_w
+        maps.append((collapse, fold))
+    return maps
 
 
 SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40), ("dogbone", 32)]
@@ -177,10 +193,11 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
     # the build's maps: film rows on the block's unknowns, then in the
     # even-even block the fluxoid row; the build kept its rows `_keep`
     film = np.flatnonzero(grid.region[quad_rows] == REGION_FILM)
-    systems, kept = _fold_kernel(grid, quad_rows, film, system._keep, system._maps)
+    systems, kept = _fold_kernel(grid, quad_rows, film, system._hole_q, system._hole_w,
+                                 system._keep, [0, 1, 2, 3])
     assert [len(b) for b in systems] == [len(film) + 1] + [len(film)] * 3
     for want, buffer, rows_kept, built, (collapse, fold) in zip(
-            folded, systems, kept, system._kernel, system._maps):
+            folded, systems, kept, system._kernel, dense_maps(system)):
         assert buffer.flags.f_contiguous
         assert close(buffer[:len(film)], want[film] @ collapse, film)
         assert np.array_equal(built, rows_kept)
@@ -192,8 +209,33 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
         assert np.all(gap <= 1e-13 * (fold @ peak)[len(film):])
 
 
-# integer values, so every signed sum is exact; zeros give the sparse case
-# empty entries
+@pytest.mark.parametrize("name,n", [("off_axis", 28), ("coupling300", 32), ("dogbone", 28)])
+def test_folded_stencil_is_the_parity_fold_of_the_dense_operator(name, n):
+    # each block's London entries, applied to its unknowns, are the
+    # whole-grid operator applied to the g of that parity, on the block's
+    # rows: the mirror images of the quadrant carry sx, sy and sx sy times g
+    system, _ = build_case(name, n)
+    grid = system.grid
+    lam = np.where(grid.region == REGION_APERTURE, np.inf, system.film.pearl_length)
+    london = dense_london(grid, lam)
+    rng = np.random.default_rng(11)
+    quad_shape = (grid.n_x // 2, grid.n_y // 2)
+    for b, (collapse, fold) in enumerate(dense_maps(system)):
+        rows, cols, values = _london_block(system._stencil, system._film_q, system._hole_q,
+                                           system._hole_w, b)
+        block = np.zeros((len(fold),) * 2)
+        np.add.at(block, (rows, cols), values)
+        u = rng.standard_normal(len(block))
+        parts = [np.zeros(quad_shape)] * 4
+        parts[b] = (collapse @ u).reshape(quad_shape)
+        g = _unfold(parts, (grid.n_x, grid.n_y))
+        want = fold @ (london @ g)[system._quad]
+        scale = np.abs(fold) @ (np.abs(london) @ np.abs(g))[system._quad]
+        assert np.all(np.abs(block @ u - want) <= 1e-13 * scale)
+        assert np.any(block != 0.0)
+
+
+# integer values, so every signed sum is exact
 even_shapes = st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda h: (2 * h[0], 2 * h[1]))
 integer_grids = arrays(np.float64, even_shapes, elements=st.integers(-1000, 1000).map(float))
 
@@ -203,14 +245,6 @@ def test_fold_then_unfold_is_four_times_the_grid(a):
     images = _mirror_views(a)
     parts = [_parity(*images, b) for b in range(4)]
     assert np.array_equal(_unfold(parts, a.shape), 4 * a.ravel())
-
-
-@given(integer_grids)
-def test_parity_of_sparse_images_equals_dense(a):
-    images = _mirror_views(a)
-    sparse = [sp.csr_matrix(image) for image in images]
-    for b in range(4):
-        assert np.array_equal(_parity(*sparse, b).toarray(), _parity(*images, b))
 
 
 def test_rejects_grid_without_mirror_symmetry():

@@ -7,13 +7,14 @@ import pytest
 import scipy.linalg as la
 
 from scaperture.analytic.free_dipole import free_dipole_field
+from scaperture.cli import EXIT_SOLVER, main
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON, MU0
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
 from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
-from scaperture.solver.system import BrandtSystem, compensated_source
+from scaperture.solver.system import BrandtSystem, SolverError, compensated_source
 
 from kernel_oracles import cell_integrated_kernel
 
@@ -186,7 +187,8 @@ def fig7a_grid():
 def test_build_memory_and_kept_kernel_rows():
     # fig7a scene at n = 60 with its centred dipole: the source is even in x
     # and in y, so the build and the solve factor only the 751^2 even-even
-    # block (4.3 MiB); factoring all four blocks at build time peaked at 27 MiB
+    # block (4.3 MiB); factoring all four blocks at build time peaked at 27 MiB,
+    # and sparse London blocks with kernel tables made out of place at 7.9 MiB
     cfg, grid = fig7a_grid()
     tracemalloc.start()
     try:
@@ -195,7 +197,7 @@ def test_build_memory_and_kept_kernel_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 7.5 * 2**20
 
     want = kept_kernel_rows(grid)
     assert np.array_equal(system._keep, want)
@@ -263,6 +265,24 @@ def test_condition_estimate_needs_no_solve():
     system = BrandtSystem(cfg.geometry, cfg.film, grid)
     system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
     assert fresh == system.condition_estimate == 3.67e3
+
+
+def test_non_finite_system_is_a_solver_error(monkeypatch, tmp_path):
+    # a NaN kernel entry reached LAPACK and escaped as scipy's ValueError
+    folded_kernel_rows = system_module.folded_kernel_rows
+
+    def one_nan(*args, **kwargs):
+        blocks = folded_kernel_rows(*args, **kwargs)
+        blocks[0][0, 0] = np.nan
+        return blocks
+
+    monkeypatch.setattr(system_module, "folded_kernel_rows", one_nan)
+    cfg, grid = fig7a_grid()
+    system = BrandtSystem(cfg.geometry, cfg.film, grid)
+    with pytest.raises(SolverError, match="non-finite"):
+        system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+    code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
 
 
 def test_exact_hole_keeps_the_system_well_conditioned():

@@ -66,6 +66,21 @@ def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
         assert heavy not in loaded
 
 
+def test_numeric_commands_load_no_scipy_sparse(tmp_path):
+    # the London operator is five-point coefficients in plain numpy
+    script = (
+        "import sys\n"
+        "from scaperture.cli import main\n"
+        "assert main(['sweep', '--preset', 'fig5c', '--grid', '20', '--out', sys.argv[1] + 'sweep']) == 0\n"
+        "assert main(['solve', '--preset', 'fig7a', '--grid', '20', '--out', sys.argv[1] + 'solve']) == 0\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out-")],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert run.stdout.splitlines()[-1] == "True False"
+
+
 def test_solver_error_is_one_class_and_exits_3(tmp_path, monkeypatch):
     assert scaperture.solver.SolverError is scaperture.solver.system.SolverError
     assert scaperture.solver.system.SolverError is geometry.SolverError
