@@ -196,7 +196,7 @@ class FieldMap:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # copied: a view of the input stays writable
         if vals.shape != (self.grid.n_points,):
             raise ConfigurationError(
                 f"value count {vals.shape} does not match grid size {self.grid.n_points}"

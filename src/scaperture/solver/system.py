@@ -22,16 +22,30 @@ for h_z = h_a + K g, are kept only elsewhere.
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg as la
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
 from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
+
+
+def _load_flapack(directory: Path):
+    """scipy's f2py LAPACK extension, loaded by path without `scipy.linalg`'s ~330 modules."""
+    for path in directory.glob("_flapack*.so"):
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    raise ImportError(f"scipy's LAPACK extension not found: no {directory / '_flapack*.so'}")
+
+
+_flapack = _load_flapack(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
 
 
 def _z_moment(dipole: Dipole) -> float:
@@ -269,16 +283,13 @@ class BrandtSystem:
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
             system /= row_scale[:, None]
-            anorm = la.get_lapack_funcs("lange", (system,))("1", system)
-            try:
-                lu_piv = la.lu_factor(system, overwrite_a=True, check_finite=False)
-            except la.LinAlgError as exc:
-                raise SolverError(f"factorization failed: {exc}") from exc
+            anorm = _flapack.dlange("1", system)
+            *lu_piv, info = _flapack.dgetrf(system, overwrite_a=1)
+            if info != 0:  # > 0: U has an exact zero on its diagonal
+                raise SolverError(f"LU factorization failed: getrf info {info}")
             rcond = _reciprocal_condition(lu_piv[0], anorm)
             if rcond < 1e-14:
-                raise SolverError(
-                    f"system is numerically singular (condition ~ {1.0 / max(rcond, 1e-300):.2e})"
-                )
+                raise SolverError(f"system is numerically singular (rcond {rcond:.2e} < 1e-14)")
             self._factors[b], self._kernel[b], self._rcond[b] = (lu_piv, row_scale), kept[b], rcond
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
@@ -297,7 +308,10 @@ class BrandtSystem:
             if b in excited:
                 lu_piv, row_scale = self._factors[b]
                 fluxoid = [self._hole_w @ part[self._hole_q]] if b == 0 else []
-                u = la.lu_solve(lu_piv, -0.25 * np.append(part[self._film_q], fluxoid) / row_scale)
+                rhs = -0.25 * np.append(part[self._film_q], fluxoid) / row_scale
+                u, info = _flapack.dgetrs(*lu_piv, rhs)
+                if info != 0:
+                    raise SolverError(f"LU solve failed: getrs info {info}")
                 g_part[self._film_q] = u[:len(self._film_q)]
                 if b == 0:
                     current = g_part[self._hole_q] = u[-1]  # I, even-even
@@ -318,6 +332,4 @@ class BrandtSystem:
 
 def _reciprocal_condition(lu, anorm) -> float:
     """LAPACK 1-norm estimate from the LU factors and the matrix's 1-norm."""
-    gecon = la.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm, norm="1")
-    return float(rcond)
+    return float(_flapack.dgecon(lu, anorm, norm="1")[0])

@@ -133,6 +133,13 @@ def test_fieldmap_validates_length_and_finiteness():
     bad[0] = np.inf
     with pytest.raises(ConfigurationError):
         FieldMap(grid, bad)
+    # a view of the input taken before construction cannot reach the map
+    good = np.zeros(grid.n_points)
+    view = good[:]
+    field = FieldMap(grid, good)
+    view[0] = np.nan
+    assert np.isfinite(field.values).all()
+    assert not field.values.flags.writeable
 
 
 def test_cells_derived_from_the_axes():

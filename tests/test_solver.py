@@ -4,10 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from scaperture.analytic.free_dipole import free_dipole_field
-from scaperture.cli import EXIT_SOLVER, main
+from scaperture.cli import EXIT_CONFIG, EXIT_SOLVER, main
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON, MU0
 from scaperture.experiments.grids import scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec
@@ -207,19 +206,22 @@ def test_build_memory_and_kept_kernel_rows():
         assert kernel.shape[0] == len(want)
 
 
-def count_lu_factor(monkeypatch):
+def count_lu_factor(monkeypatch, before=None):
     """Sizes of the blocks the solver LU-factors from now on, recorded by a
-    stand-in for the module's `la`."""
-    sizes = []
-    proxy = types.ModuleType(la.__name__)
-    proxy.__dict__.update(vars(la))
+    stand-in for the module's LAPACK binding; `before(a)` runs on each block
+    ahead of the factorization."""
+    sizes, flapack = [], system_module._flapack
+    proxy = types.ModuleType(flapack.__name__)
+    proxy.__dict__.update(vars(flapack))
 
-    def lu_factor(a, *args, **kwargs):
+    def dgetrf(a, *args, **kwargs):
         sizes.append(a.shape[0])
-        return la.lu_factor(a, *args, **kwargs)
+        if before is not None:
+            before(a)
+        return flapack.dgetrf(a, *args, **kwargs)
 
-    proxy.lu_factor = lu_factor
-    monkeypatch.setattr(system_module, "la", proxy)
+    proxy.dgetrf = dgetrf
+    monkeypatch.setattr(system_module, "_flapack", proxy)
     return sizes
 
 
@@ -283,6 +285,45 @@ def test_non_finite_system_is_a_solver_error(monkeypatch, tmp_path):
         system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
     code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
+
+
+def test_exactly_singular_block_is_a_solver_error(monkeypatch, tmp_path):
+    # getrf's info > 0 reached scipy's LinAlgWarning and then the rcond check
+    def zero_column(a):
+        a[:, 1] = 0.0  # getrf meets an exact zero pivot in column 2
+
+    sizes = count_lu_factor(monkeypatch, before=zero_column)
+    cfg, grid = fig7a_grid()
+    system = BrandtSystem(cfg.geometry, cfg.film, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="getrf info 2"):
+            system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+    assert len(sizes) == 1
+    code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+
+
+def test_non_finite_applied_field_is_a_config_error(monkeypatch, tmp_path):
+    # scipy's lu_solve checked its right-hand side for NaN and inf; the
+    # direct LAPACK solve does not, and FieldMap rejects them up front
+    sizes = count_lu_factor(monkeypatch)
+    geom, film, grid = centered_grid(n=24)
+    system = BrandtSystem(geom, film, grid)
+    values = compensated_source(z_dipole(), grid).values.copy()
+    values[np.flatnonzero(grid.region == REGION_FILM)[0]] = np.nan
+    with pytest.raises(ConfigurationError, match="finite"):
+        system.solve_applied(FieldMap(grid, values))
+    assert sizes == []
+
+    def with_inf(dipole, grid):
+        source = compensated_source(dipole, grid)
+        return FieldMap(grid, np.where(grid.region == REGION_FILM, np.inf, source.values))
+
+    monkeypatch.setattr(system_module, "compensated_source", with_inf)
+    code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert sizes == []
 
 
 def test_exact_hole_keeps_the_system_well_conditioned():

@@ -66,8 +66,9 @@ def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
         assert heavy not in loaded
 
 
-def test_numeric_commands_load_no_scipy_sparse(tmp_path):
-    # the London operator is five-point coefficients in plain numpy
+def test_numeric_commands_load_no_scipy_linalg_or_sparse(tmp_path):
+    # the London operator is five-point coefficients in plain numpy, and the
+    # solver loads scipy's LAPACK extension by path
     script = (
         "import sys\n"
         "from scaperture.cli import main\n"
@@ -78,7 +79,7 @@ def test_numeric_commands_load_no_scipy_sparse(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out-")],
                          capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert run.stdout.splitlines()[-1] == "True False"
+    assert run.stdout.splitlines()[-1] == "False False"
 
 
 def test_solver_error_is_one_class_and_exits_3(tmp_path, monkeypatch):
