@@ -19,8 +19,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-THREADS_ENV = "SCAPERTURE_THREADS"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -42,27 +40,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario file (lengths in nanometers)")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: ./scaperture-<command>)")
-        p.add_argument("--grid", default=None, metavar="NxM",
-                       help="override grid point counts, e.g. 60x60")
+        p.add_argument("--grid", type=int, default=None, metavar="N",
+                       help="override the grid's point count n (n x n points)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"linear-algebra thread count (or set {THREADS_ENV})")
+                       help="linear-algebra thread count")
     return parser
 
 
-def _apply_threads(threads: int | None) -> int | None:
-    if threads is None and os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError:
-            raise ConfigurationError(
-                f"{THREADS_ENV}: expected a thread count, got {os.environ[THREADS_ENV]!r}"
-            ) from None
+def _apply_threads(threads: int | None) -> None:
     if threads is not None:
         if threads < 1:
             raise ConfigurationError(f"thread count must be at least 1, got {threads}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
-    return threads
 
 
 def _resolve_config(args, command):
@@ -76,14 +66,9 @@ def _resolve_config(args, command):
         cfg = load_config(args.config, command)
     else:
         raise ConfigurationError(f"{command}: provide --preset or --config")
-    if args.grid:
-        nx, _, ny = args.grid.partition("x")
-        try:
-            n_x, n_y = int(nx), int(ny or nx)
-        except ValueError:
-            raise ConfigurationError(f"--grid: expected N or NxM, got {args.grid!r}") from None
+    if args.grid is not None:
         doc = dict(cfg.raw)
-        doc["grid"] = dict(doc.get("grid", {}), n_x=n_x, n_y=n_y)
+        doc["grid"] = dict(doc.get("grid", {}), n=args.grid)
         cfg = parse_config(doc, command)
     return cfg
 
@@ -142,7 +127,7 @@ def _cmd_solve(cfg, out) -> None:
     from scaperture.io.writers import write_json_atomic
 
     solved = solve_scenario(
-        cfg.geometry, cfg.film, cfg.n_x,
+        cfg.geometry, cfg.film, cfg.n,
         dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
         probe_x=place(cfg.scenario, cfg.geometry, cfg.sweep_d)[1], y_line=cfg.y_offset,
     )
@@ -171,7 +156,7 @@ def _cmd_sweep(cfg, out) -> None:
     kwargs = dict(
         moment=cfg.moment,
         y_offset=cfg.y_offset,
-        n=cfg.n_x,
+        n=cfg.n,
         film=cfg.film,
     )
     if isinstance(cfg.geometry, Ellipse):
@@ -207,7 +192,7 @@ def _cmd_compare(cfg, out) -> None:
         cfg.geometry,
         cfg.sweep_d,
         moment=cfg.moment,
-        n=cfg.n_x,
+        n=cfg.n,
         y_line=cfg.y_offset,
         film=cfg.film,
     )
@@ -244,7 +229,7 @@ def _cmd_coupling(cfg, out) -> None:
         cfg.geometry,
         cfg.sweep_d,
         moment=cfg.moment,
-        n=cfg.n_x,
+        n=cfg.n,
         y_line=cfg.y_offset,
         film=cfg.film,
     )
@@ -272,10 +257,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _apply_threads(args.threads)
+        _apply_threads(args.threads)
         cfg = _resolve_config(args, args.command)
         out = Path(args.out or f"scaperture-{args.command}")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"{out}: cannot create the output directory: "
+                                     f"{exc.strerror}") from exc
         _HANDLERS[args.command](cfg, out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -285,7 +274,7 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     from scaperture.io.writers import write_manifest
 
-    write_manifest(out / "manifest.json", args.command, cfg.raw, threads)
+    write_manifest(out / "manifest.json", args.command, cfg.raw, args.threads)
     return EXIT_OK
 
 

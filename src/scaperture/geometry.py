@@ -58,11 +58,6 @@ class Circle:
     def edge_y(self) -> float:
         return self.radius
 
-    @property
-    def scale_radius(self) -> float:
-        """Largest aperture dimension; `FilmSpec` sizes film and grid by it."""
-        return self.radius
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -85,10 +80,6 @@ class Ellipse:
     @property
     def edge_y(self) -> float:
         return self.b
-
-    @property
-    def scale_radius(self) -> float:
-        return max(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -123,10 +114,6 @@ class DogBone:
     def edge_y(self) -> float:
         return self.end_radius
 
-    @property
-    def scale_radius(self) -> float:
-        return self.edge_x
-
 
 # every shape's contains(x, y) is true strictly inside the aperture: the
 # boundary belongs to the superconductor side
@@ -136,7 +123,7 @@ ApertureGeometry = Circle | Ellipse | DogBone
 @dataclass(frozen=True)
 class FilmSpec:
     """Material of the superconducting film, and its extent and the grid's
-    in units of the aperture's scale radius.
+    in units of the aperture's scale radius, max(edge_x, edge_y).
 
     `film_factor > 1` keeps every aperture inside its film: the scale radius
     is the largest aperture dimension of every shape.
@@ -162,7 +149,7 @@ class FilmSpec:
 
     def half_extents(self, geometry: ApertureGeometry) -> tuple[float, float]:
         """(film, grid) half-extents around `geometry`, m."""
-        r = geometry.scale_radius
+        r = max(geometry.edge_x, geometry.edge_y)
         return self.film_factor * r, self.grid_factor * r
 
 

@@ -31,7 +31,7 @@ class ScenarioConfig:
     dipole_x: float
     dipole_y: float
     moment: float
-    n_x: int
+    n: int
     engine: str
     scenario: str
     sweep_d: float
@@ -52,7 +52,7 @@ _GEOMETRIES = {
 _SECTIONS = {
     "film": ("london_depth_nm", "thickness_nm", "film_factor", "grid_factor"),
     "dipole": ("x_nm", "y_nm", "moment"),
-    "grid": ("n_x", "n_y"),
+    "grid": ("n",),
     "sweep": ("d_nm", "radii_nm"),
     "analytic": ("kind", "samples"),
 }
@@ -97,17 +97,13 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
             film_factor=film_doc.get("film_factor", 90),
             grid_factor=film_doc.get("grid_factor", 100),
         )
-        n = _count(grid_doc, "grid", "n_x", 60)
-        if _count(grid_doc, "grid", "n_y", n) != n:
-            # every engine builds square grids from n_x
-            raise ConfigurationError(f"grid: n_x = {n} and n_y = {grid_doc['n_y']} must be equal")
         cfg = ScenarioConfig(
             geometry=geometry,
             film=film,
             dipole_x=dipole_doc.get("x_nm", 0.0) * _NM,
             dipole_y=dipole_doc.get("y_nm", 0.0) * _NM,
             moment=dipole_doc.get("moment", DEFAULT_MOMENT),
-            n_x=n,
+            n=_count(grid_doc, "grid", "n", 60),
             engine=doc.get("engine", "numeric"),
             scenario=doc.get("scenario", "centered"),
             sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
@@ -130,7 +126,9 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
         raise ConfigurationError("dipole.moment must be positive")
     if cfg.engine not in ("analytic", "numeric"):
         raise ConfigurationError(f"engine: unknown value {cfg.engine!r}")
-    if "analytic" in (cfg.engine, command) and not isinstance(cfg.geometry, Circle):
+    # only sweep reads `engine`; the analytic command runs no other engine
+    analytic = command == "analytic" or (command == "sweep" and cfg.engine == "analytic")
+    if analytic and not isinstance(cfg.geometry, Circle):
         raise ConfigurationError("the analytic engine requires a circular aperture")
     if command == "analytic":
         if cfg.analytic_kind not in ("curve", "map"):
@@ -153,6 +151,10 @@ def load_config(path: str | Path, command: str) -> ScenarioConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read the config: {exc.strerror}") from exc
     if not isinstance(doc, dict) or not doc:
         raise ConfigurationError(f"{path}: config must be a non-empty object")
     return parse_config(doc, command)
@@ -163,7 +165,7 @@ def _doc(**over):
         "geometry": {"kind": "circle", "radius_nm": 1000},
         "film": {"london_depth_nm": 50, "thickness_nm": 80,
                  "film_factor": 90, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60},
+        "grid": {"n": 60},
         "y_offset_nm": 5.0,
     }
     doc.update(over)

@@ -35,8 +35,8 @@ def test_presets_cover_paper_parameters():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
-        parse_config({"engine": "analytic",
-                      "geometry": {"kind": "ellipse", "a_nm": 10, "b_nm": 5}}, "solve")
+        parse_config({"engine": "analytic", "sweep": _RADII,
+                      "geometry": {"kind": "ellipse", "a_nm": 10, "b_nm": 5}}, "sweep")
     with pytest.raises(ConfigurationError):
         parse_config({"dipole": {"moment": -1.0}}, "solve")
     with pytest.raises(ConfigurationError):
@@ -101,9 +101,9 @@ _RADII = {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]}
     *[(command, {"dipole": {"moment": "1e-23"}, "sweep": _RADII}, "config field error")
       for command in ("analytic", "solve", "sweep", "compare", "coupling")],
     ("sweep", {"scenario": ["x"], "sweep": _RADII}, "config field error"),
-    ("solve", {"grid": {"n_x": 24.7}}, "grid.n_x must be an integer"),
-    ("solve", {"grid": {"n_x": 24, "n_y": 24.0}}, "grid.n_y must be an integer"),
-    ("solve", {"grid": {"n_x": True}}, "grid.n_x must be an integer"),
+    ("solve", {"grid": {"n": 24.7}}, "grid.n must be an integer"),
+    ("solve", {"grid": {"n": 24.0}}, "grid.n must be an integer"),
+    ("solve", {"grid": {"n": True}}, "grid.n must be an integer"),
     ("analytic", {"analytic": {"samples": 20.5}}, "analytic.samples must be an integer"),
     ("solve", {"film": []}, "film must be an object"),
     ("solve", {"geometry": "circle"}, "geometry must be an object"),
@@ -125,7 +125,7 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, do
     ({"dipole": {"x_nm": 0, "z_nm": 10}}, "'z_nm'"),
     ({"engines": "numeric"}, "'engines'"),
     # the grading ratio is the scenario grid's own; the key used to be read
-    ({"grid": {"n_x": 24, "ratio": 125.0}}, "'ratio'"),
+    ({"grid": {"n": 24, "ratio": 125.0}}, "'ratio'"),
 ])
 def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     cfgfile = tmp_path / "cfg.json"
@@ -134,6 +134,42 @@ def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
     assert f"unknown key {key}" in capsys.readouterr().err
     assert not (out / "hz.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "latin-1"])
+def test_cli_unreadable_config_is_config_error(tmp_path, capsys, case):
+    # each ended in a FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError traceback, exit code 1
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin-1":
+        path.write_bytes('{"scenario": "centr\xe9"}'.encode("latin-1"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_out_that_is_a_file_is_config_error(tmp_path, capsys):
+    # out.mkdir raised FileExistsError, a traceback with exit code 1
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert main(["analytic", "--preset", "fig4", "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {out}: cannot create" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["solve", "coupling"])
+def test_cli_numeric_commands_do_not_read_engine(tmp_path, command):
+    # solve and coupling run the numeric engine whatever "engine" says; the
+    # analytic engine's circle rule used to reject this ellipse (exit code 2)
+    doc = json.loads(json.dumps(PRESETS["coupling300"]))
+    doc["engine"] = "analytic"
+    doc["grid"]["n"] = 24
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_cli_analytic_sweep_reads_y_offset(tmp_path):
@@ -157,7 +193,7 @@ def test_cli_numeric_sweep_metadata_records_n_only(tmp_path):
     # longer a setting the sweep reports
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "grid": {"n_x": 24},
+        "grid": {"n": 24},
         "sweep": {"d_nm": 100, "radii_nm": [1000, 1400, 2000, 2800, 4000]},
     }))
     out = tmp_path / "o"
@@ -263,7 +299,7 @@ def test_cli_csv_roundtrip_lossless(tmp_path):
 def test_cli_solve_and_manifest_determinism(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24},
+        "grid": {"n": 24},
         "sweep": {"d_nm": 100},
     }
     cfgfile = tmp_path / "cfg.json"
@@ -300,7 +336,7 @@ def test_cli_probe_on_mirror_axis_is_config_error(tmp_path, capsys):
     # d equal to the x semi-axis puts the probe anchor at x = 0
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24},
+        "grid": {"n": 24},
         "sweep": {"d_nm": 1000},
     }
     cfgfile = tmp_path / "cfg.json"
@@ -317,7 +353,7 @@ def test_cli_coupling_with_crossed_sites_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": 100},
-        "grid": {"n_x": 40, "n_y": 40},
+        "grid": {"n": 40},
         "sweep": {"d_nm": 300},
     }))
     out = tmp_path / "o"
@@ -334,7 +370,7 @@ def test_cli_compare_with_crossed_sites_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 40, "n_y": 40},
+        "grid": {"n": 40},
         "scenario": "shifted",
         "sweep": {"d_nm": 1500},
     }))
@@ -352,7 +388,7 @@ def test_cli_solve_with_crossed_sites_is_config_error(tmp_path, capsys, d_nm):
     # solve anchored its probe at R - d without the d rule of the other
     # numeric commands: both runs exited 0
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"grid": {"n_x": 24}, "sweep": {"d_nm": d_nm}}))
+    cfgfile.write_text(json.dumps({"grid": {"n": 24}, "sweep": {"d_nm": d_nm}}))
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
     assert "radius" in capsys.readouterr().err
@@ -382,7 +418,7 @@ def test_cli_unused_far_dipole_is_accepted(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 40, "n_y": 40},
+        "grid": {"n": 40},
         "dipole": {"x_nm": 5000},
     }))
     for command, code in (("compare", EXIT_OK), ("coupling", EXIT_OK), ("solve", EXIT_CONFIG)):
@@ -395,7 +431,7 @@ def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path, capsys):
     # core, and the sweep would fit the core's bump
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "grid": {"n_x": 24, "n_y": 24},
+        "grid": {"n": 24},
         "scenario": "centered",
         "sweep": {"d_nm": 400, "radii_nm": [500, 700, 1000, 1400, 2000]},
     }))
@@ -421,7 +457,7 @@ def test_cli_film_reaching_the_grid_edge(tmp_path, command):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "film": {"film_factor": 100, "grid_factor": 100},
-        "grid": {"n_x": 60, "n_y": 60},
+        "grid": {"n": 60},
         "sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]},
     }))
     assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -430,16 +466,17 @@ def test_cli_film_reaching_the_grid_edge(tmp_path, command):
 def test_cli_grid_override(tmp_path):
     cfgdoc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24},
+        "grid": {"n": 24},
         "sweep": {"d_nm": 100},
     }
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(cfgdoc))
     out = tmp_path / "o"
-    assert main(["solve", "--config", str(cfgfile), "--grid", "20x20",
+    assert main(["solve", "--config", str(cfgfile), "--grid", "20",
                  "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["grid"]["n_x"] == 20
+    assert manifest["config"]["grid"] == {"n": 20}
+    assert len((out / "hz.csv").read_text().splitlines()) == 2 + 1 + 20 * 20
 
 
 def test_cli_sweep_analytic_json(tmp_path):
@@ -472,7 +509,7 @@ def test_cli_sweep_scenario_must_match_geometry(tmp_path, capsys, geometry, scen
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": geometry,
-        "grid": {"n_x": 40, "n_y": 40},
+        "grid": {"n": 40},
         "scenario": scenario,
         "sweep": {"d_nm": 100, "radii_nm": [500, 700, 1000, 1400, 2000]},
     }))
@@ -482,33 +519,30 @@ def test_cli_sweep_scenario_must_match_geometry(tmp_path, capsys, geometry, scen
     assert not (out / "sweep.json").exists()
 
 
-def test_grid_n_y_defaults_to_n_x():
-    cfg = parse_config({"grid": {"n_x": 40}}, "solve")
-    assert cfg.n_x == 40
-    with pytest.raises(ConfigurationError, match="n_y"):
-        parse_config({"grid": {"n_x": 40, "n_y": 60}}, "solve")
+@pytest.mark.parametrize("key", ["n_x", "n_y"])
+def test_grid_takes_one_point_count(key):
+    # every grid is square: its one point count is n, and the former
+    # per-axis spellings are unknown keys, with no alias
+    assert parse_config({"grid": {"n": 40}}, "solve").n == 40
+    assert parse_config({}, "solve").n == 60
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        parse_config({"grid": {key: 40}}, "solve")
 
 
-def test_cli_non_square_grid_is_config_error(tmp_path):
-    # every engine builds its grid from n_x, so n_y != n_x would be recorded
-    # in the manifest but never used
-    cfgdoc = {
-        "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n_x": 24, "n_y": 24},
-        "sweep": {"d_nm": 100},
-    }
+def test_cli_non_square_grid_is_config_error(tmp_path, capsys):
+    # --grid takes one count: an NxM spelling, square or not, is a usage
+    # error, and so is a config that spells the counts per axis
+    for spec in ("24x24", "24x32"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--preset", "fig7a", "--grid", spec, "--out", str(tmp_path / spec)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--grid: invalid int value" in capsys.readouterr().err
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(cfgdoc))
-    assert main(["solve", "--config", str(cfgfile), "--grid", "24x32",
-                 "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
-    with pytest.raises(ConfigurationError, match="n_y"):
-        parse_config(dict(cfgdoc, grid={"n_x": 24, "n_y": 32}), "sweep")
+    cfgfile.write_text(json.dumps({"grid": {"n_x": 24, "n_y": 32}, "sweep": {"d_nm": 100}}))
     out = tmp_path / "o"
-    assert main(["solve", "--config", str(cfgfile), "--grid", "20",
-                 "--out", str(out)]) == EXIT_OK
-    grid = json.loads((out / "manifest.json").read_text())["config"]["grid"]
-    assert grid["n_x"] == grid["n_y"] == 20
-    assert len((out / "hz.csv").read_text().splitlines()) == 2 + 1 + 20 * 20
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown key 'n_x'" in capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 def _map_loop(moment, radius, samples):
@@ -555,14 +589,20 @@ def test_cli_analytic_map_matches_pointwise_loop(tmp_path):
 
 def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "o")
-    assert main(["solve", "--preset", "fig7a", "--grid", "abc", "--out", out]) == EXIT_CONFIG
+    # a count that is not an integer is an argparse usage error, exit code 2
+    for option in ("--grid", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--preset", "fig7a", option, "abc", "--out", out])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"{option}: invalid int value" in capsys.readouterr().err
+    # --grid 0 is a count, so it reaches the grid's own check
+    assert main(["solve", "--preset", "fig7a", "--grid", "0", "--out", out]) == EXIT_CONFIG
+    assert "at least 16 points" in capsys.readouterr().err
     # a rejected count must not reach the backend's environment either
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
     assert os.environ["OMP_NUM_THREADS"] == "1"
-    monkeypatch.setenv("SCAPERTURE_THREADS", "x")
-    assert main(["solve", "--preset", "fig7a", "--out", out]) == EXIT_CONFIG
-    assert capsys.readouterr().err.count("configuration error") == 3
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_numeric_commands_honour_film_factors(tmp_path):
@@ -572,7 +612,7 @@ def test_cli_numeric_commands_honour_film_factors(tmp_path):
         for film_factor, grid_factor in ((90, 100), (40, 50)):
             doc = json.loads(json.dumps(PRESETS["coupling300"]))
             doc["film"].update(film_factor=film_factor, grid_factor=grid_factor)
-            doc["grid"]["n_x"] = doc["grid"]["n_y"] = 24
+            doc["grid"]["n"] = 24
             doc["sweep"]["radii_nm"] = [300, 400, 500, 600, 700]
             doc["scenario"] = "ellipse"  # a sweep of the preset's ellipse, at fixed b
             cfgfile = tmp_path / f"{command}{film_factor}.json"

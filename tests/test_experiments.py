@@ -140,7 +140,7 @@ def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, scenari
 
     def solve_and_record(geometry, film, *args, **kwargs):
         solved = solve_scenario(geometry, film, *args, **kwargs)
-        seen.append((geometry.scale_radius, solved.grid.half_extent))
+        seen.append((max(geometry.edge_x, geometry.edge_y), solved.grid.half_extent))
         return solved
 
     monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)

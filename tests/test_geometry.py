@@ -94,8 +94,13 @@ def test_film_must_cover_aperture():
     DogBone(end_radius=250e-9, center_distance=1.5e-6, channel_half_width=100e-9),
 ])
 def test_scale_radius_is_the_largest_aperture_dimension(geom):
-    # why film_factor > 1 is the whole coverage check
-    assert geom.scale_radius == max(geom.edge_x, geom.edge_y)
+    # film and grid scale with max(edge_x, edge_y), the largest aperture
+    # dimension of every shape: why film_factor > 1 is the whole coverage check
+    film = FilmSpec(film_factor=1.5, grid_factor=2.0)
+    scale = max(geom.edge_x, geom.edge_y)
+    assert film.half_extents(geom) == (1.5 * scale, 2.0 * scale)
+    x, y = np.meshgrid(*2 * [np.linspace(-2 * scale, 2 * scale, 401)])
+    assert np.all(np.maximum(abs(x), abs(y))[geom.contains(x, y)] <= scale)
 
 
 def test_default_film_factors():

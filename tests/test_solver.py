@@ -178,7 +178,7 @@ def kept_kernel_rows(grid):
 
 def fig7a_grid():
     cfg = preset_config("fig7a", "solve")
-    grid = scenario_grid(cfg.geometry, cfg.film, cfg.n_x, dipole_x=cfg.dipole_x,
+    grid = scenario_grid(cfg.geometry, cfg.film, cfg.n, dipole_x=cfg.dipole_x,
                          probe_x=cfg.geometry.edge_x - cfg.sweep_d, y_line=cfg.y_offset)
     return cfg, grid
 
