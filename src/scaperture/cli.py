@@ -126,11 +126,9 @@ def _cmd_solve(cfg, out) -> None:
     from scaperture.experiments.grids import place, solve_scenario
     from scaperture.io.writers import write_json_atomic
 
-    solved = solve_scenario(
-        cfg.geometry, cfg.film, cfg.n,
-        dipole_x=cfg.dipole_x, dipole_y=cfg.dipole_y, moment=cfg.moment,
-        probe_x=place(cfg.scenario, cfg.geometry, cfg.sweep_d)[1], y_line=cfg.y_offset,
-    )
+    dipole_x, probe_x = place(cfg.scenario, cfg.geometry, cfg.sweep_d)
+    solved = solve_scenario(cfg.geometry, cfg.film, cfg.n, dipole_x=dipole_x, moment=cfg.moment,
+                            probe_x=probe_x)
     sol, pts = solved.solution, solved.grid.points
     xy = {"x_m": pts[:, 0], "y_m": pts[:, 1]}
     _value_csv(out / "hz.csv", xy, sol.h_z.values, "A/m (perpendicular field H_z = B_z / mu0)",
@@ -149,13 +147,13 @@ def _cmd_solve(cfg, out) -> None:
 
 
 def _cmd_sweep(cfg, out) -> None:
+    from scaperture.constants import EVAL_Y
     from scaperture.experiments.sweeps import sweep
     from scaperture.geometry import Ellipse
     from scaperture.io.writers import write_json_atomic
 
     kwargs = dict(
         moment=cfg.moment,
-        y_offset=cfg.y_offset,
         n=cfg.n,
         film=cfg.film,
     )
@@ -166,7 +164,7 @@ def _cmd_sweep(cfg, out) -> None:
         "scenario": res.scenario,
         "engine": res.engine,
         "d_m": res.d,
-        "y_offset_m": res.y_offset,
+        "y_offset_m": EVAL_Y,
         "points": [
             {"L_m": float(length), "B_T": float(b)} for length, b in zip(res.lengths, res.fields)
         ],
@@ -193,7 +191,6 @@ def _cmd_compare(cfg, out) -> None:
         cfg.sweep_d,
         moment=cfg.moment,
         n=cfg.n,
-        y_line=cfg.y_offset,
         film=cfg.film,
     )
     write_csv_atomic(
@@ -230,7 +227,6 @@ def _cmd_coupling(cfg, out) -> None:
         cfg.sweep_d,
         moment=cfg.moment,
         n=cfg.n,
-        y_line=cfg.y_offset,
         film=cfg.film,
     )
     write_json_atomic(

@@ -11,6 +11,7 @@ DEFAULT_MOMENT = 2.0 * ELECTRON_G * BOHR_MAGNETON
 
 GAUSS = 1e-4  # tesla
 MIN_FIT_RADII = 5  # fewest sweep radii the power-law fit is made from
+EVAL_Y = 5e-9  # height of the evaluation line y = EVAL_Y of every scenario, m
 
 # thin-film material defaults: clean Nb layer
 DEFAULT_LONDON_DEPTH = 50e-9

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scaperture.analytic.centered import field_centered
-from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT
+from scaperture.constants import DEFAULT_MOMENT, EVAL_Y
 from scaperture.experiments.grids import place, solve_scenario
+from scaperture.experiments.sweeps import closed_form_line
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
 from scaperture.solver.system import core_radii
 
@@ -34,38 +33,31 @@ def compare_engines(
     *,
     moment: float = DEFAULT_MOMENT,
     n: int = 60,
-    y_line: float = 5e-9,
     band=(0.1, 0.8),
     film: FilmSpec = FilmSpec(),
 ) -> DeviationReport:
-    """Compare both engines along the evaluation line y = y_line."""
+    """Compare both engines along the evaluation line y = EVAL_Y."""
     if not isinstance(geometry, Circle):
         raise ConfigurationError("the analytic engine covers circular apertures only")
     if scenario not in ("centered", "shifted"):
         raise ConfigurationError("comparison scenarios: centered, shifted")
     radius = geometry.radius
     x0, probe_x = place(scenario, geometry, d)
-    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment,
-                            probe_x=probe_x, y_line=y_line)
-    xs, y_actual = solved.grid.x, solved.y_line
+    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment, probe_x=probe_x)
+    xs = solved.grid.x
     hz = solved.solution.h_z.values[solved.line]
 
     core = core_radii(solved.grid, solved.dipole)
-    rho = np.hypot(xs, y_actual)
+    rho = np.hypot(xs, EVAL_Y)
     in_band = (rho > band[0] * radius) & (rho < band[1] * radius)
     # keep clear of the zeroed return-flux core around the dipole
-    in_band &= np.hypot(xs - x0, y_actual) > 1.5 * max(core)
+    in_band &= np.hypot(xs - x0, EVAL_Y) > 1.5 * max(core)
     if not in_band.any():
         raise ConfigurationError(f"the comparison band ({band[0]} to {band[1]} R on the line, "
                                  "clear of the dipole's core) holds no grid points; refine the grid")
 
     numeric_bz = solved.b_z[in_band]
-    if scenario == "centered":
-        pts = np.column_stack([xs[in_band], np.full(in_band.sum(), y_actual),
-                               np.zeros(in_band.sum())])
-        analytic_bz = field_centered([0, 0, moment], pts, radius)[:, 2]
-    else:
-        analytic_bz = field_shifted_bz_plane(moment, x0, xs[in_band], y_actual, radius)
+    analytic_bz = closed_form_line(scenario, moment, radius, x0, xs[in_band])
 
     delta_db = 20.0 * np.log10(np.abs(numeric_bz / analytic_bz))
     sign_agreement = float(np.mean(np.sign(numeric_bz) == np.sign(analytic_bz)))

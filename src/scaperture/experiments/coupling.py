@@ -35,7 +35,6 @@ def numeric_coupling(
     *,
     moment: float = DEFAULT_MOMENT,
     n: int = 60,
-    y_line: float = 5e-9,
     film: FilmSpec = FilmSpec(),
 ) -> CouplingEstimate:
     """Solve the geometry with a dipole d inside the left edge and estimate
@@ -44,6 +43,5 @@ def numeric_coupling(
     Needs 0 < d < the x semi-axis, so that the two sites do not cross.
     """
     x0, probe = place("shifted", geometry, d)
-    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment,
-                            probe_x=probe, y_line=y_line)
+    solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment, probe_x=probe)
     return coupling_estimate(moment, solved.b_probe, probe - x0)

@@ -1,11 +1,13 @@
 """Scenario placement, scenario grids and the one scenario pipeline of the
 numeric engine.
 
-`place` is the one placement rule of `sweep`, `compare` and `coupling`.
-`scenario_grid` is the one self-similar grid rule: `make_grid`'s grading at
-the aperture edges, at the fixed ratio `DEFAULT_RATIO`, refined also at the
-dipole abscissa and at the midline (for the evaluation line), with the probe
-abscissa and the evaluation line snapped onto exact coordinates.
+`place` is the one placement rule of every numeric command: the dipole and
+the probe sit on the x axis, and B_z is read along the evaluation line
+y = EVAL_Y.  `scenario_grid` is the one self-similar grid rule: `make_grid`'s
+grading at the aperture edges, at the fixed ratio `DEFAULT_RATIO`, refined
+also at the dipole abscissa and at the midline (for the evaluation line),
+with the probe abscissa and the evaluation line snapped onto exact
+coordinates.
 `solve_scenario` runs geometry -> grid -> system -> solve -> probe for every
 numeric caller.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scaperture.constants import DEFAULT_RATIO, MU0
+from scaperture.constants import DEFAULT_RATIO, EVAL_Y, MU0
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import Grid, make_grid
 
@@ -47,10 +49,10 @@ def scenario_grid(
     *,
     dipole_x: float = 0.0,
     probe_x: float | None = None,
-    y_line: float = 5e-9,
+    y_line: float = EVAL_Y,
 ) -> Grid:
     return make_grid(geometry, film, n, DEFAULT_RATIO, refine_x=[abs(dipole_x)], refine_y=[0.0],
-                     anchor_x=probe_x, anchor_y=y_line or None)
+                     anchor_x=probe_x, anchor_y=y_line)
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class ScenarioSolution:
     system: solver.BrandtSystem
     solution: solver.StreamSolution
     dipole: Dipole
-    line: np.ndarray    # flat grid indices of the evaluation line, by increasing x
-    y_line: float       # height of that line on the grid, m
+    line: np.ndarray    # flat grid indices of the line y = EVAL_Y, by increasing x
     b_z: np.ndarray     # B_z on the line, tesla
     probe: int          # index of the probe on the line
 
@@ -75,8 +76,7 @@ class ScenarioSolution:
         """
         rcx, rcy = solver.core_radii(self.grid, self.dipole)
         dx = self.grid.x[self.probe] - self.dipole.position[0]
-        dy = self.y_line - self.dipole.position[1]
-        if (dx / rcx) ** 2 + (dy / rcy) ** 2 < 1.0:
+        if (dx / rcx) ** 2 + (EVAL_Y / rcy) ** 2 < 1.0:
             raise ConfigurationError(
                 "the probe lies inside the dipole's return-flux core; move them "
                 "apart or refine the grid near the dipole"
@@ -90,19 +90,17 @@ def solve_scenario(
     n: int,
     *,
     dipole_x: float,
-    dipole_y: float = 0.0,
     moment: float,
     probe_x: float,
-    y_line: float,
 ) -> ScenarioSolution:
-    """Solve a z dipole of `moment` at (dipole_x, dipole_y) on the scenario
-    grid and read B_z along y = y_line and at the probe (probe_x, y_line).
+    """Solve a z dipole of `moment` at (dipole_x, 0) on the scenario grid
+    and read B_z along y = EVAL_Y and at the probe (probe_x, EVAL_Y).
     """
-    grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x, y_line=y_line)
-    dipole = Dipole(position=[dipole_x, dipole_y, 0.0], moment=[0.0, 0.0, moment])
+    grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x)
+    dipole = Dipole(position=[dipole_x, 0.0, 0.0], moment=[0.0, 0.0, moment])
     system = solver.BrandtSystem(geometry, film, grid)
     solution = system.solve(dipole)
-    line, y_actual = grid.x_line(y_line)
+    line = grid.x_line(EVAL_Y)
     b_z = MU0 * solution.h_z.values[line]
     return ScenarioSolution(
         grid=grid,
@@ -110,7 +108,6 @@ def solve_scenario(
         solution=solution,
         dipole=dipole,
         line=line,
-        y_line=float(y_actual),
         b_z=b_z,
         probe=int(np.argmin(np.abs(grid.x - probe_x))),
     )

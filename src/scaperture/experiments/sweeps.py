@@ -1,8 +1,8 @@
 """Aperture-size sweeps of the edge field, for both engines.
 
 Each sweep places the dipole and the probe of every radius with `place`,
-evaluates Bz at the probe, and records the value against the
-dipole-to-probe separation L.
+evaluates Bz at the probe on the line y = EVAL_Y, and records the value
+against the dipole-to-probe separation L.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.centered import field_centered
 from scaperture.analytic.shifted import field_shifted_bz_plane
-from scaperture.constants import DEFAULT_MOMENT, MIN_FIT_RADII
+from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
@@ -30,16 +29,19 @@ class SweepResult:
     lengths: np.ndarray          # dipole-to-probe separations, m
     fields: np.ndarray           # Bz at the probe, tesla
     fit: PowerLawFit
-    y_offset: float
     metadata: dict = field(default_factory=dict)
 
 
-def _analytic_point(scenario, m, radius, dipole_x, probe_x, y_offset):
+def closed_form_line(scenario: str, moment: float, radius: float, dipole_x: float, xs):
+    """Closed-form B_z (tesla) at the abscissae `xs` of the line y = EVAL_Y,
+    from a z dipole of `moment` at (dipole_x, 0) in the circle of `radius`:
+    the centred field for `centered` (dipole_x = 0), the shifted one otherwise.
+    """
+    xs = np.asarray(xs, dtype=float)
     if scenario == "centered":
-        if y_offset == 0.0:
-            return field_inplane("z", m, probe_x, radius)[2]
-        return field_centered([0, 0, m], [probe_x, y_offset, 0.0], radius)[2]
-    return field_shifted_bz_plane(m, dipole_x, [probe_x], y_offset, radius)[0]
+        pts = np.column_stack([xs, np.full(len(xs), EVAL_Y), np.zeros(len(xs))])
+        return field_centered([0, 0, moment], pts, radius)[:, 2]
+    return field_shifted_bz_plane(moment, dipole_x, xs, EVAL_Y, radius)
 
 
 def sweep(
@@ -49,7 +51,6 @@ def sweep(
     engine: str,
     *,
     moment: float = DEFAULT_MOMENT,
-    y_offset: float = 5e-9,
     n: int = 60,
     b: float = 100e-9,
     film: FilmSpec = FilmSpec(),
@@ -61,8 +62,8 @@ def sweep(
     semi-axis varying at fixed b.  Every radius is placed (`place`) before
     any is solved.  The numeric engine gives each radius the film and grid
     of `film`'s factors times that aperture's scale radius.  Both engines
-    read the probe `y_offset` off the x axis (on it for 0).  The power-law
-    fit needs at least MIN_FIT_RADII radii.
+    read the probe on the line y = EVAL_Y.  The power-law fit needs at least
+    MIN_FIT_RADII radii.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}")
@@ -78,11 +79,11 @@ def sweep(
     fields = np.empty_like(lengths)
     for i, (geometry, (dipole_x, probe_x)) in enumerate(zip(geometries, placed)):
         if engine == "analytic":
-            fields[i] = _analytic_point(scenario, moment, radii[i], dipole_x, probe_x, y_offset)
+            fields[i] = closed_form_line(scenario, moment, radii[i], dipole_x, [probe_x])[0]
         else:
             # only the probe value outlives the call, so no two systems coexist
             fields[i] = solve_scenario(geometry, film, n, dipole_x=dipole_x, moment=moment,
-                                       probe_x=probe_x, y_line=y_offset).b_probe
+                                       probe_x=probe_x).b_probe
 
     fit = fit_power_law(lengths, fields)
     meta = {"engine": engine}
@@ -97,6 +98,5 @@ def sweep(
         lengths=lengths,
         fields=fields,
         fit=fit,
-        y_offset=y_offset,
         metadata=meta,
     )

@@ -95,6 +95,10 @@ class DogBone:
             raise ConfigurationError("dog-bone lengths must be positive")
         if not self.center_distance > 2 * self.end_radius:
             raise ConfigurationError("dog-bone discs must not overlap (L > 2 * end_radius)")
+        # so that end_radius, the edge_y below, is the shape's half-height
+        if self.channel_half_width > self.end_radius:
+            raise ConfigurationError("dog-bone channel must not be wider than its discs "
+                                     "(channel_half_width <= end_radius)")
 
     def contains(self, x, y):
         x = np.asarray(x, dtype=float)

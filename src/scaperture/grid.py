@@ -124,7 +124,7 @@ class Grid:
     def x_line(self, y):
         """Flat indices of the grid line closest to height y."""
         iy = int(np.argmin(np.abs(self.y - y)))
-        return np.arange(self.n_x) * self.n_y + iy, self.y[iy]
+        return np.arange(self.n_x) * self.n_y + iy
 
 
 def label_regions(geometry: ApertureGeometry, film: FilmSpec, x, y) -> np.ndarray:

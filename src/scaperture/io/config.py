@@ -28,15 +28,12 @@ _NM = 1e-9
 class ScenarioConfig:
     geometry: ApertureGeometry
     film: FilmSpec
-    dipole_x: float
-    dipole_y: float
     moment: float
     n: int
     engine: str
     scenario: str
     sweep_d: float
     sweep_radii: tuple
-    y_offset: float
     analytic_kind: str
     analytic_samples: int
     raw: dict = field(repr=False, default_factory=dict)
@@ -51,12 +48,12 @@ _GEOMETRIES = {
 # the keys of each config section but the geometry, whose keys follow its kind
 _SECTIONS = {
     "film": ("london_depth_nm", "thickness_nm", "film_factor", "grid_factor"),
-    "dipole": ("x_nm", "y_nm", "moment"),
+    "dipole": ("moment",),
     "grid": ("n",),
     "sweep": ("d_nm", "radii_nm"),
     "analytic": ("kind", "samples"),
 }
-_TOP_LEVEL = (*_SECTIONS, "geometry", "engine", "scenario", "y_offset_nm")
+_TOP_LEVEL = (*_SECTIONS, "geometry", "engine", "scenario")
 
 
 def _checked(doc, name: str, keys=None) -> dict:
@@ -100,15 +97,12 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
         cfg = ScenarioConfig(
             geometry=geometry,
             film=film,
-            dipole_x=dipole_doc.get("x_nm", 0.0) * _NM,
-            dipole_y=dipole_doc.get("y_nm", 0.0) * _NM,
             moment=dipole_doc.get("moment", DEFAULT_MOMENT),
             n=_count(grid_doc, "grid", "n", 60),
             engine=doc.get("engine", "numeric"),
             scenario=doc.get("scenario", "centered"),
             sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
             sweep_radii=tuple(r * _NM for r in sweep_doc.get("radii_nm", [])),
-            y_offset=doc.get("y_offset_nm", 5.0) * _NM,
             analytic_kind=analytic_doc.get("kind", "curve"),
             analytic_samples=_count(analytic_doc, "analytic", "samples", 200),
             raw=doc,
@@ -166,7 +160,6 @@ def _doc(**over):
         "film": {"london_depth_nm": 50, "thickness_nm": 80,
                  "film_factor": 90, "grid_factor": 100},
         "grid": {"n": 60},
-        "y_offset_nm": 5.0,
     }
     doc.update(over)
     return doc
@@ -188,16 +181,16 @@ PRESETS: dict[str, dict] = {
     "fig5c": _doc(scenario="centered", sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
     "fig5d": _doc(scenario="shifted", sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_CIRCLE}),
     # elliptical aperture: field map and sweep at fixed b
-    "fig6a": _doc(geometry=_ELLIPSE, dipole={"x_nm": -900.0}),
+    "fig6a": _doc(geometry=_ELLIPSE, scenario="ellipse"),
     "fig6b": _doc(geometry=_ELLIPSE, scenario="ellipse",
                   sweep={"d_nm": 100, "radii_nm": _SWEEP_RADII_ELLIPSE}),
     # stream-function maps for the three scenarios
-    "fig7a": _doc(dipole={"x_nm": 0.0}),
-    "fig7b": _doc(dipole={"x_nm": -900.0}),
-    "fig7c": _doc(geometry=_ELLIPSE, dipole={"x_nm": -900.0}),
+    "fig7a": _doc(),
+    "fig7b": _doc(scenario="shifted"),
+    "fig7c": _doc(geometry=_ELLIPSE, scenario="ellipse"),
     # partner coupling at 300 nm separation
     "coupling300": _doc(geometry={"kind": "ellipse", "a_nm": 250, "b_nm": 100},
-                        dipole={"x_nm": -150.0}, sweep={"d_nm": 100}),
+                        sweep={"d_nm": 100}),
 }
 
 

@@ -119,8 +119,8 @@ def test_sweep_engines_share_one_field_convention():
     # not a numbered criterion: the numeric sweep reports the physical field,
     # so both engines agree in sign and within criterion 8's tolerance
     radii = np.geomspace(0.5e-6, 2e-6, 5)
-    numeric = sweep("centered", D_EDGE, radii, "numeric", n=40, y_offset=5e-9)
-    analytic = sweep("centered", D_EDGE, radii, "analytic", y_offset=5e-9)
+    numeric = sweep("centered", D_EDGE, radii, "numeric", n=40)
+    analytic = sweep("centered", D_EDGE, radii, "analytic")
     assert np.all(np.sign(numeric.fields) == np.sign(analytic.fields))
     delta_db = np.abs(20.0 * np.log10(numeric.fields / analytic.fields))
     assert delta_db.max() < ENGINE_DB_TOL, delta_db

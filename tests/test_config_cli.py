@@ -10,8 +10,10 @@ import pytest
 import scaperture
 from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
+from scaperture.constants import EVAL_Y
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
+from scaperture.experiments.grids import place, solve_scenario
 from scaperture.geometry import Circle, ConfigurationError, Ellipse
 from scaperture.io.config import PRESETS, load_config, parse_config, preset_config
 
@@ -122,10 +124,15 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, do
     ({"db_convention": "amplitude20"}, "'db_convention'"),
     ({"grid": {"nx": 40}}, "'nx'"),
     ({"geometry": {"kind": "circle", "radius_nm": 1000, "a_nm": 500}}, "'a_nm'"),
-    ({"dipole": {"x_nm": 0, "z_nm": 10}}, "'z_nm'"),
+    ({"dipole": {"moment": 1e-23, "z_nm": 10}}, "'z_nm'"),
     ({"engines": "numeric"}, "'engines'"),
     # the grading ratio is the scenario grid's own; the key used to be read
     ({"grid": {"n": 24, "ratio": 125.0}}, "'ratio'"),
+    # every numeric command places its dipole by `place` and reads the
+    # line y = EVAL_Y; these keys used to be read
+    ({"dipole": {"x_nm": -900.0}}, "'x_nm'"),
+    ({"dipole": {"y_nm": 0.0}}, "'y_nm'"),
+    ({"y_offset_nm": 5.0}, "'y_offset_nm'"),
 ])
 def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     cfgfile = tmp_path / "cfg.json"
@@ -172,22 +179,6 @@ def test_cli_numeric_commands_do_not_read_engine(tmp_path, command):
     assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
-def test_cli_analytic_sweep_reads_y_offset(tmp_path):
-    # the analytic sweep was evaluated on the axis whatever y_offset_nm said:
-    # 5 and 50 nm wrote the same sweep.json, with y_offset_m = 0
-    payloads = []
-    for y_offset_nm in (5, 50):
-        cfgfile = tmp_path / f"cfg{y_offset_nm}.json"
-        cfgfile.write_text(json.dumps({"engine": "analytic", "y_offset_nm": y_offset_nm,
-                                       "sweep": _RADII}))
-        out = tmp_path / f"o{y_offset_nm}"
-        assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
-        payloads.append(json.loads((out / "sweep.json").read_text()))
-    assert payloads[1]["y_offset_m"] == pytest.approx(5e-8, rel=1e-12)
-    fields = [[point["B_T"] for point in payload["points"]] for payload in payloads]
-    assert all(a != b for a, b in zip(*fields))
-
-
 def test_cli_numeric_sweep_metadata_records_n_only(tmp_path):
     # the grid's grading ratio is fixed by the scenario grid, so it is no
     # longer a setting the sweep reports
@@ -198,8 +189,9 @@ def test_cli_numeric_sweep_metadata_records_n_only(tmp_path):
     }))
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
-    metadata = json.loads((out / "sweep.json").read_text())["metadata"]
-    assert metadata == {"engine": "numeric", "n": 24}
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["metadata"] == {"engine": "numeric", "n": 24}
+    assert payload["y_offset_m"] == EVAL_Y
 
 
 def _csv(path):
@@ -233,6 +225,24 @@ def test_cli_solve_writes_db_of_the_field_in_gauss(tmp_path):
     assert not any("value_db" in c for c in comments)
 
 
+@pytest.mark.parametrize("scenario", ["centered", "shifted"])
+def test_cli_solve_places_its_dipole_by_scenario(tmp_path, scenario):
+    # solve read its dipole from dipole.x_nm; it now places it by `place`,
+    # like the other numeric commands: at the centre, or d inside the left edge
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"n": 24}, "scenario": scenario,
+                                   "sweep": {"d_nm": 100}}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    cfg = load_config(cfgfile, "solve")
+    dipole_x, probe_x = place(scenario, cfg.geometry, cfg.sweep_d)
+    assert dipole_x == pytest.approx({"centered": 0.0, "shifted": -900e-9}[scenario], abs=1e-18)
+    solved = solve_scenario(cfg.geometry, cfg.film, cfg.n, dipole_x=dipole_x,
+                            moment=cfg.moment, probe_x=probe_x)
+    _, hz = _csv(out / "hz.csv")
+    assert np.array_equal(hz["value"], solved.solution.h_z.values)
+
+
 def test_cli_outputs_carry_one_convention(tmp_path):
     # the -2x source field, the power10 dB scale and the smoothing window
     # are gone, and so are the keys that reported them
@@ -243,6 +253,7 @@ def test_cli_outputs_carry_one_convention(tmp_path):
     payload = json.loads((sweep_out / "sweep.json").read_text())
     assert "db_convention" not in payload
     assert set(payload["metadata"]) == {"engine"}
+    assert payload["y_offset_m"] == EVAL_Y
     assert all(set(point) == {"L_m", "B_T"} for point in payload["points"])
     assert main(["compare", "--preset", "fig5a", "--grid", "40",
                  "--out", str(compare_out)]) == EXIT_OK
@@ -412,19 +423,6 @@ def test_cli_analytic_validates_its_inputs(tmp_path, capsys, doc, message):
     assert not any(out.glob("*.csv"))
 
 
-def test_cli_unused_far_dipole_is_accepted(tmp_path):
-    # compare and coupling place their dipole from scenario and sweep.d_nm,
-    # so a dipole block outside the aperture is not read; solve reads it
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
-        "geometry": {"kind": "circle", "radius_nm": 1000},
-        "grid": {"n": 40},
-        "dipole": {"x_nm": 5000},
-    }))
-    for command, code in (("compare", EXIT_OK), ("coupling", EXIT_OK), ("solve", EXIT_CONFIG)):
-        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) == code
-
-
 def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path, capsys):
     # at n = 24 a centred dipole's core in the 500 nm circle reaches 440 nm
     # along x; d = 400 nm puts the probe 100 nm from the dipole, inside the
@@ -493,6 +491,22 @@ def test_cli_sweep_analytic_json(tmp_path):
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["fit"]["slope"] == pytest.approx(-2.5, abs=0.02)
     assert len(payload["points"]) == 8
+
+
+def test_cli_dogbone_wider_channel_is_config_error(tmp_path, capsys):
+    # a channel wider than the discs exited 0, with aperture points at
+    # y = 900 nm beyond the film's 2 x 250 nm half-extent
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "geometry": {"kind": "dogbone", "end_radius_nm": 100, "center_distance_nm": 300,
+                     "channel_half_width_nm": 1000},
+        "film": {"film_factor": 2},
+        "grid": {"n": 24},
+    }))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "channel_half_width <= end_radius" in capsys.readouterr().err
+    assert not (out / "hz.csv").exists()
 
 
 @pytest.mark.parametrize("geometry, scenario", [

@@ -1,9 +1,9 @@
-import types
-
 import numpy as np
 import pytest
 
-from scaperture.constants import DEFAULT_MOMENT, MU0, PLANCK
+from scaperture.analytic.centered import field_centered
+from scaperture.analytic.shifted import field_shifted_bz_plane
+from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MU0, PLANCK
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import coupling_estimate, numeric_coupling
 from scaperture.experiments.grids import place, solve_scenario
@@ -100,32 +100,33 @@ def test_sweep_with_too_few_radii_raises_before_solving(monkeypatch):
             sweep("centered", 100e-9, [500e-9, 1e-6, 2e-6, 4e-6], engine)
 
 
-def test_sweep_y_offset_default_is_the_same_for_both_engines(monkeypatch):
+def test_sweep_engines_read_one_line(monkeypatch):
     # the library default was 0 for analytic and 5 nm for numeric, so
-    # switching only the engine moved the probe line
-    lines = []
+    # switching only the engine moved the probe line; both now read the
+    # probe on y = EVAL_Y
+    heights = []
+    solve_scenario = sweeps.solve_scenario
 
-    def probe_line(*args, y_line, **kwargs):
-        lines.append(y_line)
-        return types.SimpleNamespace(b_probe=-1.0 / len(lines))
+    def solve_and_record(*args, **kwargs):
+        solved = solve_scenario(*args, **kwargs)
+        heights.append(solved.grid.points[solved.line, 1])
+        return solved
 
-    on_axis_calls = []
-    field_inplane = sweeps.field_inplane
-
-    def count_on_axis(*args):
-        on_axis_calls.append(args)
-        return field_inplane(*args)
-
-    monkeypatch.setattr(sweeps, "solve_scenario", probe_line)
-    monkeypatch.setattr(sweeps, "field_inplane", count_on_axis)
-    radii = np.geomspace(1e-6, 4e-6, 5)
-    numeric = sweep("centered", 100e-9, radii, "numeric")
-    analytic = sweep("centered", 100e-9, radii, "analytic")
-    assert analytic.y_offset == numeric.y_offset == 5e-9
-    assert lines == [5e-9] * len(radii) and not on_axis_calls
-    # an explicit 0 still takes the on-axis closed form
-    assert sweep("centered", 100e-9, radii, "analytic", y_offset=0.0).y_offset == 0.0
-    assert len(on_axis_calls) == len(radii)
+    monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)
+    radii = np.geomspace(0.5e-6, 2e-6, 5)
+    sweep("centered", 100e-9, radii, "numeric", n=40)
+    assert len(heights) == len(radii)
+    assert all(np.all(h == EVAL_Y) for h in heights)
+    # the closed forms at the probe, one point per call, bit for bit
+    for scenario in ("centered", "shifted"):
+        fields = sweep(scenario, 100e-9, radii, "analytic").fields
+        for radius, got in zip(radii, fields):
+            x0, probe_x = place(scenario, Circle(radius), 100e-9)
+            if scenario == "centered":
+                want = field_centered([0, 0, DEFAULT_MOMENT], [probe_x, EVAL_Y, 0.0], radius)[2]
+            else:
+                want = field_shifted_bz_plane(DEFAULT_MOMENT, x0, [probe_x], EVAL_Y, radius)[0]
+            assert got == want
 
 
 @pytest.mark.parametrize("scenario, radii", [
@@ -155,7 +156,7 @@ def test_solve_scenario_reads_b_z_off_the_solver_field():
     # second convention in between
     geometry = Circle(1e-6)
     solved = solve_scenario(geometry, FilmSpec(), 40, dipole_x=0.0,
-                            moment=DEFAULT_MOMENT, probe_x=0.9e-6, y_line=5e-9)
+                            moment=DEFAULT_MOMENT, probe_x=0.9e-6)
     h_line = solved.solution.h_z.values[solved.line]
     assert np.array_equal(solved.b_z, MU0 * h_line)
     assert solved.b_probe == MU0 * h_line[solved.probe]
@@ -233,11 +234,10 @@ def test_numeric_centered_line_trend():
 
 
 def test_probe_inside_return_flux_core_rejected():
-    # core semi-axes 139 x 316 nm around (835.44, 126.4) nm hold the probe
-    # (900, 5) nm at e^2 = 0.36; its reading was the core's bump
-    solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, dipole_x=835.44e-9,
-                            dipole_y=126.4e-9, moment=DEFAULT_MOMENT, probe_x=0.9e-6,
-                            y_line=5e-9)
+    # core semi-axes 142 x 22 nm around (850, 0) nm hold the probe
+    # (900, 5) nm at e^2 = 0.18; its reading would be the core's bump
+    solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, dipole_x=850e-9,
+                            moment=DEFAULT_MOMENT, probe_x=0.9e-6)
     assert np.isfinite(solved.b_z).all()  # the line itself is still a solution
     with pytest.raises(ConfigurationError, match="return-flux core"):
         solved.b_probe

@@ -38,6 +38,15 @@ def test_dogbone_requires_nonoverlap():
         DogBone(end_radius=1.0, center_distance=1.5, channel_half_width=0.1)
 
 
+def test_dogbone_channel_no_wider_than_its_discs():
+    # edge_y is end_radius, so a wider channel put aperture points outside
+    # the film of film_factor * max(edge_x, edge_y)
+    with pytest.raises(ConfigurationError, match="channel_half_width <= end_radius"):
+        DogBone(end_radius=100e-9, center_distance=300e-9, channel_half_width=1000e-9)
+    db = DogBone(end_radius=100e-9, center_distance=300e-9, channel_half_width=100e-9)
+    assert db.edge_y == 100e-9
+
+
 @given(
     st.floats(0.1, 5.0),
     st.floats(-6.0, 6.0),

@@ -8,7 +8,7 @@ import pytest
 from scaperture.analytic.free_dipole import free_dipole_field
 from scaperture.cli import EXIT_CONFIG, EXIT_SOLVER, main
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON, MU0
-from scaperture.experiments.grids import scenario_grid
+from scaperture.experiments.grids import place, scenario_grid
 from scaperture.geometry import Circle, ConfigurationError, Dipole, FilmSpec
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, make_grid
 from scaperture.io.config import preset_config
@@ -176,11 +176,12 @@ def kept_kernel_rows(grid):
     return np.flatnonzero((region != REGION_FILM) | boundary)
 
 
-def fig7a_grid():
+def fig7a_scene():
+    """The fig7a preset's config, scenario grid and dipole, placed as `solve` places them."""
     cfg = preset_config("fig7a", "solve")
-    grid = scenario_grid(cfg.geometry, cfg.film, cfg.n, dipole_x=cfg.dipole_x,
-                         probe_x=cfg.geometry.edge_x - cfg.sweep_d, y_line=cfg.y_offset)
-    return cfg, grid
+    dipole_x, probe_x = place(cfg.scenario, cfg.geometry, cfg.sweep_d)
+    grid = scenario_grid(cfg.geometry, cfg.film, cfg.n, dipole_x=dipole_x, probe_x=probe_x)
+    return cfg, grid, z_dipole(x=dipole_x)
 
 
 def test_build_memory_and_kept_kernel_rows():
@@ -188,11 +189,11 @@ def test_build_memory_and_kept_kernel_rows():
     # and in y, so the build and the solve factor only the 751^2 even-even
     # block (4.3 MiB); factoring all four blocks at build time peaked at 27 MiB,
     # and sparse London blocks with kernel tables made out of place at 7.9 MiB
-    cfg, grid = fig7a_grid()
+    cfg, grid, dipole = fig7a_scene()
     tracemalloc.start()
     try:
         system = BrandtSystem(cfg.geometry, cfg.film, grid)
-        system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+        system.solve(dipole)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,10 +263,10 @@ def test_blocks_factored_later_match_a_fresh_system():
 
 def test_condition_estimate_needs_no_solve():
     # read first, it factors the even-even block, the worst conditioned one
-    cfg, grid = fig7a_grid()
+    cfg, grid, dipole = fig7a_scene()
     fresh = BrandtSystem(cfg.geometry, cfg.film, grid).condition_estimate
     system = BrandtSystem(cfg.geometry, cfg.film, grid)
-    system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+    system.solve(dipole)
     assert fresh == system.condition_estimate == 3.67e3
 
 
@@ -279,10 +280,10 @@ def test_non_finite_system_is_a_solver_error(monkeypatch, tmp_path):
         return blocks
 
     monkeypatch.setattr(system_module, "folded_kernel_rows", one_nan)
-    cfg, grid = fig7a_grid()
+    cfg, grid, dipole = fig7a_scene()
     system = BrandtSystem(cfg.geometry, cfg.film, grid)
     with pytest.raises(SolverError, match="non-finite"):
-        system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+        system.solve(dipole)
     code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
 
@@ -293,12 +294,12 @@ def test_exactly_singular_block_is_a_solver_error(monkeypatch, tmp_path):
         a[:, 1] = 0.0  # getrf meets an exact zero pivot in column 2
 
     sizes = count_lu_factor(monkeypatch, before=zero_column)
-    cfg, grid = fig7a_grid()
+    cfg, grid, dipole = fig7a_scene()
     system = BrandtSystem(cfg.geometry, cfg.film, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="getrf info 2"):
-            system.solve(z_dipole(x=cfg.dipole_x, y=cfg.dipole_y))
+            system.solve(dipole)
     assert len(sizes) == 1
     code = main(["solve", "--preset", "fig7a", "--grid", "20", "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
@@ -328,7 +329,7 @@ def test_non_finite_applied_field_is_a_config_error(monkeypatch, tmp_path):
 
 def test_exact_hole_keeps_the_system_well_conditioned():
     # a hole kept as unknowns with Lambda boosted 1e6 read 1.38e8 here
-    cfg, grid = fig7a_grid()
+    cfg, grid, _ = fig7a_scene()
     assert BrandtSystem(cfg.geometry, cfg.film, grid).condition_estimate <= 1e4
 
 
@@ -385,7 +386,7 @@ def test_pearl_length_trend():
             anchor_y=5e-9,
         )
         sol = BrandtSystem(geom, film, grid).solve(z_dipole())
-        line, _ = grid.x_line(5e-9)
+        line = grid.x_line(5e-9)
         xs = grid.points[line, 0]
         inside = (xs > 0.2 * R) & (xs < R)
         vals = np.abs(sol.h_z.values[line][inside])
@@ -455,7 +456,7 @@ def test_off_plane_dipole_rejected():
 
 def test_dogbone_solve_smoke():
     from scaperture.geometry import DogBone
-    from scaperture.experiments.grids import scenario_grid
+    from scaperture.experiments.grids import place, scenario_grid
 
     geom = DogBone(end_radius=250e-9, center_distance=1.5e-6,
                    channel_half_width=100e-9)
