@@ -41,14 +41,12 @@ def write_json_atomic(path, payload) -> None:
 
 def _versions() -> dict:
     import numpy
-    import scipy
 
     from scaperture import __version__
 
     return {
         "scaperture": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }
 

@@ -22,12 +22,12 @@ for h_z = h_a + K g, are kept only elsewhere.
 
 from __future__ import annotations
 
-import importlib.util
 import warnings
+from ctypes import CDLL, POINTER, c_char_p, c_double, c_int64, c_size_t, c_void_p
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
@@ -35,17 +35,29 @@ from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
 
 
-def _load_flapack(directory: Path):
-    """scipy's f2py LAPACK extension, loaded by path without `scipy.linalg`'s ~330 modules."""
-    for path in directory.glob("_flapack*.so"):
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-    raise ImportError(f"scipy's LAPACK extension not found: no {directory / '_flapack*.so'}")
+# LAPACK's argument types in the ILP64 OpenBLAS that numpy >= 2 wheels bundle:
+# 64-bit integers, and a trailing length (c_size_t) for each character argument
+_C, _I, _D, _L = c_char_p, POINTER(c_int64), POINTER(c_double), c_size_t
+_A, _P = (np.ctypeslib.ndpointer(dtype, flags="F_CONTIGUOUS") for dtype in (np.float64, np.int64))
 
 
-_flapack = _load_flapack(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
+def _routine(lib, name: str, restype, *argtypes):
+    """LAPACK routine `name` of numpy's OpenBLAS `lib`, typed."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = getattr(lib, symbol)
+    except AttributeError:
+        raise ImportError(f"{lib._name} resolves no LAPACK symbol {symbol}") from None
+    routine.restype, routine.argtypes = restype, argtypes
+    return routine
+
+
+# numpy's core extension links its OpenBLAS: one BLAS and one thread pool per process
+_openblas = CDLL(_multiarray_umath.__file__)
+_dgetrf = _routine(_openblas, "dgetrf", None, _I, _I, _A, _I, _P, _I)
+_dgetrs = _routine(_openblas, "dgetrs", None, _C, _I, _I, _A, _I, _P, _A, _I, _I, _L)
+_dgecon = _routine(_openblas, "dgecon", None, _C, _I, _A, _I, _D, _D, _A, _P, _I, _L)
+_dlange = _routine(_openblas, "dlange", c_double, _C, _I, _I, _A, _I, c_void_p, _L)
 
 
 def _z_moment(dipole: Dipole) -> float:
@@ -283,14 +295,16 @@ class BrandtSystem:
             if np.any(row_scale == 0.0):
                 raise SolverError("system has an empty row; grid is degenerate")
             system /= row_scale[:, None]
-            anorm = _flapack.dlange("1", system)
-            *lu_piv, info = _flapack.dgetrf(system, overwrite_a=1)
-            if info != 0:  # > 0: U has an exact zero on its diagonal
-                raise SolverError(f"LU factorization failed: getrf info {info}")
-            rcond = _reciprocal_condition(lu_piv[0], anorm)
+            n, piv, info = c_int64(len(system)), np.empty(len(system), np.int64), c_int64()
+            anorm = _dlange(b"1", n, n, system, n, None, 1)  # work: only for norm "I"
+            _dgetrf(n, n, system, n, piv, info)  # in place; piv is 1-based
+            if info.value != 0:  # > 0: U has an exact zero on its diagonal
+                raise SolverError(f"LU factorization failed: getrf info {info.value}")
+            rcond = _reciprocal_condition(system, anorm)
             if rcond < 1e-14:
                 raise SolverError(f"system is numerically singular (rcond {rcond:.2e} < 1e-14)")
-            self._factors[b], self._kernel[b], self._rcond[b] = (lu_piv, row_scale), kept[b], rcond
+            self._factors[b] = system, piv, row_scale
+            self._kernel[b], self._rcond[b] = kept[b], rcond
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
@@ -306,12 +320,13 @@ class BrandtSystem:
         for b, part in enumerate(parts):
             g_part, kg_part = np.zeros(part.size), np.zeros(part.size)
             if b in excited:
-                lu_piv, row_scale = self._factors[b]
+                lu, piv, row_scale = self._factors[b]
                 fluxoid = [self._hole_w @ part[self._hole_q]] if b == 0 else []
-                rhs = -0.25 * np.append(part[self._film_q], fluxoid) / row_scale
-                u, info = _flapack.dgetrs(*lu_piv, rhs)
-                if info != 0:
-                    raise SolverError(f"LU solve failed: getrs info {info}")
+                u = -0.25 * np.append(part[self._film_q], fluxoid) / row_scale
+                n, one, info = c_int64(len(lu)), c_int64(1), c_int64()
+                _dgetrs(b"N", n, one, lu, n, piv, u, n, info, 1)  # u: rhs, then solution
+                if info.value != 0:
+                    raise SolverError(f"LU solve failed: getrs info {info.value}")
                 g_part[self._film_q] = u[:len(self._film_q)]
                 if b == 0:
                     current = g_part[self._hole_q] = u[-1]  # I, even-even
@@ -330,6 +345,11 @@ class BrandtSystem:
         return self.solve_applied(compensated_source(dipole, self.grid))
 
 
-def _reciprocal_condition(lu, anorm) -> float:
+def _reciprocal_condition(lu, anorm: float) -> float:
     """LAPACK 1-norm estimate from the LU factors and the matrix's 1-norm."""
-    return float(_flapack.dgecon(lu, anorm, norm="1")[0])
+    n, info, rcond = c_int64(len(lu)), c_int64(), c_double()
+    work, iwork = np.empty(4 * len(lu)), np.empty(len(lu), np.int64)
+    _dgecon(b"1", n, lu, n, c_double(anorm), rcond, work, iwork, info, 1)
+    if info.value != 0:
+        raise SolverError(f"condition estimate failed: gecon info {info.value}")
+    return rcond.value

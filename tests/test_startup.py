@@ -48,38 +48,33 @@ def test_package_names_load_on_access():
         scaperture.point_in_aperture
 
 
-def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
-    # the manifest's version field needs only the bare scipy package
+def _scipy_modules_after(tmp_path, commands):
+    # the modules named scipy* that a fresh process holds after running commands
     script = (
         "import json, sys\n"
         "from scaperture.cli import main\n"
-        "for preset in ('fig4', 'fig3'):\n"
-        "    assert main(['analytic', '--preset', preset, '--out', sys.argv[1] + preset]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert main(args + ['--out', sys.argv[2] + args[2]]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out-")],
-                         capture_output=True, text=True, env=env, timeout=120, check=True)
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    assert "scipy" in loaded
-    for heavy in ("scipy.constants", "scipy.linalg", "scipy.sparse"):
-        assert heavy not in loaded
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path / "out-")],
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
+    # the constants are literals and the manifest records no scipy version
+    commands = [["analytic", "--preset", preset] for preset in ("fig4", "fig3")]
+    assert _scipy_modules_after(tmp_path, commands) == []
 
 
 def test_numeric_commands_load_no_scipy_linalg_or_sparse(tmp_path):
-    # the London operator is five-point coefficients in plain numpy, and the
-    # solver loads scipy's LAPACK extension by path
-    script = (
-        "import sys\n"
-        "from scaperture.cli import main\n"
-        "assert main(['sweep', '--preset', 'fig5c', '--grid', '20', '--out', sys.argv[1] + 'sweep']) == 0\n"
-        "assert main(['solve', '--preset', 'fig7a', '--grid', '20', '--out', sys.argv[1] + 'solve']) == 0\n"
-        "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out-")],
-                         capture_output=True, text=True, env=env, timeout=300, check=True)
-    assert run.stdout.splitlines()[-1] == "False False"
+    # the London operator is plain numpy and the solver's LAPACK is numpy's
+    # own OpenBLAS, so not even the bare scipy package is loaded
+    commands = [["sweep", "--preset", "fig5c", "--grid", "20"],
+                ["solve", "--preset", "fig7a", "--grid", "20"]]
+    assert _scipy_modules_after(tmp_path, commands) == []
 
 
 def test_solver_error_is_one_class_and_exits_3(tmp_path, monkeypatch):
