@@ -51,8 +51,8 @@ def _apply_threads(threads: int | None) -> None:
     if threads is not None:
         if threads < 1:
             raise ConfigurationError(f"thread count must be at least 1, got {threads}")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+        # read by numpy's OpenBLAS, the only BLAS loaded, when numpy is imported
+        os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
 
 
 def _resolve_config(args, command):
@@ -99,6 +99,7 @@ def _cmd_analytic(cfg, out) -> None:
     radius = cfg.geometry.radius
     if cfg.analytic_kind == "curve":
         xs = np.linspace(0.02 * radius, 3.0 * radius, cfg.analytic_samples)
+        xs = xs[xs / radius != 1.0]  # the edge, where B_z diverges, is left out
         bz = field_inplane("z", cfg.moment, xs, radius)[:, 2]
         _value_csv(out / "curve.csv", {"x_m": xs}, bz,
                    "tesla (Bz of a z dipole at the aperture center, z = 0)", bz)
@@ -149,17 +150,10 @@ def _cmd_solve(cfg, out) -> None:
 def _cmd_sweep(cfg, out) -> None:
     from scaperture.constants import EVAL_Y
     from scaperture.experiments.sweeps import sweep
-    from scaperture.geometry import Ellipse
     from scaperture.io.writers import write_json_atomic
 
-    kwargs = dict(
-        moment=cfg.moment,
-        n=cfg.n,
-        film=cfg.film,
-    )
-    if isinstance(cfg.geometry, Ellipse):
-        kwargs["b"] = cfg.geometry.b
-    res = sweep(cfg.scenario, cfg.sweep_d, list(cfg.sweep_radii), cfg.engine, **kwargs)
+    res = sweep(cfg.scenario, cfg.sweep_d, list(cfg.sweep_radii), cfg.engine,
+                geometry=cfg.geometry, moment=cfg.moment, n=cfg.n, film=cfg.film)
     payload = {
         "scenario": res.scenario,
         "engine": res.engine,

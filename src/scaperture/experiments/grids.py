@@ -29,11 +29,12 @@ from scaperture.solver import system as solver
 
 def place(scenario: str, geometry: ApertureGeometry, d: float) -> tuple[float, float]:
     """(dipole_x, probe_x), m: the probe sits d inside the right edge, the
-    dipole at the centre (`centered`) or d inside the left edge (`shifted`,
-    `ellipse`).  Needs 0 < d < the x semi-axis, so that the two do not cross.
+    dipole at the centre (`centered`) or d inside the left edge (`shifted`),
+    on any aperture shape.  Needs 0 < d < the x semi-axis, so that the two
+    do not cross.
     """
-    if scenario not in ("centered", "shifted", "ellipse"):
-        raise ConfigurationError(f"scenario must be centered, shifted or ellipse, not {scenario!r}")
+    if scenario not in ("centered", "shifted"):
+        raise ConfigurationError(f"scenario must be centered or shifted, not {scenario!r}")
     edge = geometry.edge_x
     if not 0 < d < edge:
         raise ConfigurationError(f"d = {d * 1e9:g} nm must lie strictly between 0 and the x "

@@ -1,8 +1,8 @@
 """Aperture-size sweeps of the edge field, for both engines.
 
-Each sweep places the dipole and the probe of every radius with `place`,
-evaluates Bz at the probe on the line y = EVAL_Y, and records the value
-against the dipole-to-probe separation L.
+Each sweep scales the configured aperture to every radius, places the
+dipole and the probe with `place`, evaluates Bz at the probe on the line
+y = EVAL_Y, and records the value against the dipole-to-probe separation L.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scaperture.analytic.shifted import field_shifted_bz_plane
 from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
-from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
+from scaperture.geometry import ApertureGeometry, Circle, ConfigurationError, Ellipse, FilmSpec
 
 ENGINES = ("analytic", "numeric")
 
@@ -32,13 +32,13 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def closed_form_line(scenario: str, moment: float, radius: float, dipole_x: float, xs):
+def closed_form_line(moment: float, radius: float, dipole_x: float, xs):
     """Closed-form B_z (tesla) at the abscissae `xs` of the line y = EVAL_Y,
     from a z dipole of `moment` at (dipole_x, 0) in the circle of `radius`:
-    the centred field for `centered` (dipole_x = 0), the shifted one otherwise.
+    the centred field for dipole_x = 0, the shifted one otherwise.
     """
     xs = np.asarray(xs, dtype=float)
-    if scenario == "centered":
+    if dipole_x == 0.0:
         pts = np.column_stack([xs, np.full(len(xs), EVAL_Y), np.zeros(len(xs))])
         return field_centered([0, 0, moment], pts, radius)[:, 2]
     return field_shifted_bz_plane(moment, dipole_x, xs, EVAL_Y, radius)
@@ -50,47 +50,53 @@ def sweep(
     radii,
     engine: str,
     *,
+    geometry: ApertureGeometry | None = None,
     moment: float = DEFAULT_MOMENT,
     n: int = 60,
-    b: float = 100e-9,
     film: FilmSpec = FilmSpec(),
 ) -> SweepResult:
     """Evaluate the probe field across aperture radii and fit the decay.
 
-    centered: dipole at the center, R = L + d.  shifted: dipole at distance
-    d from the left edge, R = L/2 + d.  ellipse: like shifted with the x
-    semi-axis varying at fixed b.  Every radius is placed (`place`) before
-    any is solved.  The numeric engine gives each radius the film and grid
-    of `film`'s factors times that aperture's scale radius.  Both engines
-    read the probe on the line y = EVAL_Y.  The power-law fit needs at least
-    MIN_FIT_RADII radii.
+    Each radius r scales the configured `geometry` (circles when None):
+    Circle(r), or Ellipse(a=r, b=geometry.b); a dog-bone cannot be swept.
+    `place` puts the dipole at the centre (centered, L = r - d) or d inside
+    the left edge (shifted, L = 2 (r - d)), every radius before any solve.
+    The analytic engine needs circles; the numeric one sizes each radius's
+    film and grid by `film`'s factors.  Both read the probe on y = EVAL_Y.
+    The power-law fit needs at least MIN_FIT_RADII radii.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}")
     radii = np.sort(np.asarray(radii, dtype=float))
     if len(radii) < MIN_FIT_RADII:
         raise ConfigurationError(f"the power-law fit needs at least {MIN_FIT_RADII} radii")
-    if engine == "analytic" and scenario == "ellipse":
-        raise ConfigurationError("no closed form for elliptical apertures")
+    if geometry is None or isinstance(geometry, Circle):
+        geometries = [Circle(r) for r in radii]
+    elif isinstance(geometry, Ellipse):
+        geometries = [Ellipse(a=r, b=geometry.b) for r in radii]
+    else:
+        raise ConfigurationError(f"a sweep varies a circle's radius or an ellipse's x "
+                                 f"semi-axis; it cannot sweep a {type(geometry).__name__}")
+    if engine == "analytic" and not isinstance(geometries[0], Circle):
+        raise ConfigurationError("the analytic engine requires a circular aperture")
 
-    geometries = [Ellipse(a=r, b=b) if scenario == "ellipse" else Circle(r) for r in radii]
-    placed = [place(scenario, geometry, d) for geometry in geometries]
+    placed = [place(scenario, aperture, d) for aperture in geometries]
     lengths = np.array([probe_x - dipole_x for dipole_x, probe_x in placed])
     fields = np.empty_like(lengths)
-    for i, (geometry, (dipole_x, probe_x)) in enumerate(zip(geometries, placed)):
+    for i, (aperture, (dipole_x, probe_x)) in enumerate(zip(geometries, placed)):
         if engine == "analytic":
-            fields[i] = closed_form_line(scenario, moment, radii[i], dipole_x, [probe_x])[0]
+            fields[i] = closed_form_line(moment, radii[i], dipole_x, [probe_x])[0]
         else:
             # only the probe value outlives the call, so no two systems coexist
-            fields[i] = solve_scenario(geometry, film, n, dipole_x=dipole_x, moment=moment,
+            fields[i] = solve_scenario(aperture, film, n, dipole_x=dipole_x, moment=moment,
                                        probe_x=probe_x).b_probe
 
     fit = fit_power_law(lengths, fields)
     meta = {"engine": engine}
     if engine == "numeric":
         meta["n"] = n
-        if scenario == "ellipse":
-            meta["b"] = b
+        if isinstance(geometry, Ellipse):
+            meta["b"] = geometry.b
     return SweepResult(
         scenario=scenario,
         engine=engine,

@@ -9,44 +9,44 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 FLOAT_FMT = "%.17g"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """A text file that replaces `path` once it is written in full."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
 def write_csv_atomic(path, columns: dict, header_comments=()) -> None:
     """Write named columns; comment lines name units and the dB flag."""
-    path = Path(path)
-    names = list(columns)
-    arrays = [columns[k] for k in names]
-    n = len(arrays[0])
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(names))
-    for i in range(n):
-        lines.append(",".join(FLOAT_FMT % a[i] for a in arrays))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "\n".join([*(f"# {c}" for c in header_comments), ",".join(columns)])
+    with _atomic_open(path) as fh:
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt=FLOAT_FMT, delimiter=",",
+                   header=header, comments="")
 
 
 def write_json_atomic(path, payload) -> None:
-    path = Path(path)
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _versions() -> dict:
-    import numpy
-
     from scaperture import __version__
 
     return {
         "scaperture": __version__,
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }
 

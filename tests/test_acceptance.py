@@ -100,7 +100,7 @@ def test_criterion_06_numeric_shifted_sweep():
 
 def test_criterion_07_numeric_ellipse_sweep():
     radii = np.geomspace(0.5e-6, 4e-6, 8)
-    res = sweep("ellipse", D_EDGE, radii, "numeric", n=60, b=100e-9)
+    res = sweep("shifted", D_EDGE, radii, "numeric", n=60, geometry=Ellipse(a=1e-6, b=100e-9))
     ok = abs(res.fit.slope + 1.4) <= 0.5
     _report(7, "numeric ellipse sweep (b = 100 nm)", ok,
             f"slope {res.fit.slope:+.3f} within -1.4 +- 0.5")

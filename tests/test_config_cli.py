@@ -20,7 +20,7 @@ from scaperture.io.config import PRESETS, load_config, parse_config, preset_conf
 
 def test_presets_cover_paper_parameters():
     for name in ("fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d",
-                 "fig6a", "fig6b", "fig7a", "fig7b", "fig7c"):
+                 "fig6a", "fig6b", "fig7a", "fig7b"):
         assert name in PRESETS
     cfg = preset_config("fig5c", "sweep")
     assert isinstance(cfg.geometry, Circle)
@@ -37,14 +37,20 @@ def test_presets_cover_paper_parameters():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
-        parse_config({"engine": "analytic", "sweep": _RADII,
-                      "geometry": {"kind": "ellipse", "a_nm": 10, "b_nm": 5}}, "sweep")
-    with pytest.raises(ConfigurationError):
         parse_config({"dipole": {"moment": -1.0}}, "solve")
     with pytest.raises(ConfigurationError):
         parse_config({"geometry": {"kind": "hexagon"}}, "solve")
-    with pytest.raises(ConfigurationError):
-        parse_config({"sweep": {"radii_nm": [1000]}}, "sweep")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+def test_cli_ellipse_scenario_is_config_error(tmp_path, capsys, command):
+    # a scenario only places the dipole; the aperture's shape is the geometry's
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"grid": {"n": 24}, "scenario": "ellipse", "sweep": _RADII}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "scenario must be centered or shifted, not 'ellipse'" in capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 def test_load_config_reports_position(tmp_path):
@@ -102,7 +108,7 @@ _RADII = {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]}
     # each ended in a TypeError traceback (exit 1) or ran truncated (exit 0)
     *[(command, {"dipole": {"moment": "1e-23"}, "sweep": _RADII}, "config field error")
       for command in ("analytic", "solve", "sweep", "compare", "coupling")],
-    ("sweep", {"scenario": ["x"], "sweep": _RADII}, "config field error"),
+    ("sweep", {"scenario": ["x"], "sweep": _RADII}, "scenario must be centered or shifted"),
     ("solve", {"grid": {"n": 24.7}}, "grid.n must be an integer"),
     ("solve", {"grid": {"n": 24.0}}, "grid.n must be an integer"),
     ("solve", {"grid": {"n": True}}, "grid.n must be an integer"),
@@ -284,6 +290,21 @@ def test_cli_analytic_fig4_curve(tmp_path):
     assert bz[inner] == pytest.approx(
         -MU0 * DEFAULT_MOMENT / (4 * np.pi * x[inner] ** 3), rel=2e-3
     )
+
+
+@pytest.mark.parametrize("samples", [150, 299, 597])
+def test_cli_analytic_curve_leaves_out_the_edge(tmp_path, samples):
+    # at these counts one sample of the 1 um circle's curve lands on x = R,
+    # where B_z diverges: it was written as -inf (value_db inf) with exit 0
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"engine": "analytic",
+                                   "analytic": {"kind": "curve", "samples": samples}}))
+    out = tmp_path / "o"
+    assert main(["analytic", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    _, columns = _csv(out / "curve.csv")
+    assert len(columns["value"]) == samples - 1
+    assert np.all(np.isfinite(columns["value"]))
+    assert np.all(columns["value_db"] < np.inf)  # -inf is the film's zero field
 
 
 def test_cli_csv_roundtrip_lossless(tmp_path):
@@ -517,20 +538,34 @@ def test_cli_dogbone_wider_channel_is_config_error(tmp_path, capsys):
     ({"kind": "circle", "radius_nm": 1000}, "sideways"),
 ])
 def test_cli_sweep_scenario_must_match_geometry(tmp_path, capsys, geometry, scenario):
-    # the sweep builds its apertures from the scenario: a dog-bone or an
-    # ellipse with "centered" swept circles, a circle with "ellipse" swept
-    # 100 nm ellipses, and each run exited 0
+    # the sweep varies the configured aperture and the scenario only places
+    # the dipole. A dog-bone cannot be swept and "ellipse" or "sideways" is no
+    # placement: exit code 2 (they used to sweep circles or 100 nm ellipses
+    # and exit 0). A centred ellipse sweep scales a at the configured b (it
+    # used to be rejected, as the scenario alone chose the swept shape)
+    error = {"dogbone": "cannot sweep a DogBone", "ellipse": None}.get(geometry["kind"],
+                                                                      "centered or shifted")
+    radii = [500, 700, 1000, 1400, 2000]
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": geometry,
         "grid": {"n": 40},
         "scenario": scenario,
-        "sweep": {"d_nm": 100, "radii_nm": [500, 700, 1000, 1400, 2000]},
+        "sweep": {"d_nm": 100, "radii_nm": radii},
     }))
     out = tmp_path / "o"
-    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
-    assert "cannot sweep" in capsys.readouterr().err
-    assert not (out / "sweep.json").exists()
+    code = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+    if error is not None:
+        assert code == EXIT_CONFIG
+        assert error in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+        return
+    assert code == EXIT_OK
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["scenario"] == "centered"
+    assert payload["metadata"] == {"engine": "numeric", "n": 40, "b": 300 * 1e-9}
+    lengths = [point["L_m"] for point in payload["points"]]
+    assert lengths == pytest.approx([r * 1e-9 - 100e-9 for r in radii])
 
 
 @pytest.mark.parametrize("key", ["n_x", "n_y"])
@@ -613,9 +648,9 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, ca
     assert main(["solve", "--preset", "fig7a", "--grid", "0", "--out", out]) == EXIT_CONFIG
     assert "at least 16 points" in capsys.readouterr().err
     # a rejected count must not reach the backend's environment either
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -628,7 +663,7 @@ def test_cli_numeric_commands_honour_film_factors(tmp_path):
             doc["film"].update(film_factor=film_factor, grid_factor=grid_factor)
             doc["grid"]["n"] = 24
             doc["sweep"]["radii_nm"] = [300, 400, 500, 600, 700]
-            doc["scenario"] = "ellipse"  # a sweep of the preset's ellipse, at fixed b
+            doc["scenario"] = "shifted"  # a sweep of the preset's ellipse, at fixed b
             cfgfile = tmp_path / f"{command}{film_factor}.json"
             cfgfile.write_text(json.dumps(doc))
             out = tmp_path / f"{command}{film_factor}"

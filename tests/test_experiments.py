@@ -43,7 +43,11 @@ def test_analytic_slopes_converge_toward_asymptote():
 
 
 def test_sweep_validation():
-    with pytest.raises(ConfigurationError):
+    # the closed forms cover circles only
+    with pytest.raises(ConfigurationError, match="circular"):
+        sweep("shifted", 1.0, np.geomspace(10, 100, 6), "analytic", geometry=Ellipse(a=5, b=2))
+    # the scenario only places the dipole: "ellipse" is no longer one
+    with pytest.raises(ConfigurationError, match="centered or shifted"):
         sweep("ellipse", 1.0, np.geomspace(10, 100, 6), "analytic")
     with pytest.raises(ConfigurationError):
         sweep("centered", -1.0, np.geomspace(10, 100, 6), "analytic")
@@ -62,10 +66,9 @@ def test_place_puts_the_probe_d_inside_the_right_edge(geometry):
         x0, probe = place("centered", geometry, d)
         assert (x0, probe) == (0.0, edge - d)
         assert probe - x0 == edge - d
-        for scenario in ("shifted", "ellipse"):
-            x0, probe = place(scenario, geometry, d)
-            assert (x0, probe) == (d - edge, edge - d)
-            assert probe - x0 == 2 * (edge - d)
+        x0, probe = place("shifted", geometry, d)
+        assert (x0, probe) == (d - edge, edge - d)
+        assert probe - x0 == 2 * (edge - d)
 
 
 def test_place_rejects_crossed_sites_and_unknown_scenarios():
@@ -73,8 +76,9 @@ def test_place_rejects_crossed_sites_and_unknown_scenarios():
     for d in (0.0, -1e-9, 250e-9, 300e-9):
         with pytest.raises(ConfigurationError, match="x semi-axis.*radius"):
             place("shifted", geometry, d)
-    with pytest.raises(ConfigurationError, match="scenario"):
-        place("sideways", geometry, 100e-9)
+    for scenario in ("sideways", "ellipse"):
+        with pytest.raises(ConfigurationError, match="centered or shifted"):
+            place(scenario, geometry, 100e-9)
 
 
 def test_sweep_places_every_radius_before_solving(monkeypatch):
@@ -84,9 +88,44 @@ def test_sweep_places_every_radius_before_solving(monkeypatch):
         raise AssertionError("solve_scenario called before every radius was placed")
 
     monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
-    for scenario in ("centered", "shifted", "ellipse"):
-        with pytest.raises(ConfigurationError, match="radius"):
-            sweep(scenario, 100e-9, [500e-9, 1e-6, 2e-6, 4e-6, 100e-9], "numeric")
+    for scenario in ("centered", "shifted"):
+        for geometry in (None, Ellipse(a=1e-6, b=100e-9)):
+            with pytest.raises(ConfigurationError, match="radius"):
+                sweep(scenario, 100e-9, [500e-9, 1e-6, 2e-6, 4e-6, 100e-9], "numeric",
+                      geometry=geometry)
+
+
+def test_dogbone_sweep_raises_before_solving(monkeypatch):
+    # a sweep varies a circle's radius or an ellipse's x semi-axis; a dog-bone
+    # has neither, and the sweep says so before it solves anything
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_scenario called for a dog-bone sweep")
+
+    monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
+    dogbone = DogBone(end_radius=300e-9, center_distance=1.5e-6, channel_half_width=50e-9)
+    for engine in ("analytic", "numeric"):
+        with pytest.raises(ConfigurationError, match="cannot sweep a DogBone"):
+            sweep("centered", 100e-9, np.geomspace(0.5e-6, 2e-6, 5), engine, geometry=dogbone)
+
+
+def test_centred_sweep_of_an_ellipse_varies_a_at_fixed_b(monkeypatch):
+    # the sweep scales the configured ellipse: each radius r is Ellipse(a=r, b),
+    # whatever the scenario; a centred ellipse sweep used to be rejected
+    seen = []
+    solve_scenario = sweeps.solve_scenario
+
+    def solve_and_record(geometry, *args, **kwargs):
+        seen.append(geometry)
+        return solve_scenario(geometry, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)
+    radii = np.geomspace(0.5e-6, 2e-6, 5)
+    res = sweep("centered", 100e-9, radii, "numeric", n=24,
+                geometry=Ellipse(a=1e-6, b=300e-9))
+    assert seen == [Ellipse(a=r, b=300e-9) for r in radii]
+    assert np.array_equal(res.lengths, radii - 100e-9)
+    assert np.all(np.isfinite(res.fields))
+    assert res.metadata == {"engine": "numeric", "n": 24, "b": 300e-9}
 
 
 def test_sweep_with_too_few_radii_raises_before_solving(monkeypatch):
@@ -129,12 +168,19 @@ def test_sweep_engines_read_one_line(monkeypatch):
             assert got == want
 
 
-@pytest.mark.parametrize("scenario, radii", [
+# the scenario and configured aperture of each case: a centred circle sweep,
+# and a shifted sweep of the b = 400 nm ellipse, whose a is < b, then > b
+_SIZING_CASES = {"centered": ("centered", None),
+                 "ellipse": ("shifted", Ellipse(a=1e-6, b=400e-9))}
+
+
+@pytest.mark.parametrize("case, radii", [
     ("centered", np.geomspace(0.5e-6, 2e-6, 5)),
-    ("ellipse", np.array([200e-9, 300e-9, 500e-9, 700e-9, 1e-6])),  # b = 400 nm: a < b, then a > b
+    ("ellipse", np.array([200e-9, 300e-9, 500e-9, 700e-9, 1e-6])),
 ])
-def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, scenario, radii):
+def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, case, radii):
     # each radius's grid spans grid_factor scale radii of its own aperture
+    scenario, geometry = _SIZING_CASES[case]
     film = FilmSpec(film_factor=40.0, grid_factor=50.0)
     seen = []
     solve_scenario = sweeps.solve_scenario
@@ -145,7 +191,7 @@ def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, scenari
         return solved
 
     monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)
-    sweep(scenario, 100e-9, radii, "numeric", n=24, b=400e-9, film=film)
+    sweep(scenario, 100e-9, radii, "numeric", n=24, geometry=geometry, film=film)
     assert len(seen) == len(radii)
     for scale, half_extent in seen:
         assert half_extent == film.grid_factor * scale
