@@ -15,6 +15,7 @@ numeric caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,8 +66,12 @@ class ScenarioSolution:
     solution: solver.StreamSolution
     dipole: Dipole
     line: np.ndarray    # flat grid indices of the line y = EVAL_Y, by increasing x
-    b_z: np.ndarray     # B_z on the line, tesla
     probe: int          # index of the probe on the line
+
+    @cached_property
+    def b_z(self) -> np.ndarray:
+        """B_z on the line, tesla; its ends, beyond the film, fold kernel rows."""
+        return MU0 * self.solution.h_z.values[self.line]
 
     @property
     def b_probe(self) -> float:
@@ -82,7 +87,7 @@ class ScenarioSolution:
                 "the probe lies inside the dipole's return-flux core; move them "
                 "apart or refine the grid near the dipole"
             )
-        return float(self.b_z[self.probe])
+        return float(MU0 * self.solution.h_z_at(self.line[self.probe]))
 
 
 def solve_scenario(
@@ -100,15 +105,11 @@ def solve_scenario(
     grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x)
     dipole = Dipole(position=[dipole_x, 0.0, 0.0], moment=[0.0, 0.0, moment])
     system = solver.BrandtSystem(geometry, film, grid)
-    solution = system.solve(dipole)
-    line = grid.x_line(EVAL_Y)
-    b_z = MU0 * solution.h_z.values[line]
     return ScenarioSolution(
         grid=grid,
         system=system,
-        solution=solution,
+        solution=system.solve(dipole),
         dipole=dipole,
-        line=line,
-        b_z=b_z,
+        line=grid.x_line(EVAL_Y),
         probe=int(np.argmin(np.abs(grid.x - probe_x))),
     )

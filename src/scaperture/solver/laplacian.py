@@ -46,6 +46,7 @@ def div_lambda_grad(grid: Grid, lam: np.ndarray) -> np.ndarray:
 def apply_stencil(coef: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The operator with coefficients `coef` applied to the flat values g, flat."""
     n_x, n_y = coef.shape[1:]
-    g = np.pad(g.reshape(n_x, n_y), 1)
-    return sum(c * g[1 + dx:n_x + 1 + dx, 1 + dy:n_y + 1 + dy]
+    padded = np.zeros((n_x + 2, n_y + 2))  # np.pad took a third of this call's time
+    padded[1:-1, 1:-1] = g.reshape(n_x, n_y)
+    return sum(c * padded[1 + dx:n_x + 1 + dx, 1 + dy:n_y + 1 + dy]
                for c, (dx, dy) in zip(coef, STENCIL)).ravel()

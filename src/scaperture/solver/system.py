@@ -17,14 +17,17 @@ even-even block): the quadrant's kernel rows are folded into the blocks a
 few rows at a time, the folded five-point London stencil is added in, and
 the blocks are factored in place.  On a film row the system row is the
 London relation, so h_z there is the stencil applied to g; kernel rows,
-for h_z = h_a + K g, are kept only elsewhere.
+for h_z = h_a + K g, are kept only for the hole and the film's grid-edge
+points, and made for the exterior when its h_z is first read.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from ctypes import CDLL, POINTER, c_char_p, c_double, c_int64, c_size_t, c_void_p
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -179,13 +182,15 @@ def _london_block(stencil: np.ndarray, film, hole, hole_w, b):
     return np.broadcast_to(unknown, cols.shape)[on], cols[on], (weight * c)[on]
 
 
-def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks):
+def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks, system=True):
     """Kernel rows of the quadrant points `quad`, folded into the parity
     `blocks` on the unknowns of `_london_block`: per block (None if not in
     `blocks`), the system buffer in Fortran order (film rows, then in block
-    0 the fluxoid row, which sums kept hole rows) and the rows `keep`.  Rows
-    are made n_y / 2 at a time and, since g = 0 on the exterior, only on the
-    corner rectangle of quadrant cells that holds every film and hole point.
+    0 the fluxoid row, which sums kept hole rows; None unless `system`) and
+    the rows `keep`.  Rows are made per quadrant column of n_y / 2 points,
+    from the first to the last of those asked for there, and, since g = 0 on
+    the exterior, only on the corner rectangle of quadrant cells that holds
+    every film and hole point.
     """
     nq, chunk, n_film = len(quad), grid.n_y // 2, len(film)
     used = (grid.region[quad] != REGION_EXTERIOR).reshape(-1, chunk)
@@ -195,30 +200,46 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks)
     systems, kept = [None] * 4, [None] * 4
     for b in blocks:
         n = n_film + (b == 0)
-        systems[b], kept[b] = np.empty((n, n), order="F"), np.empty((len(keep), n))
+        systems[b] = np.empty((n, n), order="F") if system else None
+        kept[b] = np.empty((len(keep), n))
+    targets = [(film, systems), (keep, kept)] if system else [(keep, kept)]
     for a in range(0, nq, chunk):
-        folded = folded_kernel_rows(grid, quad[a:a + chunk], cells, blocks)
-        # the chunk's rows of film and of keep are consecutive in the buffers
-        f0, f1 = np.searchsorted(film, [a, a + chunk])
-        k0, k1 = np.searchsorted(keep, [a, a + chunk])
+        # the column's points of film and of keep are consecutive in the buffers
+        spans = [np.searchsorted(points, [a, a + chunk]) for points, _ in targets]
+        asked = np.concatenate([points[i:j] for (points, _), (i, j) in zip(targets, spans)])
+        if not asked.size:
+            continue
+        lo = asked.min()
+        folded = folded_kernel_rows(grid, quad[lo:asked.max() + 1], cells, blocks)
         for b, rows in zip(blocks, folded):
-            for out, points in ((systems[b][f0:f1], film[f0:f1]), (kept[b][k0:k1], keep[k0:k1])):
-                out[:, :n_film] = rows[np.ix_(points - a, film_c)]
+            for (points, buffers), (i, j) in zip(targets, spans):
+                out, at = buffers[b][i:j], points[i:j] - lo
+                out[:, :n_film] = rows[np.ix_(at, film_c)]
                 if b == 0:
-                    out[:, n_film] = rows[np.ix_(points - a, hole_c)].sum(axis=1)
-    if 0 in blocks:
+                    out[:, n_film] = rows[np.ix_(at, hole_c)].sum(axis=1)
+    if system and 0 in blocks:
         systems[0][n_film] = hole_w @ kept[0][np.searchsorted(keep, hole)]
     return systems, kept
 
 
 @dataclass(frozen=True)
 class StreamSolution:
-    """Stream function g and reconstructed field."""
+    """Stream function g and reconstructed field.  h_z is made on its first
+    read; `h_z_at` reads points on the film and in the aperture without
+    folding the exterior's kernel rows."""
 
     g: FieldMap                  # amperes
-    h_z: FieldMap                # A/m
     h_a: FieldMap                # the source actually applied, A/m
     aperture_current: float      # g on the aperture, amperes
+    _h_z: Callable = field(repr=False)   # exterior -> h_z, beyond the film h_a unless exterior
+
+    @cached_property
+    def h_z(self) -> FieldMap:   # A/m
+        return FieldMap(self.g.grid, self._h_z(True))
+
+    def h_z_at(self, points):
+        """h_z (A/m) at flat grid indices `points`; folds no row unless one is beyond the film."""
+        return self._h_z(np.any(self.g.grid.region[points] == REGION_EXTERIOR))[points]
 
 
 class BrandtSystem:
@@ -263,10 +284,12 @@ class BrandtSystem:
         # I is even in x and in y, so the odd blocks have g = 0 on the hole
         self._hole_q = np.flatnonzero(region_q == REGION_APERTURE)
         self._hole_w = grid.weights[quad[self._hole_q]]
-        self._keep = np.flatnonzero(~film_rows[quad])
-        # per block, filled by _factor: LU factors with the row scale, the
-        # kept kernel rows and the reciprocal condition estimate
+        self._keep = np.flatnonzero(~film_rows[quad] & (region_q != REGION_EXTERIOR))
+        self._outside = np.flatnonzero(region_q == REGION_EXTERIOR)
+        # per block: LU factors with the row scale, the kept kernel rows and the
+        # reciprocal condition estimate (by _factor), the exterior rows (by _h_z)
         self._factors, self._kernel, self._rcond = [None] * 4, [None] * 4, [None] * 4
+        self._outside_rows = [None] * 4
 
     @property
     def condition_estimate(self) -> float:
@@ -316,28 +339,41 @@ class BrandtSystem:
         missing = [b for b in excited if self._factors[b] is None]
         if missing:
             self._factor(missing)
-        current, g_parts, kg_parts = 0.0, [], []
-        for b, part in enumerate(parts):
-            g_part, kg_part = np.zeros(part.size), np.zeros(part.size)
-            if b in excited:
-                lu, piv, row_scale = self._factors[b]
-                fluxoid = [self._hole_w @ part[self._hole_q]] if b == 0 else []
-                u = -0.25 * np.append(part[self._film_q], fluxoid) / row_scale
-                n, one, info = c_int64(len(lu)), c_int64(1), c_int64()
-                _dgetrs(b"N", n, one, lu, n, piv, u, n, info, 1)  # u: rhs, then solution
-                if info.value != 0:
-                    raise SolverError(f"LU solve failed: getrs info {info.value}")
-                g_part[self._film_q] = u[:len(self._film_q)]
-                if b == 0:
-                    current = g_part[self._hole_q] = u[-1]  # I, even-even
-                kg_part[self._keep] = self._kernel[b] @ u
-            g_parts.append(g_part.reshape(images[0].shape))
-            kg_parts.append(kg_part.reshape(images[0].shape))
-        g = _unfold(g_parts, shape)
-        hz = h_a.values + _unfold(kg_parts, shape)
+        current, us, g_parts = 0.0, [None] * 4, np.zeros((4, len(self._quad)))
+        for b in excited:
+            lu, piv, row_scale = self._factors[b]
+            fluxoid = [self._hole_w @ parts[b][self._hole_q]] if b == 0 else []
+            u = us[b] = -0.25 * np.append(parts[b][self._film_q], fluxoid) / row_scale
+            n, one, info = c_int64(len(lu)), c_int64(1), c_int64()
+            _dgetrs(b"N", n, one, lu, n, piv, u, n, info, 1)  # u: rhs, then solution
+            if info.value != 0:
+                raise SolverError(f"LU solve failed: getrs info {info.value}")
+            g_parts[b][self._film_q] = u[:len(self._film_q)]
+            if b == 0:
+                current = g_parts[0][self._hole_q] = u[-1]  # I, even-even
+        g = _unfold(g_parts.reshape(4, *images[0].shape), shape)
+        return StreamSolution(g=FieldMap(self.grid, g), h_a=h_a, aperture_current=float(current),
+                              _h_z=partial(self._h_z, h_a.values, g, us))
+
+    def _h_z(self, h_a, g, us, exterior) -> np.ndarray:
+        """h_z from h_a, g and the block solutions `us` (None if not excited): the
+        London stencil on film rows, h_a + K g elsewhere, h_a alone beyond the film
+        unless `exterior`.  Exterior rows an excited block lacks are folded first, once."""
+        excited = [b for b, u in enumerate(us) if u is not None]
+        missing = [b for b in excited if self._outside_rows[b] is None]
+        if exterior and missing:
+            folded = _fold_kernel(self.grid, self._quad, self._film_q, self._hole_q, self._hole_w,
+                                  self._outside, missing, system=False)[1]
+            for b in missing:
+                self._outside_rows[b] = folded[b]
+        parts = np.zeros((4, len(self._quad)))
+        for b in excited:
+            parts[b][self._keep] = self._kernel[b] @ us[b]
+            if exterior:
+                parts[b][self._outside] = self._outside_rows[b] @ us[b]
+        hz = h_a + _unfold(parts.reshape(4, self.grid.n_x // 2, -1), (self.grid.n_x, self.grid.n_y))
         hz[self._film] = apply_stencil(self._stencil, g)[self._film]
-        return StreamSolution(g=FieldMap(self.grid, g), h_z=FieldMap(self.grid, hz),
-                              h_a=h_a, aperture_current=float(current))
+        return hz
 
     def solve(self, dipole: Dipole) -> StreamSolution:
         if not self.geometry.contains(dipole.position[0], dipole.position[1]):

@@ -10,7 +10,9 @@ from scaperture.experiments.grids import place, solve_scenario
 import scaperture.experiments.sweeps as sweeps
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse, FilmSpec
-from scaperture.grid import REGION_APERTURE
+from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR
+from scaperture.io.config import preset_config
+from scaperture.solver import system as system_module
 from scaperture.analytic.free_dipole import free_dipole_field
 
 
@@ -206,6 +208,27 @@ def test_solve_scenario_reads_b_z_off_the_solver_field():
     h_line = solved.solution.h_z.values[solved.line]
     assert np.array_equal(solved.b_z, MU0 * h_line)
     assert solved.b_probe == MU0 * h_line[solved.probe]
+
+
+def test_sweep_and_coupling_fold_no_exterior_kernel_row(monkeypatch):
+    # both read one probe inside the aperture, so no kernel row of a point
+    # beyond the film is ever made
+    labels, fold = [], system_module.folded_kernel_rows
+
+    def spy(grid, rows, *args):
+        labels.append(grid.region[rows])
+        return fold(grid, rows, *args)
+
+    monkeypatch.setattr(system_module, "folded_kernel_rows", spy)
+    cfg = preset_config("fig5c", "sweep")
+    assert cfg.engine == "numeric"
+    sweep(cfg.scenario, cfg.sweep_d, list(cfg.sweep_radii), cfg.engine,
+          geometry=cfg.geometry, moment=cfg.moment, n=cfg.n, film=cfg.film)
+    swept = len(labels)
+    cfg = preset_config("coupling300", "coupling")
+    numeric_coupling(cfg.geometry, cfg.sweep_d, moment=cfg.moment, n=cfg.n, film=cfg.film)
+    assert 0 < swept < len(labels)
+    assert not np.any(np.concatenate(labels) == REGION_EXTERIOR)
 
 
 def test_sweep_lengths_follow_caption_relations():
