@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scaperture.constants import DEFAULT_MOMENT, EVAL_Y
+from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MU0
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.experiments.sweeps import closed_form_line
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
@@ -54,7 +54,7 @@ def compare_engines(
         raise ConfigurationError(f"the comparison band ({band[0]} to {band[1]} R on the line, "
                                  "clear of the dipole's core) holds no grid points; refine the grid")
 
-    numeric_bz = solved.b_z[in_band]
+    numeric_bz = MU0 * hz[in_band]
     analytic_bz = closed_form_line(moment, radius, x0, xs[in_band])
 
     delta_db = 20.0 * np.log10(np.abs(numeric_bz / analytic_bz))

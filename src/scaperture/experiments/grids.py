@@ -15,7 +15,6 @@ numeric caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +58,7 @@ def scenario_grid(
 
 @dataclass(frozen=True)
 class ScenarioSolution:
-    """A solved scenario and its field along the evaluation line."""
+    """A solved scenario, its evaluation line and its probe."""
 
     grid: Grid
     system: solver.BrandtSystem
@@ -67,11 +66,6 @@ class ScenarioSolution:
     dipole: Dipole
     line: np.ndarray    # flat grid indices of the line y = EVAL_Y, by increasing x
     probe: int          # index of the probe on the line
-
-    @cached_property
-    def b_z(self) -> np.ndarray:
-        """B_z on the line, tesla; its ends, beyond the film, fold kernel rows."""
-        return MU0 * self.solution.h_z.values[self.line]
 
     @property
     def b_probe(self) -> float:
@@ -100,7 +94,7 @@ def solve_scenario(
     probe_x: float,
 ) -> ScenarioSolution:
     """Solve a z dipole of `moment` at (dipole_x, 0) on the scenario grid
-    and read B_z along y = EVAL_Y and at the probe (probe_x, EVAL_Y).
+    and find the line y = EVAL_Y and the probe (probe_x, EVAL_Y) on its grid.
     """
     grid = scenario_grid(geometry, film, n, dipole_x=dipole_x, probe_x=probe_x)
     dipole = Dipole(position=[dipole_x, 0.0, 0.0], moment=[0.0, 0.0, moment])

@@ -63,13 +63,13 @@ def sweep(
     the left edge (shifted, L = 2 (r - d)), every radius before any solve.
     The analytic engine needs circles; the numeric one sizes each radius's
     film and grid by `film`'s factors.  Both read the probe on y = EVAL_Y.
-    The power-law fit needs at least MIN_FIT_RADII radii.
+    The power-law fit needs at least MIN_FIT_RADII distinct radii.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}")
     radii = np.sort(np.asarray(radii, dtype=float))
-    if len(radii) < MIN_FIT_RADII:
-        raise ConfigurationError(f"the power-law fit needs at least {MIN_FIT_RADII} radii")
+    if len(set(radii.tolist())) < MIN_FIT_RADII:
+        raise ConfigurationError(f"the fit needs at least {MIN_FIT_RADII} radii that differ")
     if geometry is None or isinstance(geometry, Circle):
         geometries = [Circle(r) for r in radii]
     elif isinstance(geometry, Ellipse):

@@ -129,8 +129,8 @@ class FilmSpec:
     """Material of the superconducting film, and its extent and the grid's
     in units of the aperture's scale radius, max(edge_x, edge_y).
 
-    `film_factor > 1` keeps every aperture inside its film: the scale radius
-    is the largest aperture dimension of every shape.
+    `film_factor > 1` keeps every aperture, whose largest dimension is the
+    scale radius, inside its film; `grid_factor > film_factor` leaves room beyond it.
     """
 
     london_depth: float = DEFAULT_LONDON_DEPTH
@@ -143,8 +143,8 @@ class FilmSpec:
             raise ConfigurationError("london_depth and thickness must be positive")
         if not self.film_factor > 1:
             raise ConfigurationError("film_factor must exceed 1, so the film covers its aperture")
-        if not self.grid_factor >= self.film_factor:
-            raise ConfigurationError("grid_factor must be >= film_factor")
+        if not self.grid_factor > self.film_factor:
+            raise ConfigurationError("grid_factor must exceed film_factor")
 
     @property
     def pearl_length(self) -> float:

@@ -165,10 +165,10 @@ def make_grid(
     the `refine_x`/`refine_y` positions (m, each mirrored by the axis symmetry).
 
     Spacing there is h_edge = h_cap / `refinement_ratio` and grows with
-    slope GRADING_SLOPE away from them.  The far spacing h_cap is half the
-    exterior ring width, so the film boundary is always sampled, or 5 % of
-    the grid half extent when the film reaches the grid edge.  An anchor is
-    snapped onto its axis as an exact +- coordinate pair.
+    slope GRADING_SLOPE away from them up to h_cap, half the exterior ring
+    width.  Only that ratio is fixed, the spacings rescale with n: a coarse
+    grid may have no point beyond the film (the R = 1 um circle's scenario
+    grid below n = 20).  An anchor is snapped on as an exact +- pair.
     """
     if n < 16:
         raise ConfigurationError("need at least 16 points per axis")
@@ -176,8 +176,6 @@ def make_grid(
         raise ConfigurationError("refinement_ratio must be >= 1")
     F, X = film.half_extents(geometry)
     h_cap = 0.5 * (X - F)
-    if h_cap <= 0:
-        h_cap = 0.05 * X
     h_edge = h_cap / refinement_ratio
     x = graded_axis(n, X, [geometry.edge_x, *refine_x], h_edge, h_cap)
     y = graded_axis(n, X, [geometry.edge_y, *refine_y], h_edge, h_cap)

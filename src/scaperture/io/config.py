@@ -8,6 +8,7 @@ scenario; sweeps carry explicit radius lists so runs stay reproducible.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +48,7 @@ _GEOMETRIES = {
 }
 # the keys of each config section but the geometry, whose keys follow its kind
 _SECTIONS = {
-    "film": ("london_depth_nm", "thickness_nm", "film_factor", "grid_factor"),
+    "film": ("london_depth_nm", "thickness_nm"),
     "dipole": ("moment",),
     "grid": ("n",),
     "sweep": ("d_nm", "radii_nm"),
@@ -66,10 +67,11 @@ def _checked(doc, name: str, keys=None) -> dict:
     return doc
 
 
-def _count(doc: dict, name: str, key: str, default: int) -> int:
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name}.{key} must be an integer, not {value!r}")
+def _number(doc, name: str, key, default=None, types=(int, float)):
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) not in types or not abs(value) <= sys.float_info.max:
+        kind = "a finite real number" if float in types else "an integer"
+        raise ValueError(f"{name}.{key} must be {kind}, not {value!r}")
     return value
 
 
@@ -79,7 +81,7 @@ def _geometry_from(doc: dict) -> ApertureGeometry:
         raise ConfigurationError(f"geometry.kind: unknown value {kind!r}")
     cls, fields = _GEOMETRIES[kind]
     _checked(doc, "geometry", ("kind", *(f"{f}_nm" for f in fields)))
-    return cls(**{f: doc[f"{f}_nm"] * _NM for f in fields})
+    return cls(**{f: _number(doc, "geometry", f"{f}_nm") * _NM for f in fields})
 
 
 def parse_config(doc: dict, command: str) -> ScenarioConfig:
@@ -88,23 +90,19 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
         film_doc, dipole_doc, grid_doc, sweep_doc, analytic_doc = (
             _checked(doc.get(name, {}), name, keys) for name, keys in _SECTIONS.items())
         geometry = _geometry_from(doc.get("geometry", {"kind": "circle", "radius_nm": 1000}))
-        film = FilmSpec(
-            london_depth=film_doc.get("london_depth_nm", 50) * _NM,
-            thickness=film_doc.get("thickness_nm", 80) * _NM,
-            film_factor=film_doc.get("film_factor", 90),
-            grid_factor=film_doc.get("grid_factor", 100),
-        )
+        radii = sweep_doc.get("radii_nm", [])
         cfg = ScenarioConfig(
             geometry=geometry,
-            film=film,
-            moment=dipole_doc.get("moment", DEFAULT_MOMENT),
-            n=_count(grid_doc, "grid", "n", 60),
+            film=FilmSpec(london_depth=_number(film_doc, "film", "london_depth_nm", 50) * _NM,
+                          thickness=_number(film_doc, "film", "thickness_nm", 80) * _NM),
+            moment=_number(dipole_doc, "dipole", "moment", DEFAULT_MOMENT),
+            n=_number(grid_doc, "grid", "n", 60, (int,)),
             engine=doc.get("engine", "numeric"),
             scenario=doc.get("scenario", "centered"),
-            sweep_d=sweep_doc.get("d_nm", 100.0) * _NM,
-            sweep_radii=tuple(r * _NM for r in sweep_doc.get("radii_nm", [])),
+            sweep_d=_number(sweep_doc, "sweep", "d_nm", 100.0) * _NM,
+            sweep_radii=tuple(_number(radii, "sweep.radii_nm", i) * _NM for i in range(len(radii))),
             analytic_kind=analytic_doc.get("kind", "curve"),
-            analytic_samples=_count(analytic_doc, "analytic", "samples", 200),
+            analytic_samples=_number(analytic_doc, "analytic", "samples", 200, (int,)),
             raw=doc,
         )
         _validate(cfg, command)
@@ -148,8 +146,7 @@ def load_config(path: str | Path, command: str) -> ScenarioConfig:
 def _doc(**over):
     doc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80,
-                 "film_factor": 90, "grid_factor": 100},
+        "film": {"london_depth_nm": 50, "thickness_nm": 80},
         "grid": {"n": 60},
     }
     doc.update(over)

@@ -276,7 +276,7 @@ class BrandtSystem:
         film_rows = (grid.region == REGION_FILM) & self._stencil.any(axis=0).ravel()
         self._film = np.flatnonzero(film_rows)
 
-        self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)
+        self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)  # perfbench's unknown count
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
         quad = self._quad = _mirror_views(flat)[0].ravel()
         region_q = grid.region[quad]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,15 +78,16 @@ def test_cli_usage_and_config_exit_codes(tmp_path, capsys):
 
 
 def test_cli_sweep_with_too_few_radii_is_config_error(tmp_path, capsys):
-    # the power-law fit needs five radii; fewer used to end in an AttributeError
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(
-        {"engine": "analytic", "sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000]}}
-    ))
-    out = tmp_path / "o"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert "radii" in capsys.readouterr().err
-    assert not (out / "sweep.json").exists()
+    # the power-law fit needs five radii that differ; fewer used to end in an
+    # AttributeError, and five equal ones in a LinAlgError after the sweep
+    for radii in ([500, 1000, 2000], [1000] * 5):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"engine": "analytic",
+                                    "sweep": {"d_nm": 100, "radii_nm": radii}}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "at least 5 radii that differ" in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
 
 @pytest.mark.parametrize("window", [0, 1, 2, 7])
@@ -115,6 +117,21 @@ _RADII = {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]}
     ("analytic", {"analytic": {"samples": 20.5}}, "analytic.samples must be an integer"),
     ("solve", {"film": []}, "film must be an object"),
     ("solve", {"geometry": "circle"}, "geometry must be an object"),
+    # true read as 1 and an infinity as a length: each exited 0, ended in a
+    # traceback (exit 1) or in an error that did not name the key
+    ("coupling", {"dipole": {"moment": True}}, "dipole.moment must be a finite real number"),
+    ("sweep", {"sweep": {"d_nm": True, "radii_nm": _RADII["radii_nm"]}},
+     "sweep.d_nm must be a finite real number"),
+    ("solve", {"geometry": {"kind": "circle", "radius_nm": True}, "sweep": {"d_nm": 0.5}},
+     "geometry.radius_nm must be a finite real number"),
+    ("sweep", {"sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, math.inf]}},
+     "sweep.radii_nm.4 must be a finite real number"),
+    ("solve", {"film": {"london_depth_nm": math.inf}}, "film.london_depth_nm must be a finite"),
+    ("solve", {"film": {"thickness_nm": True}}, "film.thickness_nm must be a finite real number"),
+    ("coupling", {"geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": math.inf}},
+     "geometry.b_nm must be a finite real number"),
+    ("compare", {"dipole": {"moment": math.nan}}, "dipole.moment must be a finite real number"),
+    ("solve", {"sweep": {"d_nm": 10**400}}, "sweep.d_nm must be a finite real number"),
 ])
 def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, doc, message):
     cfgfile = tmp_path / "cfg.json"
@@ -470,16 +487,16 @@ def test_cli_compare_with_an_empty_band_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "compare", "coupling"])
-def test_cli_film_reaching_the_grid_edge(tmp_path, command):
-    # film_factor = grid_factor leaves no exterior ring; the scenario grid
-    # graded with spacing 0 there and its anchors collided
+@pytest.mark.parametrize("key", ["film_factor", "grid_factor"])
+def test_cli_film_extents_are_not_settings(tmp_path, capsys, command, key):
+    # the film and grid extents are FilmSpec's defaults for every command;
+    # the keys used to be read, and have no alias
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
-        "film": {"film_factor": 100, "grid_factor": 100},
-        "grid": {"n": 60},
-        "sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]},
-    }))
-    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == EXIT_OK
+    cfgfile.write_text(json.dumps({"film": {key: 90}, "grid": {"n": 24}, "sweep": _RADII}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert f"film: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_grid_override(tmp_path):
@@ -521,7 +538,6 @@ def test_cli_dogbone_wider_channel_is_config_error(tmp_path, capsys):
     cfgfile.write_text(json.dumps({
         "geometry": {"kind": "dogbone", "end_radius_nm": 100, "center_distance_nm": 300,
                      "channel_half_width_nm": 1000},
-        "film": {"film_factor": 2},
         "grid": {"n": 24},
     }))
     out = tmp_path / "o"
@@ -652,21 +668,3 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, ca
     assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert "configuration error" in capsys.readouterr().err
-
-
-def test_cli_numeric_commands_honour_film_factors(tmp_path):
-    # a smaller film and grid around the same aperture move the partner field
-    for command, output in (("coupling", "coupling.json"), ("sweep", "sweep.json")):
-        results = []
-        for film_factor, grid_factor in ((90, 100), (40, 50)):
-            doc = json.loads(json.dumps(PRESETS["coupling300"]))
-            doc["film"].update(film_factor=film_factor, grid_factor=grid_factor)
-            doc["grid"]["n"] = 24
-            doc["sweep"]["radii_nm"] = [300, 400, 500, 600, 700]
-            doc["scenario"] = "shifted"  # a sweep of the preset's ellipse, at fixed b
-            cfgfile = tmp_path / f"{command}{film_factor}.json"
-            cfgfile.write_text(json.dumps(doc))
-            out = tmp_path / f"{command}{film_factor}"
-            assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
-            results.append((out / output).read_bytes())
-        assert results[0] != results[1], command

@@ -131,14 +131,16 @@ def test_centred_sweep_of_an_ellipse_varies_a_at_fixed_b(monkeypatch):
 
 
 def test_sweep_with_too_few_radii_raises_before_solving(monkeypatch):
-    # three radii used to return fit=None after solving all three
+    # three radii used to return fit=None after solving all three; a repeated
+    # radius adds no point to the fit, where numpy raised LinAlgError
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_scenario called before the radius count was checked")
 
     monkeypatch.setattr(sweeps, "solve_scenario", no_solve)
-    for engine in ("analytic", "numeric"):
-        with pytest.raises(ConfigurationError, match="at least 5 radii"):
-            sweep("centered", 100e-9, [500e-9, 1e-6, 2e-6, 4e-6], engine)
+    for radii in ([500e-9, 1e-6, 2e-6, 4e-6], [1e-6] * 5, [500e-9, 1e-6, 1e-6, 2e-6, 4e-6]):
+        for engine in ("analytic", "numeric"):
+            with pytest.raises(ConfigurationError, match="at least 5 radii that differ"):
+                sweep("centered", 100e-9, radii, engine)
 
 
 def test_sweep_engines_read_one_line(monkeypatch):
@@ -206,7 +208,6 @@ def test_solve_scenario_reads_b_z_off_the_solver_field():
     solved = solve_scenario(geometry, FilmSpec(), 40, dipole_x=0.0,
                             moment=DEFAULT_MOMENT, probe_x=0.9e-6)
     h_line = solved.solution.h_z.values[solved.line]
-    assert np.array_equal(solved.b_z, MU0 * h_line)
     assert solved.b_probe == MU0 * h_line[solved.probe]
 
 
@@ -307,6 +308,7 @@ def test_probe_inside_return_flux_core_rejected():
     # (900, 5) nm at e^2 = 0.18; its reading would be the core's bump
     solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, dipole_x=850e-9,
                             moment=DEFAULT_MOMENT, probe_x=0.9e-6)
-    assert np.isfinite(solved.b_z).all()  # the line itself is still a solution
+    # the line itself is still a solution
+    assert np.isfinite(solved.solution.h_z.values[solved.line]).all()
     with pytest.raises(ConfigurationError, match="return-flux core"):
         solved.b_probe

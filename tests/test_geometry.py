@@ -120,6 +120,9 @@ def test_default_film_factors():
 
 
 def test_grid_extent_ordering_enforced():
-    with pytest.raises(ConfigurationError, match="grid_factor"):
-        FilmSpec(film_factor=2.0, grid_factor=1.5)
-    FilmSpec(film_factor=2.0, grid_factor=2.0)  # a film reaching the grid edge
+    # the grid must reach beyond the film: equal factors leave no room for a
+    # point beyond it and are rejected like a grid inside the film
+    for grid_factor in (1.5, 2.0):
+        with pytest.raises(ConfigurationError, match="grid_factor"):
+            FilmSpec(film_factor=2.0, grid_factor=grid_factor)
+    FilmSpec(film_factor=2.0, grid_factor=np.nextafter(2.0, 3.0))

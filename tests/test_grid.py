@@ -163,7 +163,7 @@ def test_axis_points_on_the_grid_edge_rejected():
     # a point on the grid square's edge sits on its own cell's outer edge,
     # where the kernel's self entry, the integral outside the cell, diverges
     geom = Circle(1e-6)
-    film = FilmSpec(film_factor=20.0, grid_factor=20.0)
+    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
     axis = make_grid(geom, film, 24, 40.0).x
     build_grid(geom, film, axis, axis)
     X = film.half_extents(geom)[1]

@@ -361,15 +361,18 @@ def test_exact_hole_keeps_the_system_well_conditioned():
 
 
 def test_kernel_rows_kept_for_film_on_the_grid_edge():
-    # a film reaching the grid edge has film points without an operator row
-    geom = Circle(R)
-    film = FilmSpec(film_factor=20, grid_factor=20)
-    grid = make_grid(geom, film, 24, 40.0)
+    # at n = 16 the default film's scenario grid has no point beyond the
+    # film, whose points on the grid edge have no operator row
+    cfg = preset_config("fig7a", "solve")
+    geom, film = cfg.geometry, cfg.film
+    dipole_x, probe_x = place(cfg.scenario, geom, cfg.sweep_d)
+    grid = scenario_grid(geom, film, 16, dipole_x=dipole_x, probe_x=probe_x)
     assert not np.any(grid.region == REGION_EXTERIOR)
     system = BrandtSystem(geom, film, grid)
     assert np.array_equal(system._keep, kept_kernel_rows(grid))
+    assert np.count_nonzero(grid.region[system._quad[system._keep]] == REGION_FILM) == 15
 
-    sol = system.solve(z_dipole())
+    sol = system.solve(z_dipole(x=dipole_x))
     rebuilt = sol.h_a.values + cell_integrated_kernel(grid) @ sol.g.values
     assert np.abs(sol.h_z.values - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
 
