@@ -1,20 +1,1 @@
-from scaperture.analytic.asymptotes import edge_asymptote
-from scaperture.analytic.centered import field_centered, n_vector, vector_potential_centered
-from scaperture.analytic.free_dipole import free_dipole_field
-from scaperture.analytic.green import GreenEval, green_circular, green_source_gradient
-from scaperture.analytic.inplane import field_inplane
-from scaperture.analytic.shifted import field_shifted, field_shifted_bz_plane
-
-__all__ = [
-    "GreenEval",
-    "edge_asymptote",
-    "field_centered",
-    "field_inplane",
-    "field_shifted",
-    "field_shifted_bz_plane",
-    "free_dipole_field",
-    "green_circular",
-    "green_source_gradient",
-    "n_vector",
-    "vector_potential_centered",
-]
+"""Closed forms for a point dipole in a circular aperture at zero penetration depth."""

@@ -8,19 +8,10 @@ and its exact partial derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from scaperture.analytic.green import SQRT2, SingularityError
 from scaperture.constants import MU0
-
-
-@dataclass(frozen=True)
-class NVector:
-    n: np.ndarray        # scaled direction vector, same shape as r
-    c: np.ndarray        # radial scaling factor, dimensionless
-    alpha: np.ndarray    # auxiliary ratio, dimensionless
 
 
 def _alpha_parts(r, radius):
@@ -37,20 +28,6 @@ def _alpha_parts(r, radius):
     alpha = np.sqrt(t) / (SQRT2 * rr)
     c = (2 / np.pi) * (np.arctan(alpha) + alpha / (1 + alpha * alpha))
     return rho2, r2, rr, s, t, alpha, c
-
-
-def n_vector(r, radius: float) -> NVector:
-    """Scaled direction vector n, its coefficient C and the ratio alpha.
-
-    n = C * (x, y, 0) + (0, 0, z); on the superconductor alpha = 0 so n
-    vanishes, and for an infinitely large aperture C -> 1 so n -> r.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(np.linalg.norm(np.atleast_2d(r), axis=-1) == 0.0):
-        raise SingularityError("n is undefined at the origin")
-    *_, alpha, c = _alpha_parts(r, radius)
-    n = np.stack([c * r[..., 0], c * r[..., 1], r[..., 2]], axis=-1)
-    return NVector(n=n, c=c, alpha=alpha)
 
 
 def _c_and_partials(r, radius):
@@ -126,12 +103,3 @@ def field_centered(moment, r, radius: float) -> np.ndarray:
         + moment * (div_n - 3 * r_dot_nhat)[..., None]
     )
     return field[0] if scalar else field
-
-
-def vector_potential_centered(moment, r, radius: float) -> np.ndarray:
-    """Vector potential (tesla meter) of the centered dipole, mu0/(4 pi) m x n / r^2."""
-    moment = np.asarray(moment, dtype=float)
-    r = np.asarray(r, dtype=float)
-    nv = n_vector(r, radius)
-    rr = np.linalg.norm(np.atleast_2d(r), axis=-1).reshape(r.shape[:-1])
-    return MU0 / (4 * np.pi) * np.cross(moment, nv.n) / (rr**3)[..., None]

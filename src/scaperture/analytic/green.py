@@ -1,4 +1,5 @@
-"""Dirichlet kernel of an infinite film with a circular aperture.
+"""Source gradient of the Dirichlet kernel of an infinite film with a
+circular aperture, which the shifted dipole's field is built from.
 
 The kernel is stored normalized (one factor of the vacuum permittivity
 cancelled against the vector-potential prefactor), so values carry units of
@@ -15,8 +16,6 @@ configurations evaluate the same closed form and are exact only in limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -24,18 +23,6 @@ SQRT2 = np.sqrt(2.0)
 
 class SingularityError(ValueError):
     """Evaluation requested at a singular point of a closed form."""
-
-
-@dataclass(frozen=True)
-class GreenEval:
-    """Kernel value (1/length) with its building blocks."""
-
-    value: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-    epsilon_sign: np.ndarray
 
 
 def _mirror_normalize(r, r_src):
@@ -75,39 +62,6 @@ def _epsilon(u, up, z, zp):
     when both points lie strictly inside the aperture."""
     arg = z * up + zp * u
     return np.where(arg != 0.0, np.sign(arg), np.where((u < 0) & (up < 0), -1.0, 1.0))
-
-
-def green_circular(r, r_src, radius: float) -> GreenEval:
-    """Normalized Dirichlet kernel for the circular aperture of given radius.
-
-    Accepts field points of shape (..., 3) and a single source point.
-    Vanishes identically for field points on the superconductor and is
-    symmetric under exchange of the two arguments.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    r = np.asarray(r, dtype=float)
-    r_src = np.asarray(r_src, dtype=float)
-    scalar = r.ndim == 1
-    r = np.atleast_2d(r)
-    if np.any(np.linalg.norm(r - r_src, axis=-1) == 0.0):
-        raise SingularityError("kernel is singular at coincident points")
-
-    rn, rpn, _ = _mirror_normalize(r, r_src)
-    u, up, _, _, _, _, f_minus, f_plus, d_minus, d_plus = _parts(rn, rpn, radius)
-    eps = _epsilon(u, up, rn[..., 2], rpn[..., 2])
-    term_minus = (1.0 + (2 / np.pi) * np.arctan(f_minus / d_minus)) / d_minus
-    term_plus = (1.0 + eps * (2 / np.pi) * np.arctan(f_plus / d_plus)) / d_plus
-    value = (term_minus - term_plus) / (8 * np.pi)
-    idx = 0 if scalar else ...
-    return GreenEval(
-        value=value[idx],
-        f_plus=f_plus[idx],
-        f_minus=f_minus[idx],
-        d_plus=d_plus[idx],
-        d_minus=d_minus[idx],
-        epsilon_sign=eps[idx],
-    )
 
 
 def green_source_gradient(r, r_src, radius: float) -> np.ndarray:

@@ -136,6 +136,8 @@ def load_config(path: str | Path, command: str) -> ScenarioConfig:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise ConfigurationError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read the config: {exc.strerror}") from exc
     if not isinstance(doc, dict) or not doc:

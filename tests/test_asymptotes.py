@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from scaperture.analytic.asymptotes import edge_asymptote
-from scaperture.analytic.free_dipole import free_dipole_field
 from scaperture.analytic.green import SingularityError
 from scaperture.analytic.inplane import field_inplane
 from scaperture.constants import MU0
+
+from analytic_oracles import edge_asymptote, free_dipole_field
 
 
 def test_centered_power_law_ratio():

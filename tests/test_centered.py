@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from scaperture.analytic.centered import field_centered, n_vector, vector_potential_centered
-from scaperture.analytic.free_dipole import free_dipole_field
+from scaperture.analytic.centered import field_centered
 from scaperture.analytic.green import SingularityError
 from scaperture.constants import MU0
+
+from analytic_oracles import free_dipole_field, n_vector, vector_potential_centered
 
 
 def test_n_vanishes_on_boundary():

@@ -77,6 +77,15 @@ def test_cli_usage_and_config_exit_codes(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_cli_integer_over_the_digit_limit_is_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than Python's 4,300-digit conversion limit
+    path = tmp_path / "huge.json"
+    path.write_text('{"dipole": {"moment": 1' + "0" * 5000 + "}}")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_sweep_with_too_few_radii_is_config_error(tmp_path, capsys):
     # the power-law fit needs five radii that differ; fewer used to end in an
     # AttributeError, and five equal ones in a LinAlgError after the sweep

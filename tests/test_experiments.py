@@ -13,7 +13,8 @@ from scaperture.geometry import Circle, ConfigurationError, DogBone, Ellipse, Fi
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR
 from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
-from scaperture.analytic.free_dipole import free_dipole_field
+
+from analytic_oracles import free_dipole_field
 
 
 def test_analytic_centered_sweep_slope():

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from scaperture.analytic.green import (
-    GreenEval,
-    SingularityError,
-    green_circular,
-    green_source_gradient,
-)
+from scaperture.analytic.green import SingularityError, green_source_gradient
+
+from analytic_oracles import GreenEval, green_circular
 
 
 def random_same_side(rng, n, spread=1.5):

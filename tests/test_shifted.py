@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from scaperture.analytic.centered import field_centered
-from scaperture.analytic.green import SingularityError, green_circular, green_source_gradient
+from scaperture.analytic.green import SingularityError, green_source_gradient
 from scaperture.analytic.inplane import field_inplane
 from scaperture.analytic.shifted import field_shifted, field_shifted_bz_plane
 from scaperture.constants import MU0
 from scaperture.geometry import ConfigurationError
+
+from analytic_oracles import green_circular
 
 R = 1.0
 

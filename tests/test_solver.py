@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from scaperture.analytic.free_dipole import free_dipole_field
 from scaperture.cli import EXIT_CONFIG, EXIT_SOLVER, main
 from scaperture.constants import DEFAULT_MOMENT, ELECTRON_G, BOHR_MAGNETON, MU0
 from scaperture.experiments.grids import place, scenario_grid
@@ -14,6 +13,7 @@ from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
 from scaperture.solver.system import BrandtSystem, SolverError, compensated_source
 
+from analytic_oracles import free_dipole_field
 from kernel_oracles import cell_integrated_kernel
 
 R = 1e-6

@@ -48,17 +48,18 @@ def test_package_names_load_on_access():
         scaperture.point_in_aperture
 
 
-def _scipy_modules_after(tmp_path, commands):
-    # the modules named scipy* that a fresh process holds after running commands
+def _modules_after(tmp_path, commands, package):
+    # the modules of `package` that a fresh process holds after running commands
     script = (
         "import json, sys\n"
         "from scaperture.cli import main\n"
         "for args in json.loads(sys.argv[1]):\n"
         "    assert main(args + ['--out', sys.argv[2] + args[2]]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[3])))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path / "out-")],
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path / "out-"),
+                          package],
                          capture_output=True, text=True, env=env, timeout=300, check=True)
     return json.loads(run.stdout.splitlines()[-1])
 
@@ -66,7 +67,7 @@ def _scipy_modules_after(tmp_path, commands):
 def test_closed_form_commands_load_no_numeric_scipy(tmp_path):
     # the constants are literals and the manifest records no scipy version
     commands = [["analytic", "--preset", preset] for preset in ("fig4", "fig3")]
-    assert _scipy_modules_after(tmp_path, commands) == []
+    assert _modules_after(tmp_path, commands, "scipy") == []
 
 
 def test_numeric_commands_load_no_scipy_linalg_or_sparse(tmp_path):
@@ -74,7 +75,20 @@ def test_numeric_commands_load_no_scipy_linalg_or_sparse(tmp_path):
     # own OpenBLAS, so not even the bare scipy package is loaded
     commands = [["sweep", "--preset", "fig5c", "--grid", "20"],
                 ["solve", "--preset", "fig7a", "--grid", "20"]]
-    assert _scipy_modules_after(tmp_path, commands) == []
+    assert _modules_after(tmp_path, commands, "scipy") == []
+
+
+def test_each_command_loads_only_the_library_modules_it_calls(tmp_path):
+    # the analytic and experiments packages re-export nothing, so a command
+    # loads the modules it imports from and no sibling
+    analytic = _modules_after(tmp_path, [["analytic", "--preset", preset]
+                                         for preset in ("fig4", "fig3")], "scaperture")
+    assert "scaperture.analytic.centered" in analytic
+    assert [m for m in analytic if m == "scaperture.analytic.shifted"
+            or m.startswith(("scaperture.solver", "scaperture.experiments"))] == []
+    sweep = _modules_after(tmp_path, [["sweep", "--preset", "fig5c", "--grid", "20"]], "scaperture")
+    assert "scaperture.experiments.sweeps" in sweep
+    assert {"scaperture.experiments.compare", "scaperture.experiments.coupling"} & set(sweep) == set()
 
 
 def test_solver_error_is_one_class_and_exits_3(tmp_path, monkeypatch):
