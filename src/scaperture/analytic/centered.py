@@ -61,16 +61,26 @@ def _c_and_partials(r, radius):
     return c, dc_dalpha * ax, dc_dalpha * ay, dc_dalpha * az
 
 
+_BLOCK = 1024  # points per block: a block's ~30 temporaries are freed before the next
+
+
 def field_centered(moment, r, radius: float) -> np.ndarray:
     """Magnetic field (tesla) of a point dipole at the aperture center.
 
     Derivative terms are evaluated from the closed-form partials of alpha.
     The edge ring (rho = R, z = 0) is excluded: the field diverges there.
+    Points are evaluated `_BLOCK` at a time, each independently of the rest.
     """
-    moment = np.asarray(moment, dtype=float)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 1
-    r = np.atleast_2d(r)
+    moment, r = np.asarray(moment, dtype=float), np.asarray(r, dtype=float)
+    points = r.reshape(-1, r.shape[-1])
+    field = np.empty(points.shape)
+    for a in range(0, len(points), _BLOCK):
+        field[a:a + _BLOCK] = _field_block(moment, points[a:a + _BLOCK], radius)
+    return field.reshape(r.shape)
+
+
+def _field_block(moment, r, radius: float) -> np.ndarray:
+    """`field_centered` at the points r (P, 3), all at once."""
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     rr = np.linalg.norm(r, axis=-1)
     if np.any(rr == 0.0):
@@ -97,9 +107,8 @@ def field_centered(moment, r, radius: float) -> np.ndarray:
     nhat = n / rr[..., None]
     m_dot_rhat = rhat @ moment
     r_dot_nhat = np.einsum("...a,...a->...", rhat, nhat)
-    field = (MU0 / (4 * np.pi * rr**3))[..., None] * (
+    return (MU0 / (4 * np.pi * rr**3))[..., None] * (
         3 * m_dot_rhat[..., None] * nhat
         - m_dot_grad_n
         + moment * (div_n - 3 * r_dot_nhat)[..., None]
     )
-    return field[0] if scalar else field

@@ -182,15 +182,18 @@ def _london_block(stencil: np.ndarray, film, hole, hole_w, b):
     return np.broadcast_to(unknown, cols.shape)[on], cols[on], (weight * c)[on]
 
 
+_FOLD_VALUES = 2**16  # per corner table of a batch (512 KiB); 2**14 folds n = 120 1.5x slower
+
+
 def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks, system=True):
     """Kernel rows of the quadrant points `quad`, folded into the parity
     `blocks` on the unknowns of `_london_block`: per block (None if not in
     `blocks`), the system buffer in Fortran order (film rows, then in block
     0 the fluxoid row, which sums kept hole rows; None unless `system`) and
-    the rows `keep`.  Rows are made per quadrant column of n_y / 2 points,
-    from the first to the last of those asked for there, and, since g = 0 on
-    the exterior, only on the corner rectangle of quadrant cells that holds
-    every film and hole point.
+    the rows `keep`.  Rows are made per quadrant column of n_y / 2 points, in
+    windows whose corner tables hold at most `_FOLD_VALUES` values, from the
+    first to the last asked for in each, and, since g = 0 on the exterior, only
+    on the corner rectangle of quadrant cells that holds every film and hole point.
     """
     nq, chunk, n_film = len(quad), grid.n_y // 2, len(film)
     used = (grid.region[quad] != REGION_EXTERIOR).reshape(-1, chunk)
@@ -203,9 +206,12 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks,
         systems[b] = np.empty((n, n), order="F") if system else None
         kept[b] = np.empty((len(keep), n))
     targets = [(film, systems), (keep, kept)] if system else [(keep, kept)]
-    for a in range(0, nq, chunk):
-        # the column's points of film and of keep are consecutive in the buffers
-        spans = [np.searchsorted(points, [a, a + chunk]) for points, _ in targets]
+    step = max(1, _FOLD_VALUES // ((cells[0] + 1) * (cells[1] + 1)))  # rows per window
+    windows = [(w, min(w + step, a + chunk)) for a in range(0, nq, chunk)
+               for w in range(a, a + chunk, step)]
+    for window in windows:
+        # the window's points of film and of keep are consecutive in the buffers
+        spans = [np.searchsorted(points, window) for points, _ in targets]
         asked = np.concatenate([points[i:j] for (points, _), (i, j) in zip(targets, spans)])
         if not asked.size:
             continue

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scaperture.analytic.centered import field_centered
+from scaperture.analytic.centered import _field_block, field_centered
 from scaperture.analytic.green import SingularityError
 from scaperture.constants import MU0
 
@@ -125,3 +127,36 @@ def test_vector_potential_zero_on_sigma():
         phi = rng.uniform(0, 2 * np.pi)
         a = vector_potential_centered(m, [rho * np.cos(phi), rho * np.sin(phi), 0.0], R)
         assert np.linalg.norm(a) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (1023, 3), (1024, 3), (1025, 3), (3079, 3),
+                                   (3,), (4, 700, 3)])
+def test_blocks_equal_one_whole_array_call(shape):
+    # every operation acts on one point, so evaluating 1,024 points at a time
+    # changes no bit of the result or its shape
+    rng = np.random.default_rng(4)
+    m, r = rng.normal(size=3), rng.normal(size=shape)
+    whole = _field_block(m, r.reshape(-1, 3), 1.3).reshape(shape)
+    assert np.array_equal(field_centered(m, r, 1.3), whole)
+
+
+@pytest.mark.parametrize("point", [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+def test_singular_point_in_the_last_block_rejected(point):
+    # the origin and the edge ring are rejected in whichever block they fall
+    r = np.random.default_rng(5).normal(size=(3079, 3))
+    r[-1] = point
+    with pytest.raises(SingularityError):
+        field_centered([0, 0, 1.0], r, 1.0)
+
+
+def test_working_set_does_not_grow_with_the_point_count():
+    # 100,000 points: the result is 2.3 MiB, the temporaries of one block of
+    # 1,024 points about 0.3 MiB; one whole-array `_field_block` call peaks at 31 MiB
+    r = np.random.default_rng(6).normal(size=(100_000, 3))
+    tracemalloc.start()
+    try:
+        field_centered([0, 0, 1.0], r, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

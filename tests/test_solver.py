@@ -288,6 +288,35 @@ def test_exterior_rows_are_folded_once_on_first_read(monkeypatch):
     assert folded == []
 
 
+def test_fold_windows_stay_in_one_column_and_change_no_bit(monkeypatch):
+    # at n = 120 a quadrant column of 60 rows is too long for one batch: its
+    # windows hold at most _FOLD_VALUES per corner table and never cross a
+    # column, and the folded systems and kept rows are those of whole columns
+    geom, film, grid = centered_grid(n=120)
+    system = BrandtSystem(geom, film, grid)
+    args = (grid, system._quad, system._film_q, system._hole_q, system._hole_w, system._keep, [0])
+    batches, fold = [], system_module.folded_kernel_rows
+
+    def spy(grid, rows, cells, blocks):
+        batches.append((np.searchsorted(system._quad, rows), cells))
+        return fold(grid, rows, cells, blocks)
+
+    monkeypatch.setattr(system_module, "folded_kernel_rows", spy)
+    systems, kept = system_module._fold_kernel(*args)
+    chunk = grid.n_y // 2
+    for at, cells in batches:
+        budget = system_module._FOLD_VALUES // ((cells[0] + 1) * (cells[1] + 1))
+        assert budget < chunk
+        assert len(at) <= budget and at[0] // chunk == at[-1] // chunk
+
+    batches.clear()
+    monkeypatch.setattr(system_module, "_FOLD_VALUES", 10**9)
+    whole_systems, whole_kept = system_module._fold_kernel(*args)
+    assert max(len(at) for at, _ in batches) > budget
+    assert np.array_equal(systems[0], whole_systems[0])
+    assert np.array_equal(kept[0], whole_kept[0])
+
+
 def test_condition_estimate_needs_no_solve():
     # read first, it factors the even-even block, the worst conditioned one
     cfg, grid, dipole = fig7a_scene()
