@@ -167,8 +167,9 @@ def make_grid(
     Spacing there is h_edge = h_cap / `refinement_ratio` and grows with
     slope GRADING_SLOPE away from them up to h_cap, half the exterior ring
     width.  Only that ratio is fixed, the spacings rescale with n: a coarse
-    grid may have no point beyond the film (the R = 1 um circle's scenario
-    grid below n = 20).  An anchor is snapped on as an exact +- pair.
+    grid may end inside the film, and the solver refuses such a grid (the
+    R = 1 um circle's scenario grid below n = 20).  An anchor is snapped on
+    as an exact +- pair.
     """
     if n < 16:
         raise ConfigurationError("need at least 16 points per axis")

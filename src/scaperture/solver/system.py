@@ -15,10 +15,10 @@ the aperture.  A block is assembled and factored the first time a source
 has a nonzero part of its parity (a centred dipole excites only the
 even-even block): the quadrant's kernel rows are folded into the blocks a
 few rows at a time, the folded five-point London stencil is added in, and
-the blocks are factored in place.  On a film row the system row is the
-London relation, so h_z there is the stencil applied to g; kernel rows,
-for h_z = h_a + K g, are kept only for the hole and the film's grid-edge
-points, and made for the exterior when its h_z is first read.
+the blocks are factored in place.  Every film point has a London row (a
+grid whose film reaches its edge ring is refused), so h_z there is the
+stencil applied to g; kernel rows, for h_z = h_a + K g, are kept only for
+the hole, and made for the exterior when its h_z is first read.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
     return FieldMap(grid, values)
 
 
-def _check_mirror_symmetric(grid: Grid) -> None:
+def _check_grid(grid: Grid) -> None:
+    """The solver's grid assumptions: mirror symmetry, and no film on the edge ring."""
     for name, axis in (("x", grid.x), ("y", grid.y)):
         if not (np.array_equal(axis, -axis[::-1]) and np.all(axis != 0.0)):
             raise ConfigurationError(
@@ -126,6 +127,9 @@ def _check_mirror_symmetric(grid: Grid) -> None:
     region = grid.region.reshape(grid.n_x, grid.n_y)
     if not (np.array_equal(region, region[::-1, :]) and np.array_equal(region, region[:, ::-1])):
         raise ConfigurationError("grid region labels must be mirror-symmetric in x and y")
+    if REGION_FILM in region[[0, -1]] or REGION_FILM in region[:, [0, -1]]:
+        raise ConfigurationError("the film reaches the grid edge, where the London stencil has "
+                                 "no row; raise n so that the grid extends beyond the film")
 
 
 def _mirror_views(a: np.ndarray):
@@ -185,15 +189,15 @@ def _london_block(stencil: np.ndarray, film, hole, hole_w, b):
 _FOLD_VALUES = 2**16  # per corner table of a batch (512 KiB); 2**14 folds n = 120 1.5x slower
 
 
-def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks, system=True):
+def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, blocks, rows=None):
     """Kernel rows of the quadrant points `quad`, folded into the parity
-    `blocks` on the unknowns of `_london_block`: per block (None if not in
-    `blocks`), the system buffer in Fortran order (film rows, then in block
-    0 the fluxoid row, which sums kept hole rows; None unless `system`) and
-    the rows `keep`.  Rows are made per quadrant column of n_y / 2 points, in
-    windows whose corner tables hold at most `_FOLD_VALUES` values, from the
-    first to the last asked for in each, and, since g = 0 on the exterior, only
-    on the corner rectangle of quadrant cells that holds every film and hole point.
+    `blocks` on the unknowns of `_london_block`, per block (None if not in
+    `blocks`): without `rows`, the system buffer in Fortran order (film rows,
+    then in block 0 the fluxoid row, which sums the hole rows) and the hole
+    rows; given `rows`, those rows alone.  Rows are made per quadrant column of
+    n_y / 2 points, in windows whose corner tables hold at most `_FOLD_VALUES`
+    values, from the first to the last asked for in each, and, since g = 0 on the
+    exterior, only on the corner rectangle of quadrant cells that holds every film and hole point.
     """
     nq, chunk, n_film = len(quad), grid.n_y // 2, len(film)
     used = (grid.region[quad] != REGION_EXTERIOR).reshape(-1, chunk)
@@ -203,29 +207,29 @@ def _fold_kernel(grid: Grid, quad: np.ndarray, film, hole, hole_w, keep, blocks,
     systems, kept = [None] * 4, [None] * 4
     for b in blocks:
         n = n_film + (b == 0)
-        systems[b] = np.empty((n, n), order="F") if system else None
-        kept[b] = np.empty((len(keep), n))
-    targets = [(film, systems), (keep, kept)] if system else [(keep, kept)]
+        systems[b] = np.empty((n, n), order="F") if rows is None else None
+        kept[b] = np.empty((len(hole if rows is None else rows), n))
+    targets = [(film, systems), (hole, kept)] if rows is None else [(rows, kept)]
     step = max(1, _FOLD_VALUES // ((cells[0] + 1) * (cells[1] + 1)))  # rows per window
     windows = [(w, min(w + step, a + chunk)) for a in range(0, nq, chunk)
                for w in range(a, a + chunk, step)]
     for window in windows:
-        # the window's points of film and of keep are consecutive in the buffers
+        # the window's points of each target are consecutive in its buffers
         spans = [np.searchsorted(points, window) for points, _ in targets]
         asked = np.concatenate([points[i:j] for (points, _), (i, j) in zip(targets, spans)])
         if not asked.size:
             continue
         lo = asked.min()
         folded = folded_kernel_rows(grid, quad[lo:asked.max() + 1], cells, blocks)
-        for b, rows in zip(blocks, folded):
+        for b, block in zip(blocks, folded):
             for (points, buffers), (i, j) in zip(targets, spans):
                 out, at = buffers[b][i:j], points[i:j] - lo
-                out[:, :n_film] = rows[np.ix_(at, film_c)]
+                out[:, :n_film] = block[np.ix_(at, film_c)]
                 if b == 0:
-                    out[:, n_film] = rows[np.ix_(at, hole_c)].sum(axis=1)
-    if system and 0 in blocks:
-        systems[0][n_film] = hole_w @ kept[0][np.searchsorted(keep, hole)]
-    return systems, kept
+                    out[:, n_film] = block[np.ix_(at, hole_c)].sum(axis=1)
+    if rows is None and 0 in blocks:
+        systems[0][n_film] = hole_w @ kept[0]
+    return (systems, kept) if rows is None else kept
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ class BrandtSystem:
     """
 
     def __init__(self, geometry: ApertureGeometry, film: FilmSpec, grid: Grid):
-        _check_mirror_symmetric(grid)
+        _check_grid(grid)
         lam_film = film.pearl_length
         if lam_film <= 0:
             raise ConfigurationError("pearl length must be positive")
@@ -277,12 +281,9 @@ class BrandtSystem:
         # points carries current, and a film-aperture face carries 2 Lambda
         self._stencil = div_lambda_grad(
             grid, np.where(grid.region == REGION_APERTURE, np.inf, lam_film))
-        # the system row of a film point with an operator row is the London
-        # relation, so h_z there is the operator applied to g
-        film_rows = (grid.region == REGION_FILM) & self._stencil.any(axis=0).ravel()
-        self._film = np.flatnonzero(film_rows)
-
-        self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)  # perfbench's unknown count
+        # a film point's system row is the London relation, so h_z there is
+        # the operator applied to g; perfbench counts these as the unknowns
+        self.solve_idx = np.flatnonzero(grid.region == REGION_FILM)
         flat = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
         quad = self._quad = _mirror_views(flat)[0].ravel()
         region_q = grid.region[quad]
@@ -290,12 +291,10 @@ class BrandtSystem:
         # I is even in x and in y, so the odd blocks have g = 0 on the hole
         self._hole_q = np.flatnonzero(region_q == REGION_APERTURE)
         self._hole_w = grid.weights[quad[self._hole_q]]
-        self._keep = np.flatnonzero(~film_rows[quad] & (region_q != REGION_EXTERIOR))
         self._outside = np.flatnonzero(region_q == REGION_EXTERIOR)
-        # per block: LU factors with the row scale, the kept kernel rows and the
-        # reciprocal condition estimate (by _factor), the exterior rows (by _h_z)
-        self._factors, self._kernel, self._rcond = [None] * 4, [None] * 4, [None] * 4
-        self._outside_rows = [None] * 4
+        # per block: LU factors with the row scale and the reciprocal condition
+        # estimate, the hole's kernel rows (both by _factor), the exterior rows (by _h_z)
+        self._factors, self._kernel, self._outside_rows = [None] * 4, [None] * 4, [None] * 4
 
     @property
     def condition_estimate(self) -> float:
@@ -304,7 +303,7 @@ class BrandtSystem:
         factored first if none is."""
         if not any(self._factors):
             self._factor([0])
-        rcond = min(r for r in self._rcond if r is not None)
+        rcond = min(factors[3] for factors in self._factors if factors is not None)
         # LAPACK's estimate is good to a small factor, and gecon's last digits
         # vary between runs with the same factors: keep 3 significant digits
         return float(f"{1.0 / max(rcond, 1e-300):.3g}")
@@ -313,7 +312,7 @@ class BrandtSystem:
         """Assemble, row-scale and LU-factor the parity `blocks` in place, all
         from one pass over the kernel rows."""
         unknowns = (self._film_q, self._hole_q, self._hole_w)
-        systems, kept = _fold_kernel(self.grid, self._quad, *unknowns, self._keep, blocks)
+        systems, kept = _fold_kernel(self.grid, self._quad, *unknowns, blocks)
         for b in blocks:
             system, (rows, cols, values) = systems[b], _london_block(self._stencil, *unknowns, b)
             np.add.at(system, (rows, cols), -values)
@@ -332,8 +331,7 @@ class BrandtSystem:
             rcond = _reciprocal_condition(system, anorm)
             if rcond < 1e-14:
                 raise SolverError(f"system is numerically singular (rcond {rcond:.2e} < 1e-14)")
-            self._factors[b] = system, piv, row_scale
-            self._kernel[b], self._rcond[b] = kept[b], rcond
+            self._factors[b], self._kernel[b] = (system, piv, row_scale, rcond), kept[b]
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
         """Solve for an explicit applied-field map (A/m)."""
@@ -347,7 +345,7 @@ class BrandtSystem:
             self._factor(missing)
         current, us, g_parts = 0.0, [None] * 4, np.zeros((4, len(self._quad)))
         for b in excited:
-            lu, piv, row_scale = self._factors[b]
+            lu, piv, row_scale, _ = self._factors[b]
             fluxoid = [self._hole_w @ parts[b][self._hole_q]] if b == 0 else []
             u = us[b] = -0.25 * np.append(parts[b][self._film_q], fluxoid) / row_scale
             n, one, info = c_int64(len(lu)), c_int64(1), c_int64()
@@ -369,16 +367,16 @@ class BrandtSystem:
         missing = [b for b in excited if self._outside_rows[b] is None]
         if exterior and missing:
             folded = _fold_kernel(self.grid, self._quad, self._film_q, self._hole_q, self._hole_w,
-                                  self._outside, missing, system=False)[1]
+                                  missing, rows=self._outside)
             for b in missing:
                 self._outside_rows[b] = folded[b]
         parts = np.zeros((4, len(self._quad)))
         for b in excited:
-            parts[b][self._keep] = self._kernel[b] @ us[b]
+            parts[b][self._hole_q] = self._kernel[b] @ us[b]
             if exterior:
                 parts[b][self._outside] = self._outside_rows[b] @ us[b]
         hz = h_a + _unfold(parts.reshape(4, self.grid.n_x // 2, -1), (self.grid.n_x, self.grid.n_y))
-        hz[self._film] = apply_stencil(self._stencil, g)[self._film]
+        hz[self.solve_idx] = apply_stencil(self._stencil, g)[self.solve_idx]
         return hz
 
     def solve(self, dipole: Dipole) -> StreamSolution:

@@ -213,8 +213,9 @@ def test_solve_scenario_reads_b_z_off_the_solver_field():
 
 
 def test_sweep_and_coupling_fold_no_exterior_kernel_row(monkeypatch):
-    # both read one probe inside the aperture, so no kernel row of a point
-    # beyond the film is ever made
+    # both read one probe inside the aperture, and compare reads its line's
+    # film and hole points, so no kernel row of a point beyond the film is
+    # ever made
     labels, fold = [], system_module.folded_kernel_rows
 
     def spy(grid, rows, *args):
@@ -229,7 +230,12 @@ def test_sweep_and_coupling_fold_no_exterior_kernel_row(monkeypatch):
     swept = len(labels)
     cfg = preset_config("coupling300", "coupling")
     numeric_coupling(cfg.geometry, cfg.sweep_d, moment=cfg.moment, n=cfg.n, film=cfg.film)
-    assert 0 < swept < len(labels)
+    coupled = len(labels)
+    for name in ("fig5a", "fig5b"):
+        cfg = preset_config(name, "compare")
+        compare_engines(cfg.scenario, cfg.geometry, cfg.sweep_d, moment=cfg.moment, n=cfg.n,
+                        film=cfg.film)
+    assert 0 < swept < coupled < len(labels)
     assert not np.any(np.concatenate(labels) == REGION_EXTERIOR)
 
 

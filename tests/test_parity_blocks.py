@@ -191,17 +191,17 @@ def test_quadrant_kernel_rows_match_cell_integrated_kernel():
         assert close(block, want[:, on_square.ravel()])
 
     # the build's maps: film rows on the block's unknowns, then in the
-    # even-even block the fluxoid row; the build kept its rows `_keep`
+    # even-even block the fluxoid row; the build kept the hole's rows
     film = np.flatnonzero(grid.region[quad_rows] == REGION_FILM)
     systems, kept = _fold_kernel(grid, quad_rows, film, system._hole_q, system._hole_w,
-                                 system._keep, [0, 1, 2, 3])
+                                 [0, 1, 2, 3])
     assert [len(b) for b in systems] == [len(film) + 1] + [len(film)] * 3
     for want, buffer, rows_kept, built, (collapse, fold) in zip(
             folded, systems, kept, system._kernel, dense_maps(system)):
         assert buffer.flags.f_contiguous
         assert close(buffer[:len(film)], want[film] @ collapse, film)
         assert np.array_equal(built, rows_kept)
-        assert close(built, want[system._keep] @ collapse, system._keep)
+        assert close(built, want[system._hole_q] @ collapse, system._hole_q)
         # the fluxoid row sums hole rows weighted by cell area, so its
         # round-off scale is that sum of the rows' peaks
         fluxoid = (fold @ want @ collapse)[len(film):]

@@ -166,14 +166,11 @@ def test_current_conservation_exact():
 
 
 def kept_kernel_rows(grid):
-    """Quadrant points whose kernel row the build keeps: aperture points, and
-    film points on the grid boundary, where div_lambda_grad has no row.  An
-    exterior point's row is made only when h_z there is read."""
+    """Quadrant points whose kernel row the build keeps: the aperture points,
+    since every film point has a London row.  An exterior point's row is
+    made only when h_z there is read."""
     h = grid.n_x // 2
-    region = grid.region.reshape(grid.n_x, grid.n_y)[h:, h:]
-    boundary = np.zeros((h, h), dtype=bool)
-    boundary[-1, :] = boundary[:, -1] = True
-    return np.flatnonzero((region == REGION_APERTURE) | (region == REGION_FILM) & boundary)
+    return np.flatnonzero(grid.region.reshape(grid.n_x, grid.n_y)[h:, h:] == REGION_APERTURE)
 
 
 def fig7a_scene():
@@ -202,7 +199,7 @@ def test_build_memory_and_kept_kernel_rows():
     assert peak <= 6.0 * 2**20
 
     want = kept_kernel_rows(grid)
-    assert np.array_equal(system._keep, want)
+    assert np.array_equal(system._hole_q, want)
     assert len(want) < 0.05 * (grid.n_x // 2) ** 2  # 34 of the 900 quadrant points
     system.solve(z_dipole(x=-0.3e-6, y=0.2e-6))  # off-axis: every block factored
     for kernel in system._kernel:
@@ -294,7 +291,7 @@ def test_fold_windows_stay_in_one_column_and_change_no_bit(monkeypatch):
     # column, and the folded systems and kept rows are those of whole columns
     geom, film, grid = centered_grid(n=120)
     system = BrandtSystem(geom, film, grid)
-    args = (grid, system._quad, system._film_q, system._hole_q, system._hole_w, system._keep, [0])
+    args = (grid, system._quad, system._film_q, system._hole_q, system._hole_w, [0])
     batches, fold = [], system_module.folded_kernel_rows
 
     def spy(grid, rows, cells, blocks):
@@ -389,21 +386,23 @@ def test_exact_hole_keeps_the_system_well_conditioned():
     assert BrandtSystem(cfg.geometry, cfg.film, grid).condition_estimate <= 1e4
 
 
-def test_kernel_rows_kept_for_film_on_the_grid_edge():
-    # at n = 16 the default film's scenario grid has no point beyond the
-    # film, whose points on the grid edge have no operator row
+def test_film_reaching_the_grid_edge_is_refused(tmp_path, capsys):
+    # the fig7a scenario grid ends at 88.0 R at n = 16 and at 89.3 R at
+    # n = 18, inside the 90 R film, whose points on the edge ring would have
+    # no London row; from n = 20 the whole edge ring lies beyond the film
     cfg = preset_config("fig7a", "solve")
     geom, film = cfg.geometry, cfg.film
     dipole_x, probe_x = place(cfg.scenario, geom, cfg.sweep_d)
-    grid = scenario_grid(geom, film, 16, dipole_x=dipole_x, probe_x=probe_x)
-    assert not np.any(grid.region == REGION_EXTERIOR)
-    system = BrandtSystem(geom, film, grid)
-    assert np.array_equal(system._keep, kept_kernel_rows(grid))
-    assert np.count_nonzero(grid.region[system._quad[system._keep]] == REGION_FILM) == 15
-
-    sol = system.solve(z_dipole(x=dipole_x))
-    rebuilt = sol.h_a.values + cell_integrated_kernel(grid) @ sol.g.values
-    assert np.abs(sol.h_z.values - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
+    grids = {n: scenario_grid(geom, film, n, dipole_x=dipole_x, probe_x=probe_x)
+             for n in (16, 18, 20)}
+    for n in (16, 18):
+        with pytest.raises(ConfigurationError, match="film reaches the grid edge"):
+            BrandtSystem(geom, film, grids[n])
+    BrandtSystem(geom, film, grids[20])
+    code = main(["solve", "--preset", "fig7a", "--grid", "16", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "film reaches the grid edge" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_identity_and_far_field():
