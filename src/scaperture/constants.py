@@ -16,6 +16,6 @@ EVAL_Y = 5e-9  # height of the evaluation line y = EVAL_Y of every scenario, m
 # thin-film material defaults: clean Nb layer
 DEFAULT_LONDON_DEPTH = 50e-9
 DEFAULT_THICKNESS = 80e-9
-DEFAULT_FILM_FACTOR = 90.0   # film half-extent in units of the aperture radius
-DEFAULT_GRID_FACTOR = 100.0  # grid half-extent in units of the aperture radius
+DEFAULT_FILM_FACTOR = 90.0   # film half-extent in scale radii; > 1 covers the aperture
+DEFAULT_GRID_FACTOR = 100.0  # grid half-extent in scale radii; > the film's
 DEFAULT_RATIO = 125.0  # scenario grid: far spacing over the spacing at the refined positions

@@ -62,7 +62,7 @@ def sweep(
     `place` puts the dipole at the centre (centered, L = r - d) or d inside
     the left edge (shifted, L = 2 (r - d)), every radius before any solve.
     The analytic engine needs circles; the numeric one sizes each radius's
-    film and grid by `film`'s factors.  Both read the probe on y = EVAL_Y.
+    film and grid by `film.half_extents`.  Both read the probe on y = EVAL_Y.
     The power-law fit needs at least MIN_FIT_RADII distinct radii.
     """
     if engine not in ENGINES:

@@ -126,25 +126,14 @@ ApertureGeometry = Circle | Ellipse | DogBone
 
 @dataclass(frozen=True)
 class FilmSpec:
-    """Material of the superconducting film, and its extent and the grid's
-    in units of the aperture's scale radius, max(edge_x, edge_y).
-
-    `film_factor > 1` keeps every aperture, whose largest dimension is the
-    scale radius, inside its film; `grid_factor > film_factor` leaves room beyond it.
-    """
+    """Material of the superconducting film."""
 
     london_depth: float = DEFAULT_LONDON_DEPTH
     thickness: float = DEFAULT_THICKNESS
-    film_factor: float = DEFAULT_FILM_FACTOR
-    grid_factor: float = DEFAULT_GRID_FACTOR
 
     def __post_init__(self):
         if not (self.london_depth > 0 and self.thickness > 0):
             raise ConfigurationError("london_depth and thickness must be positive")
-        if not self.film_factor > 1:
-            raise ConfigurationError("film_factor must exceed 1, so the film covers its aperture")
-        if not self.grid_factor > self.film_factor:
-            raise ConfigurationError("grid_factor must exceed film_factor")
 
     @property
     def pearl_length(self) -> float:
@@ -152,11 +141,12 @@ class FilmSpec:
         return self.london_depth**2 / self.thickness
 
     def half_extents(self, geometry: ApertureGeometry) -> tuple[float, float]:
-        """(film, grid) half-extents around `geometry`, m."""
+        """(film, grid) half-extents around `geometry`, m: DEFAULT_FILM_FACTOR and
+        DEFAULT_GRID_FACTOR times its scale radius, max(edge_x, edge_y)."""
         r = max(geometry.edge_x, geometry.edge_y)
-        return self.film_factor * r, self.grid_factor * r
+        return DEFAULT_FILM_FACTOR * r, DEFAULT_GRID_FACTOR * r
 
 
 def default_film(geometry: ApertureGeometry, *args, **kwargs) -> FilmSpec:
-    """`FilmSpec(*args, **kwargs)`: a FilmSpec's factors fit every geometry."""
+    """`FilmSpec(*args, **kwargs)`: the film's extents follow every geometry."""
     return FilmSpec(*args, **kwargs)

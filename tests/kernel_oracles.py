@@ -6,13 +6,29 @@ rule's outside integral per point, so that tests can check the folded rows,
 the sum rule and quadrature against them and rebuild h_z = h_a + K g.  The
 solver keeps the London operator as five-point coefficients
 (`div_lambda_grad`); `dense_london` gives its whole-grid matrix.
+`compact_film` builds grids with a film and grid of a few scale radii.
 """
 
-import numpy as np
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from scaperture import geometry
 from scaperture.grid import Grid
 from scaperture.solver.kernel import _inverse_offsets
 from scaperture.solver.laplacian import STENCIL, div_lambda_grad
+
+
+@contextmanager
+def compact_film(film_factor, grid_factor):
+    """Within this context `FilmSpec.half_extents` gives a film and grid of
+    `film_factor` and `grid_factor` scale radii, not the defaults' 90 and 100:
+    a small grid whose spacing stays near the aperture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "DEFAULT_FILM_FACTOR", film_factor)
+        patch.setattr(geometry, "DEFAULT_GRID_FACTOR", grid_factor)
+        yield
 
 
 def _outside(X, px, py) -> np.ndarray:

@@ -15,6 +15,7 @@ from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
 
 from analytic_oracles import free_dipole_field
+from kernel_oracles import compact_film
 
 
 def test_analytic_centered_sweep_slope():
@@ -184,9 +185,8 @@ _SIZING_CASES = {"centered": ("centered", None),
     ("ellipse", np.array([200e-9, 300e-9, 500e-9, 700e-9, 1e-6])),
 ])
 def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, case, radii):
-    # each radius's grid spans grid_factor scale radii of its own aperture
+    # each radius's grid spans DEFAULT_GRID_FACTOR scale radii of its own aperture
     scenario, geometry = _SIZING_CASES[case]
-    film = FilmSpec(film_factor=40.0, grid_factor=50.0)
     seen = []
     solve_scenario = sweeps.solve_scenario
 
@@ -196,10 +196,11 @@ def test_numeric_sweep_sizes_every_grid_by_the_film_factors(monkeypatch, case, r
         return solved
 
     monkeypatch.setattr(sweeps, "solve_scenario", solve_and_record)
-    sweep(scenario, 100e-9, radii, "numeric", n=24, geometry=geometry, film=film)
+    with compact_film(40.0, 50.0):
+        sweep(scenario, 100e-9, radii, "numeric", n=24, geometry=geometry, film=FilmSpec())
     assert len(seen) == len(radii)
     for scale, half_extent in seen:
-        assert half_extent == film.grid_factor * scale
+        assert half_extent == 50.0 * scale
 
 
 def test_solve_scenario_reads_b_z_off_the_solver_field():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from scaperture.constants import DEFAULT_FILM_FACTOR, DEFAULT_GRID_FACTOR
 from scaperture.geometry import (
     Circle,
     ConfigurationError,
@@ -40,7 +41,7 @@ def test_dogbone_requires_nonoverlap():
 
 def test_dogbone_channel_no_wider_than_its_discs():
     # edge_y is end_radius, so a wider channel put aperture points outside
-    # the film of film_factor * max(edge_x, edge_y)
+    # the film of DEFAULT_FILM_FACTOR * max(edge_x, edge_y)
     with pytest.raises(ConfigurationError, match="channel_half_width <= end_radius"):
         DogBone(end_radius=100e-9, center_distance=300e-9, channel_half_width=1000e-9)
     db = DogBone(end_radius=100e-9, center_distance=300e-9, channel_half_width=100e-9)
@@ -87,13 +88,14 @@ def test_pearl_length():
     assert film.pearl_length == pytest.approx(50e-9**2 / 80e-9, rel=1e-15)
 
 
-def test_film_must_cover_aperture():
-    # the film's half-extent, film_factor scale radii, exceeds every aperture
-    # dimension only for film_factor > 1
-    for factor in (0.5, 1.0):
-        with pytest.raises(ConfigurationError, match="film_factor"):
-            FilmSpec(film_factor=factor, grid_factor=100.0)
-    FilmSpec(film_factor=np.nextafter(1.0, 2.0), grid_factor=100.0)
+def test_extent_factors_put_the_film_around_the_aperture_and_the_grid_beyond_it():
+    # the film's half-extent, DEFAULT_FILM_FACTOR scale radii, exceeds every
+    # aperture dimension only for a factor > 1, and the grid must reach beyond
+    # the film to leave room for a point outside it
+    assert DEFAULT_FILM_FACTOR > 1
+    assert DEFAULT_GRID_FACTOR > DEFAULT_FILM_FACTOR
+    with pytest.raises(TypeError):
+        FilmSpec(film_factor=5)
 
 
 @pytest.mark.parametrize("geom", [
@@ -104,10 +106,11 @@ def test_film_must_cover_aperture():
 ])
 def test_scale_radius_is_the_largest_aperture_dimension(geom):
     # film and grid scale with max(edge_x, edge_y), the largest aperture
-    # dimension of every shape: why film_factor > 1 is the whole coverage check
-    film = FilmSpec(film_factor=1.5, grid_factor=2.0)
+    # dimension of every shape: why DEFAULT_FILM_FACTOR > 1 is the whole
+    # coverage check
     scale = max(geom.edge_x, geom.edge_y)
-    assert film.half_extents(geom) == (1.5 * scale, 2.0 * scale)
+    assert FilmSpec().half_extents(geom) == (DEFAULT_FILM_FACTOR * scale,
+                                             DEFAULT_GRID_FACTOR * scale)
     x, y = np.meshgrid(*2 * [np.linspace(-2 * scale, 2 * scale, 401)])
     assert np.all(np.maximum(abs(x), abs(y))[geom.contains(x, y)] <= scale)
 
@@ -115,14 +118,5 @@ def test_scale_radius_is_the_largest_aperture_dimension(geom):
 def test_default_film_factors():
     film = FilmSpec()
     assert film.half_extents(Circle(1e-6)) == pytest.approx((90e-6, 100e-6))
-    # the extents follow the aperture: film_factor and grid_factor scale radii
+    # the extents follow the aperture: 90 and 100 scale radii
     assert film.half_extents(Ellipse(a=2e-6, b=5e-6)) == (90 * 5e-6, 100 * 5e-6)
-
-
-def test_grid_extent_ordering_enforced():
-    # the grid must reach beyond the film: equal factors leave no room for a
-    # point beyond it and are rejected like a grid inside the film
-    for grid_factor in (1.5, 2.0):
-        with pytest.raises(ConfigurationError, match="grid_factor"):
-            FilmSpec(film_factor=2.0, grid_factor=grid_factor)
-    FilmSpec(film_factor=2.0, grid_factor=np.nextafter(2.0, 3.0))

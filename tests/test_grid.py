@@ -13,6 +13,8 @@ from scaperture.grid import (
 )
 from scaperture.geometry import ConfigurationError
 
+from kernel_oracles import compact_film
+
 
 def test_weights_sum_to_grid_area():
     geom = Circle(1000e-9)
@@ -163,14 +165,15 @@ def test_axis_points_on_the_grid_edge_rejected():
     # a point on the grid square's edge sits on its own cell's outer edge,
     # where the kernel's self entry, the integral outside the cell, diverges
     geom = Circle(1e-6)
-    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
-    axis = make_grid(geom, film, 24, 40.0).x
-    build_grid(geom, film, axis, axis)
-    X = film.half_extents(geom)[1]
-    x = np.concatenate([[-X], axis[1:-1], [X]])
-    for axes in ((x, x[1:-1]), (x[1:-1], x)):
-        with pytest.raises(ConfigurationError, match="inside the grid square"):
-            build_grid(geom, film, *axes)
+    film = FilmSpec()
+    with compact_film(8.0, 10.0):
+        axis = make_grid(geom, film, 24, 40.0).x
+        build_grid(geom, film, axis, axis)
+        X = film.half_extents(geom)[1]
+        x = np.concatenate([[-X], axis[1:-1], [X]])
+        for axes in ((x, x[1:-1]), (x[1:-1], x)):
+            with pytest.raises(ConfigurationError, match="inside the grid square"):
+                build_grid(geom, film, *axes)
 
 
 def test_points_built_once_and_read_only():

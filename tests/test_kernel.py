@@ -8,7 +8,7 @@ from scaperture.grid import Grid, make_grid
 from scaperture.solver.kernel import folded_kernel_rows
 from scaperture.solver.system import _mirror_views, _parity
 
-from kernel_oracles import boundary_correction, cell_integrated_kernel
+from kernel_oracles import boundary_correction, cell_integrated_kernel, compact_film
 
 
 def assemble_kernel(grid: Grid) -> np.ndarray:
@@ -81,9 +81,8 @@ def graded_grid(n):
 
 
 def small_grid(n=16, ratio=1.0):
-    geom = Circle(1.0)
-    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
-    return make_grid(geom, film, n, ratio)
+    with compact_film(8.0, 10.0):
+        return make_grid(Circle(1.0), FilmSpec(), n, ratio)
 
 
 def test_offdiagonal_power_law():

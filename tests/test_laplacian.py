@@ -6,7 +6,7 @@ from scaperture.geometry import Circle, FilmSpec
 from scaperture.grid import Grid, make_grid
 from scaperture.solver.laplacian import apply_stencil, div_lambda_grad
 
-from kernel_oracles import dense_london
+from kernel_oracles import compact_film, dense_london
 
 
 # the plain five-point Laplacian, the reference div_lambda_grad reduces to
@@ -55,9 +55,8 @@ def assemble_laplacian(grid: Grid) -> sp.csr_matrix:
 
 
 def grid_with_ratio(n, ratio):
-    geom = Circle(1.0)
-    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
-    return make_grid(geom, film, n, ratio)
+    with compact_film(8.0, 10.0):
+        return make_grid(Circle(1.0), FilmSpec(), n, ratio)
 
 
 def interior_mask(grid):
@@ -95,11 +94,9 @@ def test_exact_on_separable_quadratics_nonuniform():
 
 def test_cubic_error_scales_with_spacing():
     # error on x^3 at a fixed physical location shrinks as the grid refines
-    geom = Circle(1.0)
-    film = FilmSpec(film_factor=8.0, grid_factor=10.0)
     errs = []
     for n in (20, 40, 80):
-        grid = make_grid(geom, film, n, 10.0)
+        grid = grid_with_ratio(n, 10.0)
         lap = assemble_laplacian(grid)
         pts = grid.points
         out = lap @ pts[:, 0] ** 3

@@ -14,7 +14,7 @@ from scaperture.solver import system as system_module
 from scaperture.solver.system import BrandtSystem, SolverError, compensated_source
 
 from analytic_oracles import free_dipole_field
-from kernel_oracles import cell_integrated_kernel
+from kernel_oracles import cell_integrated_kernel, compact_film
 
 R = 1e-6
 D_PROBE = 100e-9
@@ -417,8 +417,9 @@ def test_far_field_approaches_applied_for_isolated_patch():
     # uniform applied field over a small film patch: the screening response
     # decays like a dipole, so a few patch sizes away H_z returns to H_a
     geom = Circle(R)
-    film = FilmSpec(film_factor=5, grid_factor=100)
-    grid = make_grid(geom, film, 40, 40.0)
+    film = FilmSpec()
+    with compact_film(5, 100):
+        grid = make_grid(geom, film, 40, 40.0)
     system = BrandtSystem(geom, film, grid)
     sol = system.solve_applied(FieldMap(grid, np.ones(grid.n_points)))
     pts = grid.points
@@ -435,8 +436,7 @@ def test_pearl_length_trend():
     geom = Circle(R)
     positions = []
     for lam in (100e-9, 50e-9, 25e-9):
-        film = FilmSpec(london_depth=lam, thickness=80e-9,
-                        film_factor=90, grid_factor=100)
+        film = FilmSpec(london_depth=lam, thickness=80e-9)
         grid = make_grid(
             geom, film, 40, 125.0,
             refine_x=[0.0],
