@@ -1,9 +1,6 @@
-from scaperture.solver.laplacian import div_lambda_grad
-from scaperture.solver.system import BrandtSystem, SolverError, StreamSolution
+from scaperture.solver.system import BrandtSystem, SolverError
 
 __all__ = [
     "BrandtSystem",
     "SolverError",
-    "StreamSolution",
-    "div_lambda_grad",
 ]

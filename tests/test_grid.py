@@ -27,14 +27,15 @@ def test_weights_sum_to_grid_area():
 
 def test_refinement_ratio_reached():
     # production-scale configuration: spacing near the edge at least 3x smaller
-    # than at 50 um for a ratio-4 grid
+    # than at half the grid's half-extent for a ratio-4 grid
     geom = Circle(1000e-9)
     film = FilmSpec()
     grid = make_grid(geom, film, 100, 4.0)
     dx = np.diff(grid.x)
     mids = 0.5 * (grid.x[1:] + grid.x[:-1])
     near = dx[np.abs(np.abs(mids) - 1000e-9) < 1e-6]
-    far = dx[np.abs(np.abs(mids) - 50e-6) < 10e-6]
+    X = grid.half_extent
+    far = dx[np.abs(np.abs(mids) - X / 2) < X / 10]
     assert near.min() * 3 < far.mean()
 
 
