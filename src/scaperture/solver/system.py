@@ -89,11 +89,11 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
     """Physical H_z = -m / (4 pi r^3) (A/m) of the z dipole in its own plane,
     with the dipole's return flux restored.
 
-    r is the in-plane distance to the dipole.  The raw 1/r^3 sample has
-    grid-dependent net flux, while the true in-plane dipole carries none;
-    the field inside an elliptical core around the dipole is replaced by a
-    smooth bump over aperture points sized so the sampled source has
-    exactly zero net flux.
+    r is the in-plane distance to the dipole.  The true in-plane field has
+    zero net flux over the whole plane; beyond the grid square it carries
+    -m T, T the integral of 1/(4 pi r^3) there.  The field inside an
+    elliptical core around the dipole is replaced by a smooth bump over
+    aperture points sized so the sampled source has net flux +m T.
     """
     if dipole.position[2] != 0.0:
         raise ConfigurationError("the numeric engine takes in-plane sources (z = 0)")
@@ -112,7 +112,11 @@ def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
             "return-flux core has no aperture grid points; refine the grid "
             "near the dipole"
         )
-    values = values - (values @ grid.weights) * bump / support
+    # T is the second difference of kernel.py's F over the grid square's
+    # corners, seen from the dipole: the kernel's own-cell entry
+    X, (px, py) = grid.half_extent, dipole.position[:2]
+    tail = sum(np.hypot(1 / (X - s * px), 1 / (X - t * py)) for s in (-1, 1) for t in (-1, 1))
+    values = values + (m * tail / (4 * np.pi) - values @ grid.weights) * bump / support
     return FieldMap(grid, values)
 
 

@@ -31,7 +31,7 @@ def compact_film(film_factor, grid_factor):
         yield
 
 
-def _outside(X, px, py) -> np.ndarray:
+def outside_square(X, px, py) -> np.ndarray:
     """Exact integral of 1/(4 pi s^3) outside the square [-X, X]^2, seen from (px, py)."""
     out = np.zeros(len(px))
     for p in (-1.0, 1.0):
@@ -43,7 +43,7 @@ def _outside(X, px, py) -> np.ndarray:
 def boundary_correction(grid: Grid) -> np.ndarray:
     """Exact integral of 1/(4 pi s^3) over the plane outside the grid square,
     the sum rule's target, seen from every point."""
-    return _outside(grid.half_extent, grid.points[:, 0], grid.points[:, 1])
+    return outside_square(grid.half_extent, grid.points[:, 0], grid.points[:, 1])
 
 
 def cell_integrated_kernel(grid: Grid, rows=None) -> np.ndarray:
