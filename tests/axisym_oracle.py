@@ -33,6 +33,12 @@ def panel_edges(radius, film_radius, first=1e-9, growth=1.06) -> np.ndarray:
     return radius + (film_radius - radius) * steps / steps[-1]
 
 
+def _quadrature(edges):
+    """Panel midpoints (N,), and Gauss-Legendre nodes and weights (N, 8) on each panel."""
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return mid, mid[:, None] + half[:, None] * _NODES, half[:, None] * _WEIGHTS
+
+
 def _modulus(rho, a):
     """k^2 = 4 a rho / (a + rho)^2 and 1 - k^2 = ((a - rho) / (a + rho))^2."""
     return 4 * a * rho / (a + rho) ** 2, ((a - rho) / (a + rho)) ** 2
@@ -61,9 +67,7 @@ def _log_integral(t0, t1):
 def sheet_current(radius, film_radius, pearl_length, moment=DEFAULT_MOMENT, **grading):
     """Panel edges and the sheet current on each panel, A/m."""
     edges = panel_edges(radius, film_radius, **grading)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    a = mid[:, None] + half[:, None] * _NODES        # (panels, nodes)
-    w = half[:, None] * _WEIGHTS
+    mid, a, w = _quadrature(edges)
     rho = mid[:, None, None]
     smooth = _ring_potential(rho, a) + np.log(np.abs(a - rho)) / (2 * np.pi)
     system = (smooth * w).sum(axis=-1)
@@ -76,10 +80,9 @@ def sheet_current(radius, film_radius, pearl_length, moment=DEFAULT_MOMENT, **gr
 def reference_bz(radius, film_radius, pearl_length, rho, moment=DEFAULT_MOMENT, **grading):
     """B_z (tesla) at in-plane radii `rho` inside the hole."""
     edges, current = sheet_current(radius, film_radius, pearl_length, moment, **grading)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    a = mid[:, None] + half[:, None] * _NODES
+    _, a, w = _quadrature(edges)
     rho = np.asarray(rho, dtype=float)
-    ring = (_ring_field(rho[..., None, None], a) * half[:, None] * _WEIGHTS).sum(axis=-1)
+    ring = (_ring_field(rho[..., None, None], a) * w).sum(axis=-1)
     return MU0 * (ring @ current - moment / (4 * np.pi * rho**3))
 
 

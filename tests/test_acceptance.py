@@ -13,7 +13,7 @@ from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
 from scaperture.experiments.sweeps import sweep
 from scaperture.geometry import Circle, Dipole, Ellipse, FilmSpec
-from scaperture.experiments.grids import scenario_grid
+from scaperture.experiments.grids import place, scenario_grid
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR
 from scaperture.solver.system import BrandtSystem
 
@@ -100,11 +100,18 @@ def test_criterion_06_numeric_shifted_sweep():
 
 
 def test_criterion_07_numeric_ellipse_sweep():
+    # the band checks an under-resolved slot: at a = 4 um the scenario grid
+    # puts 2 points across |y| < b, and resolving it moves the slope out of
+    # the band (README, criterion 7)
     radii = np.geomspace(0.5e-6, 4e-6, 8)
     res = sweep("shifted", D_EDGE, radii, "numeric", n=60, geometry=Ellipse(a=1e-6, b=100e-9))
+    slot = Ellipse(a=radii[-1], b=100e-9)
+    dipole_x, probe_x = place("shifted", slot, D_EDGE)
+    y = scenario_grid(slot, FilmSpec(), 60, dipole_x=dipole_x, probe_x=probe_x).y
     ok = abs(res.fit.slope + 1.4) <= 0.5
     _report(7, "numeric ellipse sweep (b = 100 nm)", ok,
-            f"slope {res.fit.slope:+.3f} within -1.4 +- 0.5")
+            f"slope {res.fit.slope:+.3f} within -1.4 +- 0.5; {np.sum(np.abs(y) < slot.b)} "
+            f"grid y points inside the slot's |y| < b at a = 4 um")
 
 
 def test_criterion_08_engine_cross_validation():
