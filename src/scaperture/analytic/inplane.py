@@ -1,9 +1,7 @@
-"""In-plane field of a centered dipole for the three axis orientations.
+"""In-plane field of a z dipole at the centre of a circular aperture.
 
-Piecewise closed forms along the positive x axis (equivalently any ray, by
-symmetry).  A z-oriented dipole produces no field on the superconductor;
-the in-plane orientations recover the free-dipole value beyond the edge,
-since a zero-thickness film cannot block parallel field lines.
+A piecewise closed form along the positive x axis (equivalently any ray, by
+symmetry).  A z-oriented dipole produces no field on the superconductor.
 """
 
 from __future__ import annotations
@@ -13,57 +11,24 @@ import numpy as np
 from scaperture.analytic.green import SingularityError
 from scaperture.constants import MU0
 
-ORIENTATIONS = ("z", "y", "x")
 
-
-def field_inplane(orientation: str, m: float, x: np.ndarray, radius: float) -> np.ndarray:
-    """B (tesla, 3-vector per point) at in-plane points (x, 0, 0), x > 0.
-
-    `orientation` is the dipole axis, one of "z", "y", "x"; `m` its
-    magnitude.  At x = R the "z" and "y" forms diverge and return a signed
-    infinity.
+def field_inplane(m: float, x: np.ndarray, radius: float) -> np.ndarray:
+    """B_z (tesla) at in-plane points (x, 0, 0), x > 0, of a z dipole of
+    moment `m`.  At x = R it diverges and returns -inf (times the sign of m).
     """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
     if radius <= 0:
         raise ValueError("radius must be positive")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x <= 0):
         raise SingularityError("in-plane field is evaluated for x > 0")
 
     q = x / radius
-    inside = q < 1.0
-    at_edge = q == 1.0
     pref = MU0 * m / (4 * np.pi * x**3)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(np.maximum(1 - q * q, 0.0))
-        if orientation == "z":
-            bracket = np.where(
-                inside,
-                -(2 / np.pi) * (np.arccos(np.minimum(q, 1.0)) + q * (1 + q * q) / root),
-                0.0,
-            )
-        elif orientation == "y":
-            bracket = np.where(
-                inside,
-                -(2 / np.pi)
-                * (2 * np.arccos(np.minimum(q, 1.0)) + 2 * q / root - np.pi / 2),
-                1.0,
-            )
-        else:
-            bracket = np.where(
-                inside,
-                (2 / np.pi) * (np.arccos(np.minimum(q, 1.0)) + q * root + np.pi / 2),
-                1.0,
-            )
-    if orientation in ("z", "y"):
-        bracket = np.where(at_edge, -np.inf, bracket)
-    else:
-        bracket = np.where(at_edge, 1.0, bracket)
-
-    axis = {"z": 2, "y": 1, "x": 0}[orientation]
-    out = np.zeros(x.shape + (3,))
-    out[..., axis] = pref * bracket
-    return out[0] if scalar else out
+        bracket = np.where(
+            q < 1.0,
+            -(2 / np.pi) * (np.arccos(np.minimum(q, 1.0)) + q * (1 + q * q) / root),
+            0.0,
+        )
+    return pref * np.where(q == 1.0, -np.inf, bracket)

@@ -100,7 +100,7 @@ def _cmd_analytic(cfg, out) -> None:
     if cfg.analytic_kind == "curve":
         xs = np.linspace(0.02 * radius, 3.0 * radius, cfg.analytic_samples)
         xs = xs[xs / radius != 1.0]  # the edge, where B_z diverges, is left out
-        bz = field_inplane("z", cfg.moment, xs, radius)[:, 2]
+        bz = field_inplane(cfg.moment, xs, radius)
         _value_csv(out / "curve.csv", {"x_m": xs}, bz,
                    "tesla (Bz of a z dipole at the aperture center, z = 0)", bz)
         print(f"curve: {out / 'curve.csv'}")

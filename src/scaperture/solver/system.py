@@ -18,7 +18,8 @@ few rows at a time, the folded five-point London stencil is added in, and
 the blocks are factored in place.  Every film point has a London row (a
 grid whose film reaches its edge ring is refused), so h_z there is the
 stencil applied to g; kernel rows, for h_z = h_a + K g, are kept only for
-the hole, and made for the exterior when its h_z is first read.
+the hole, and made for the exterior when its h_z is first read.  A dipole's
+h_a is its exact mean over each cell; off the film it is read out pointwise.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from numpy._core import _multiarray_umath
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
-from scaperture.solver.kernel import folded_kernel_rows
+from scaperture.solver.kernel import _inverse_offsets, folded_kernel_rows
 from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
 
 
@@ -70,54 +71,31 @@ def _z_moment(dipole: Dipole) -> float:
     return float(m[2])
 
 
-def core_radii(grid: Grid, dipole: Dipole):
-    """Return-flux core semi-axes: as small as grid support allows.
-
-    The raw tail should survive everywhere the physics is read off, so the
-    core only needs to cover a couple of cells around the dipole, 2.2 times
-    the grid interval that contains it along each axis; the bump itself is
-    restricted to aperture points.
-    """
-    radii = []
-    for axis, value in ((grid.x, dipole.position[0]), (grid.y, dipole.position[1])):
-        i = min(max(int(np.searchsorted(axis, value, side="right")) - 1, 0), len(axis) - 2)
-        radii.append(2.2 * float(axis[i + 1] - axis[i]))
-    return tuple(radii)
-
-
 def compensated_source(dipole: Dipole, grid: Grid) -> FieldMap:
-    """Physical H_z = -m / (4 pi r^3) (A/m) of the z dipole in its own plane,
-    with the dipole's return flux restored.
+    """The z dipole's physical H_z (A/m) in its own plane, as its exact mean
+    over each grid cell.
 
-    r is the in-plane distance to the dipole.  The true in-plane field has
-    zero net flux over the whole plane; beyond the grid square it carries
-    -m T, T the integral of 1/(4 pi r^3) there.  The field inside an
-    elliptical core around the dipole is replaced by a smooth bump over
-    aperture points sized so the sampled source has net flux +m T.
+    A cell's flux is m times the second difference of kernel.py's F over the
+    cell's corners, seen from the dipole: the flux of -m / (4 pi r^3) through
+    the cell, or through a cell that holds the dipole the return flux beyond
+    it.  By the kernel's sum rule the grid carries +m T, T the integral of
+    1/(4 pi r^3) beyond the grid square, so the source has zero net flux over
+    the whole plane.
     """
     if dipole.position[2] != 0.0:
         raise ConfigurationError("the numeric engine takes in-plane sources (z = 0)")
-    m = _z_moment(dipole)
-    rcx, rcy = core_radii(grid, dipole)
-    pts = grid.points
-    dx = pts[:, 0] - dipole.position[0]
-    dy = pts[:, 1] - dipole.position[1]
-    r = np.hypot(dx, dy)
-    e2 = (dx / rcx) ** 2 + (dy / rcy) ** 2
-    values = np.divide(-m, 4 * np.pi * r**3, out=np.zeros_like(r), where=e2 >= 1.0)
-    bump = np.where((e2 < 1.0) & (grid.region == REGION_APERTURE), (1.0 - e2) ** 2, 0.0)
-    support = bump @ grid.weights
-    if not support > 0:
-        raise ConfigurationError(
-            "return-flux core has no aperture grid points; refine the grid "
-            "near the dipole"
-        )
-    # T is the second difference of kernel.py's F over the grid square's
-    # corners, seen from the dipole: the kernel's own-cell entry
-    X, (px, py) = grid.half_extent, dipole.position[:2]
-    tail = sum(np.hypot(1 / (X - s * px), 1 / (X - t * py)) for s in (-1, 1) for t in (-1, 1))
-    values = values + (m * tail / (4 * np.pi) - values @ grid.weights) * bump / support
-    return FieldMap(grid, values)
+    (a,), (b,) = (_inverse_offsets(edges, np.array([p]))
+                  for edges, p in zip((grid.x_edges, grid.y_edges), dipole.position))
+    corners = np.sign(a)[:, None] * np.sign(b)[None, :] * np.hypot(a[:, None], b[None, :])
+    flux = np.diff(np.diff(corners, axis=0), axis=1).ravel()
+    return FieldMap(grid, _z_moment(dipole) * flux / grid.weights)
+
+
+def _point_field(dipole: Dipole, grid: Grid) -> np.ndarray:
+    """The dipole's H_z = -m / (4 pi r^3) (A/m) at the grid points, r the
+    in-plane distance; 0 at a point on the dipole."""
+    r = np.hypot(*(grid.points - dipole.position[:2]).T)
+    return np.divide(-_z_moment(dipole), 4 * np.pi * r**3, out=np.zeros_like(r), where=r > 0)
 
 
 def _check_grid(grid: Grid) -> None:
@@ -245,7 +223,7 @@ class StreamSolution:
     g: FieldMap                  # amperes
     h_a: FieldMap                # the source actually applied, A/m
     aperture_current: float      # g on the aperture, amperes
-    _h_z: Callable = field(repr=False)   # exterior -> h_z, beyond the film h_a unless exterior
+    _h_z: Callable = field(repr=False)   # exterior -> h_z, beyond the film readout unless exterior
 
     @cached_property
     def h_z(self) -> FieldMap:   # A/m
@@ -338,7 +316,20 @@ class BrandtSystem:
             self._factors[b], self._kernel[b] = (system, piv, row_scale, rcond), kept[b]
 
     def solve_applied(self, h_a: FieldMap) -> StreamSolution:
-        """Solve for an explicit applied-field map (A/m)."""
+        """Solve for an explicit applied-field map (A/m), which is also read off."""
+        return self._solve(h_a, lambda: h_a.values)
+
+    def solve(self, dipole: Dipole) -> StreamSolution:
+        """Solve for the dipole's cell means (`compensated_source`) and read
+        its point field off the film."""
+        if not self.geometry.contains(dipole.position[0], dipole.position[1]):
+            raise ConfigurationError("dipole must sit inside the aperture")
+        return self._solve(compensated_source(dipole, self.grid),
+                           partial(_point_field, dipole, self.grid))
+
+    def _solve(self, h_a: FieldMap, readout: Callable) -> StreamSolution:
+        """Solve for h_a on the film rows and the fluxoid row; h_z off the film
+        is `readout()` + K g, made when h_z is read, not while a block is factored."""
         shape = (self.grid.n_x, self.grid.n_y)
         images = _mirror_views(h_a.values.reshape(shape))
         parts = [_parity(*images, b).ravel() for b in range(4)]
@@ -361,12 +352,13 @@ class BrandtSystem:
                 current = g_parts[0][self._hole_q] = u[-1]  # I, even-even
         g = _unfold(g_parts.reshape(4, *images[0].shape), shape)
         return StreamSolution(g=FieldMap(self.grid, g), h_a=h_a, aperture_current=float(current),
-                              _h_z=partial(self._h_z, h_a.values, g, us))
+                              _h_z=partial(self._h_z, readout, g, us))
 
-    def _h_z(self, h_a, g, us, exterior) -> np.ndarray:
-        """h_z from h_a, g and the block solutions `us` (None if not excited): the
-        London stencil on film rows, h_a + K g elsewhere, h_a alone beyond the film
-        unless `exterior`.  Exterior rows an excited block lacks are folded first, once."""
+    def _h_z(self, readout, g, us, exterior) -> np.ndarray:
+        """h_z from g and the block solutions `us` (None if not excited): the
+        London stencil on film rows, `readout()` + K g elsewhere, `readout()` alone
+        beyond the film unless `exterior`.  Exterior rows an excited block lacks
+        are folded first, once."""
         excited = [b for b, u in enumerate(us) if u is not None]
         missing = [b for b in excited if self._outside_rows[b] is None]
         if exterior and missing:
@@ -379,14 +371,10 @@ class BrandtSystem:
             parts[b][self._hole_q] = self._kernel[b] @ us[b]
             if exterior:
                 parts[b][self._outside] = self._outside_rows[b] @ us[b]
-        hz = h_a + _unfold(parts.reshape(4, self.grid.n_x // 2, -1), (self.grid.n_x, self.grid.n_y))
+        hz = readout() + _unfold(parts.reshape(4, self.grid.n_x // 2, -1),
+                               (self.grid.n_x, self.grid.n_y))
         hz[self.solve_idx] = apply_stencil(self._stencil, g)[self.solve_idx]
         return hz
-
-    def solve(self, dipole: Dipole) -> StreamSolution:
-        if not self.geometry.contains(dipole.position[0], dipole.position[1]):
-            raise ConfigurationError("dipole must sit inside the aperture")
-        return self.solve_applied(compensated_source(dipole, self.grid))
 
 
 def _reciprocal_condition(lu, anorm: float) -> float:

@@ -1,7 +1,8 @@
 """Closed forms that no command calls, for tests.
 
 The Dirichlet kernel's value (`green_circular`), the centred dipole's scaled
-direction vector (`n_vector`) and vector potential, the free dipole and the
+direction vector (`n_vector`) and vector potential, the free dipole, the
+in-plane fields of in-plane dipoles (`field_inplane_xy`) and the
 leading-order edge fields check the closed forms the commands do call
 (`field_centered`, `field_shifted`, `field_inplane`) against their limits,
 symmetries and derivatives.  They share the library's private building
@@ -108,6 +109,34 @@ def free_dipole_field(moment, r_rel) -> np.ndarray:
         3 * (rhat @ moment)[..., None] * rhat - moment
     )
     return field[0] if scalar else field
+
+
+def field_inplane_xy(orientation: str, m: float, x, radius: float) -> np.ndarray:
+    """B (tesla, 3-vector per point) at in-plane points (x, 0, 0), x > 0, of
+    a dipole of magnitude `m` along `orientation`, "y" or "x", at the centre.
+
+    A zero-thickness film cannot block parallel field lines, so both recover
+    the free-dipole value beyond the edge.  At x = R the "y" form diverges
+    and returns -inf.
+    """
+    if orientation not in ("y", "x"):
+        raise ValueError("orientation must be 'y' or 'x'")
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    q = x / radius
+    inside = q < 1.0
+    arccos = np.arccos(np.minimum(q, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(1 - q * q, 0.0))
+        if orientation == "y":
+            bracket = np.where(inside, -(2 / np.pi) * (2 * arccos + 2 * q / root - np.pi / 2), 1.0)
+            bracket = np.where(q == 1.0, -np.inf, bracket)
+        else:
+            bracket = np.where(inside, (2 / np.pi) * (arccos + q * root + np.pi / 2), 1.0)
+    out = np.zeros(x.shape + (3,))
+    out[:, {"y": 1, "x": 0}[orientation]] = MU0 * m / (4 * np.pi * x**3) * bracket
+    return out[0] if scalar else out
 
 
 KINDS = ("centered", "shifted")

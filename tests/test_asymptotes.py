@@ -31,7 +31,7 @@ def test_loglog_slopes_exact():
 def test_centered_matches_exact_form_near_edge():
     R = 1.0
     d = 1e-4 * R
-    exact = field_inplane("z", 1.0, R - d, R)[2]
+    exact = field_inplane(1.0, R - d, R)
     approx = edge_asymptote("centered", 1.0, d, R)
     assert approx == pytest.approx(exact, rel=1e-2)
 

@@ -7,11 +7,13 @@ import pytest
 from scaperture.analytic.centered import field_centered
 from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MU0
 from scaperture.experiments.fitting import fit_power_law
+from scaperture.experiments.grids import place, scenario_grid
 from scaperture.experiments.sweeps import sweep
-from scaperture.geometry import FilmSpec
+from scaperture.geometry import Dipole, FilmSpec
 from scaperture.io.config import preset_config
+from scaperture.solver.system import BrandtSystem
 
-from axisym_oracle import centred_sweep_reference, panel_edges, reference_bz
+from axisym_oracle import centred_sweep_reference, panel_edges, reference_bz, sheet_current
 
 R = 1e-6
 PROBE = np.hypot(R - 100e-9, EVAL_Y)  # fig5a's probe, 100 nm inside the edge on y = EVAL_Y
@@ -61,6 +63,27 @@ def test_fig5c_numeric_errors_against_the_reference():
           + " ".join(f"{e:+.3f}" for e in errors)
           + f"; slope {res.fit.slope:+.4f}, reference {ref_slope:+.4f}")
     assert ref_slope == pytest.approx(-2.5006, abs=0.002)
-    # a guard against gross breakage, not a convergence claim: HEAD's largest
-    # error at n = 60 is 0.33
-    assert np.abs(errors).max() < 0.5
+    # a guard against gross breakage, not a convergence claim: the largest
+    # error at n = 60 is 0.293
+    assert np.abs(errors).max() < 0.30
+
+
+def test_aperture_current_converges_to_the_reference():
+    # fig7a's scene, a centred dipole in the R = 1 um circle: the current I
+    # round the hole against the reference's sum of K over its panels,
+    # -5.044e-12 A.  The errors read +15.3 %, +6.7 % and +3.1 % at n = 60,
+    # 100 and 140
+    cfg = preset_config("fig7a", "solve")
+    edges, current = sheet_current(R, cfg.film.half_extents(cfg.geometry)[0], PEARL, cfg.moment)
+    ref = current @ np.diff(edges)
+    assert ref == pytest.approx(-5.044e-12, abs=5e-16)
+    dipole_x, probe_x = place(cfg.scenario, cfg.geometry, cfg.sweep_d)
+    dipole = Dipole(position=[dipole_x, 0.0, 0.0], moment=[0.0, 0.0, cfg.moment])
+    errors = []
+    for n in (60, 100, 140):
+        grid = scenario_grid(cfg.geometry, cfg.film, n, dipole_x=dipole_x, probe_x=probe_x)
+        solution = BrandtSystem(cfg.geometry, cfg.film, grid).solve(dipole)
+        errors.append(solution.aperture_current / ref - 1)
+    print("fig7a aperture current against the reference at n = 60, 100, 140: "
+          + " ".join(f"{e:+.3f}" for e in errors))
+    assert abs(errors[2]) < abs(errors[1]) < abs(errors[0]) < 0.16

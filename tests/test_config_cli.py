@@ -350,7 +350,7 @@ def test_cli_csv_roundtrip_lossless(tmp_path):
     from scaperture.analytic.inplane import field_inplane
     from scaperture.constants import DEFAULT_MOMENT
 
-    want = field_inplane("z", DEFAULT_MOMENT, data[:, 0], 1000 * 1e-9)[:, 2]
+    want = field_inplane(DEFAULT_MOMENT, data[:, 0], 1000 * 1e-9)
     assert np.array_equal(data[:, 1], want)
 
 
@@ -470,10 +470,10 @@ def test_cli_analytic_validates_its_inputs(tmp_path, capsys, doc, message):
     assert not any(out.glob("*.csv"))
 
 
-def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path, capsys):
-    # at n = 24 a centred dipole's core in the 500 nm circle reaches 440 nm
-    # along x; d = 400 nm puts the probe 100 nm from the dipole, inside the
-    # core, and the sweep would fit the core's bump
+def test_cli_sweep_with_the_probe_100_nm_from_a_centred_dipole(tmp_path):
+    # d = 400 nm in the 500 nm circle puts the probe 100 nm from the centred
+    # dipole, a few cells away at n = 24; the probe reads the dipole's point
+    # field + K g, so the sweep runs on any grid
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "grid": {"n": 24},
@@ -481,14 +481,32 @@ def test_cli_probe_inside_return_flux_core_is_config_error(tmp_path, capsys):
         "sweep": {"d_nm": 400, "radii_nm": [500, 700, 1000, 1400, 2000]},
     }))
     out = tmp_path / "o"
-    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
-    assert "return-flux core" in capsys.readouterr().err
-    assert not (out / "sweep.json").exists()
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "sweep.json").read_text())
+    assert all(point["B_T"] < 0 for point in doc["points"])
+    assert doc["fit"]["slope"] == pytest.approx(-2.791, abs=5e-4)
 
 
-def test_cli_compare_with_an_empty_band_is_config_error(tmp_path, capsys):
-    # at n = 28 no grid point of the line lies between 0.1 and 0.8 R clear
-    # of the core; np.quantile of the empty band used to raise IndexError
+def test_cli_compare_fig5a_on_a_coarse_grid(tmp_path):
+    # at n = 28 fig5a's band, 0.1 to 0.8 R on the line, holds two grid points
+    out = tmp_path / "o"
+    assert main(["compare", "--preset", "fig5a", "--grid", "28", "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "compare.json").read_text())
+    assert doc["n_points"] == 2
+    assert doc["median_abs_db"] == pytest.approx(0.133, abs=5e-4)
+
+
+def test_cli_compare_with_an_empty_band_is_config_error(tmp_path, capsys, monkeypatch):
+    # np.quantile of an empty band used to raise IndexError; no preset's band
+    # is empty, so the command runs with a band between two grid points
+    with pytest.raises(ConfigurationError, match="holds no grid points"):
+        compare_engines("centered", Circle(1e-6), 100e-9, n=28, band=(0.5, 0.5))
+    import scaperture.experiments.compare as compare_module
+
+    def empty_band(*args, **kwargs):
+        return compare_engines(*args, **kwargs, band=(0.5, 0.5))
+
+    monkeypatch.setattr(compare_module, "compare_engines", empty_band)
     out = tmp_path / "o"
     assert main(["compare", "--preset", "fig5a", "--grid", "28", "--out", str(out)]) == EXIT_CONFIG
     assert "refine the grid" in capsys.readouterr().err

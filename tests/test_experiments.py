@@ -15,7 +15,7 @@ from scaperture.io.config import preset_config
 from scaperture.solver import system as system_module
 
 from analytic_oracles import free_dipole_field
-from kernel_oracles import compact_film
+from kernel_oracles import cell_integrated_kernel, compact_film
 
 
 def test_analytic_centered_sweep_slope():
@@ -311,12 +311,16 @@ def test_numeric_centered_line_trend():
     assert np.abs(rep.delta_db).max() < 3.0
 
 
-def test_probe_inside_return_flux_core_rejected():
-    # core semi-axes 142 x 22 nm around (850, 0) nm hold the probe
-    # (900, 5) nm at e^2 = 0.18; its reading would be the core's bump
+def test_probe_next_to_the_dipole_reads_its_point_field():
+    # the probe (900, 5) nm lies 50 nm from the dipole at (850, 0) nm, within
+    # a few cells of it; it reads the dipole's point field + K g like every
+    # point off the film
     solved = solve_scenario(Circle(1e-6), FilmSpec(), 60, dipole_x=850e-9,
                             moment=DEFAULT_MOMENT, probe_x=0.9e-6)
-    # the line itself is still a solution
-    assert np.isfinite(solved.solution.h_z.values[solved.line]).all()
-    with pytest.raises(ConfigurationError, match="return-flux core"):
-        solved.b_probe
+    grid, p = solved.grid, solved.line[solved.probe]
+    assert grid.region[p] == REGION_APERTURE
+    point = free_dipole_field([0, 0, DEFAULT_MOMENT], [grid.points[p, 0] - 850e-9,
+                                                       grid.points[p, 1], 0.0])[2]
+    response = MU0 * (cell_integrated_kernel(grid, [p]) @ solved.solution.g.values)[0]
+    assert solved.b_probe == pytest.approx(point + response, rel=1e-12)
+    assert abs(response) < abs(point)

@@ -6,9 +6,10 @@ and the hole's one constant as unknowns, the film rows and the fluxoid row
 (the cell-area-weighted sum of the hole rows) as rows, no parity split;
 it scales every row by its largest entry and solves densely.  The limit
 oracle keeps every hole point as an unknown with a finite Lambda boosted
-by 1e8, whose solution tends to the exact hole as the boost grows.  The
-field check rebuilds h_z = h_a + K g from the whole-grid kernel on every
-row, film rows included.
+by 1e8, whose solution tends to the exact hole as the boost grows.  Both
+solve for the solver's source h_a, the dipole's cell means.  The field check
+rebuilds h_z from the whole-grid kernel on every row: h_a + K g on the film
+rows, the dipole's point field -m / (4 pi r^3) + K g elsewhere.
 """
 
 import numpy as np
@@ -52,13 +53,21 @@ def build_case(name, n):
     return system, dipole
 
 
+def readout(system, dipole, h_a):
+    """h_z less K g, as the solver reads it: h_a on the film rows, the
+    dipole's point field elsewhere (no case has a grid point on its dipole)."""
+    grid = system.grid
+    r = np.hypot(*(grid.points - dipole.position[:2]).T)
+    return np.where(grid.region == REGION_FILM, h_a, -dipole.moment[2] / (4 * np.pi * r**3))
+
+
 def row_scaled_solve(a, b):
     row_scale = np.abs(a).max(axis=1)
     return la.solve(a / row_scale[:, None], b / row_scale)
 
 
-def dense_exact_solve(system, h_a):
-    """g (amperes) and h_z from the whole-grid exact-hole system."""
+def dense_exact_solve(system, h_a, read):
+    """g (amperes) and h_z = `read` + K g from the whole-grid exact-hole system."""
     grid = system.grid
     kernel = cell_integrated_kernel(grid)
     hole = grid.region == REGION_APERTURE
@@ -71,12 +80,12 @@ def dense_exact_solve(system, h_a):
     u = row_scaled_solve(a, -np.append(h_a[film], fluxoid @ h_a))
     g = np.zeros(grid.n_points)
     g[film], g[hole] = u[:-1], u[-1]
-    return g, h_a + kernel @ g
+    return g, read + kernel @ g
 
 
-def dense_boost_solve(system, h_a, boost=1e8):
-    """h_z from the whole-grid system with every hole point an unknown and
-    the hole's Lambda boosted by `boost`."""
+def dense_boost_solve(system, h_a, read, boost=1e8):
+    """h_z = `read` + K g from the whole-grid system with every hole point an
+    unknown and the hole's Lambda boosted by `boost`."""
     grid = system.grid
     kernel = cell_integrated_kernel(grid)
     lam = np.full(grid.n_points, system.film.pearl_length)
@@ -85,7 +94,7 @@ def dense_boost_solve(system, h_a, boost=1e8):
     a = kernel[np.ix_(s, s)] - dense_london(grid, lam)[np.ix_(s, s)]
     g = np.zeros(grid.n_points)
     g[s] = row_scaled_solve(a, -h_a[s])
-    return h_a + kernel @ g
+    return read + kernel @ g
 
 
 def dense_maps(system):
@@ -113,7 +122,8 @@ SIZES = [("centered", 40), ("shifted", 40), ("off_axis", 36), ("coupling300", 40
 def test_blocks_match_dense_oracle(name, n):
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
-    g, hz = dense_exact_solve(system, sol.h_a.values)
+    h_a = sol.h_a.values
+    g, hz = dense_exact_solve(system, h_a, readout(system, dipole, h_a))
     assert np.abs(sol.h_z.values - hz).max() <= 1e-9 * np.abs(hz).max()
     assert np.abs(sol.g.values - g).max() <= 1e-8 * np.abs(g).max()
     region = system.grid.region
@@ -125,18 +135,20 @@ def test_blocks_match_dense_oracle(name, n):
 def test_exact_hole_is_the_boost_limit(name, n):
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
-    hz = dense_boost_solve(system, sol.h_a.values)
+    h_a = sol.h_a.values
+    hz = dense_boost_solve(system, h_a, readout(system, dipole, h_a))
     assert np.abs(sol.h_z.values - hz).max() <= 1e-6 * np.abs(hz).max()
 
 
 @pytest.mark.parametrize("name,n", SIZES)
 def test_hz_matches_kernel_oracle_on_every_row(name, n):
     # the solver reads film h_z off the London operator and keeps kernel rows
-    # only elsewhere; on every row h_z must be h_a + K g with the whole-grid K
+    # only elsewhere; on every row h_z must be the readout + K g with the
+    # whole-grid K
     system, dipole = build_case(name, n)
     sol = system.solve(dipole)
     kernel = cell_integrated_kernel(system.grid)
-    want = sol.h_a.values + kernel @ sol.g.values
+    want = readout(system, dipole, sol.h_a.values) + kernel @ sol.g.values
     assert np.abs(sol.h_z.values - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -42,30 +42,49 @@ def centered_grid(n=40, ratio=125.0):
 
 def test_applied_field_magnitude():
     # independent constants arithmetic: m = 2 g mu_B evaluated directly;
-    # outside the return-flux core the source is the physical H_z of the
-    # free dipole in its own plane
+    # the readout's point field is the physical H_z of the free dipole in
+    # its own plane
     m = 2 * ELECTRON_G * BOHR_MAGNETON
     assert m == pytest.approx(3.7139e-23, rel=1e-4)
     geom, film, grid = centered_grid(n=24)
-    ha = compensated_source(z_dipole(m), grid).values
-    rcx, rcy = system_module.core_radii(grid, z_dipole(m))
+    point = system_module._point_field(z_dipole(m), grid)
     x, y = grid.points.T
-    outside = (x / rcx) ** 2 + (y / rcy) ** 2 >= 1.0
-    assert outside.sum() > grid.n_points // 2
-    free = free_dipole_field([0.0, 0.0, m], np.column_stack([x, y, 0 * x])[outside])[:, 2] / MU0
+    free = free_dipole_field([0.0, 0.0, m], np.column_stack([x, y, 0 * x]))[:, 2] / MU0
     assert np.all(free < 0)
-    assert np.all(np.abs(ha[outside] - free) <= 1e-14 * np.abs(free))
+    assert np.all(np.abs(point - free) <= 1e-14 * np.abs(free))
 
 
 def test_applied_field_inverse_cube():
     geom, film, grid = centered_grid(n=24)
-    ha = compensated_source(z_dipole(), grid).values
+    point = system_module._point_field(z_dipole(), grid)
     pts = grid.points
     r = np.hypot(pts[:, 0], pts[:, 1])
     i = np.argmin(np.abs(r - 2e-6))
     j = np.argmin(np.abs(r - 4e-6))
-    expect = (r[i] / r[j]) ** 3
-    assert ha[j] / ha[i] == pytest.approx(1 / expect**0 * (r[i] ** 3 / r[j] ** 3), rel=1e-12)
+    assert point[j] / point[i] == pytest.approx(r[i] ** 3 / r[j] ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,y", [(0.0, 0.0), (-0.9 * R, 0.0), (-0.3 * R, 0.2 * R)])
+def test_source_cell_means_match_quadrature(x, y):
+    # a cell 3 or more cells from the dipole's own carries the flux of
+    # -m / (4 pi r^3) through it, here against a 64 x 64 midpoint rule
+    geom, film, grid = centered_grid(n=40)
+    dipole = z_dipole(x=x, y=y)
+    flux = (compensated_source(dipole, grid).values * grid.weights).reshape(grid.n_x, grid.n_y)
+    own = [np.searchsorted(edges, p) - 1 for edges, p in ((grid.x_edges, x), (grid.y_edges, y))]
+    ix, iy = np.meshgrid(np.arange(grid.n_x), np.arange(grid.n_y), indexing="ij")
+    far = np.maximum(abs(ix - own[0]), abs(iy - own[1])) >= 3
+    sub = (np.arange(64) + 0.5) / 64
+    worst = 0.0
+    for i in range(grid.n_x):
+        (x0, x1), cols = grid.x_edges[i:i + 2], np.flatnonzero(far[i])
+        y0, y1 = grid.y_edges[cols], grid.y_edges[cols + 1]
+        u = x0 + (x1 - x0) * sub - x
+        v = y0[:, None] + (y1 - y0)[:, None] * sub - y
+        r3 = (u[None, :, None] ** 2 + v[:, None, :] ** 2) ** 1.5
+        want = -DEFAULT_MOMENT / (4 * np.pi) * (1 / r3).mean(axis=(1, 2)) * (x1 - x0) * (y1 - y0)
+        worst = max(worst, np.abs(flux[i, cols] / want - 1).max(initial=0.0))
+    assert worst <= 1e-3
 
 
 def test_applied_field_azimuthal_symmetry():
@@ -414,11 +433,17 @@ def test_film_reaching_the_grid_edge_is_refused(tmp_path, capsys):
 
 
 def test_reconstruct_identity_and_far_field():
+    # h_z is h_a + K g on the film rows, and off the film the dipole's point
+    # field + K g: the source is its mean over each cell, the readout pointwise
     geom, film, grid = centered_grid(n=32)
     sol = BrandtSystem(geom, film, grid).solve(z_dipole())
     kernel_si = cell_integrated_kernel(grid)
-    rebuilt = sol.h_a.values + kernel_si @ sol.g.values
+    x, y = grid.points.T
+    point = free_dipole_field([0, 0, DEFAULT_MOMENT], np.column_stack([x, y, 0 * x]))[:, 2] / MU0
+    film_rows = grid.region == REGION_FILM
+    rebuilt = np.where(film_rows, sol.h_a.values, point) + kernel_si @ sol.g.values
     assert np.allclose(rebuilt, sol.h_z.values, rtol=1e-9, atol=1e-18)
+    assert not np.allclose(sol.h_a.values[~film_rows], point[~film_rows], rtol=1e-3)
 
 
 def test_far_field_approaches_applied_for_isolated_patch():
@@ -511,6 +536,20 @@ def test_source_of_a_dipole_on_a_grid_point_does_not_warn():
     assert np.all(np.isfinite(h_a.values))
     net, scale = _plane_balance(h_a, dipole)
     assert abs(net) <= 1e-12 * scale
+
+
+def test_readout_on_a_dipole_grid_point_is_the_currents_field():
+    # the point field is 0 at a grid point on the dipole, so h_z there is K g
+    geom = Circle(R)
+    grid = scenario_grid(geom, FilmSpec(), 40, probe_x=0.9e-6, y_line=5e-9)
+    p = grid.index_of(-0.9e-6, 5e-9)
+    assert np.array_equal(grid.points[p], [-0.9e-6, 5e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = BrandtSystem(geom, FilmSpec(), grid).solve(z_dipole(x=-0.9e-6, y=5e-9))
+        h_z = sol.h_z_at(np.array([p]))
+    want = (cell_integrated_kernel(grid, [p]) @ sol.g.values)[0]
+    assert h_z[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_off_plane_dipole_rejected():
