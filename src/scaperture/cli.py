@@ -1,7 +1,6 @@
 """Batch command-line front end.
 
-Heavy imports are deferred into the command handlers so the thread-count
-override can reach the linear-algebra backend before it loads.
+Each command handler imports only the library modules it calls.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 solver failure.
 """
@@ -9,11 +8,11 @@ Exit codes: 0 success, 2 usage or configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from scaperture.errors import ConfigurationError, SolverError
+from scaperture.geometry import ConfigurationError, SolverError
+from scaperture.openblas import set_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,8 +50,7 @@ def _apply_threads(threads: int | None) -> None:
     if threads is not None:
         if threads < 1:
             raise ConfigurationError(f"thread count must be at least 1, got {threads}")
-        # read by numpy's OpenBLAS, the only BLAS loaded, when numpy is imported
-        os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
+        set_threads(threads)
 
 
 def _resolve_config(args, command):
@@ -203,7 +201,6 @@ def _cmd_compare(cfg, out) -> None:
             "median_abs_db": rep.median_abs_db,
             "quantiles_abs_db": {str(k): v for k, v in rep.quantiles_abs_db.items()},
             "sign_agreement": rep.sign_agreement,
-            "exterior_peak_ratio": rep.exterior_peak_ratio,
             "n_points": int(len(rep.delta_db)),
         },
     )

@@ -10,7 +10,6 @@ from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MU0
 from scaperture.experiments.grids import place, solve_scenario
 from scaperture.experiments.sweeps import closed_form_line
 from scaperture.geometry import Circle, ConfigurationError, FilmSpec
-from scaperture.grid import REGION_EXTERIOR
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class DeviationReport:
     median_abs_db: float
     quantiles_abs_db: dict
     sign_agreement: float
-    exterior_peak_ratio: float   # max numeric |H_z| on the film along the line / peak inside
 
 
 def compare_engines(
@@ -42,28 +40,22 @@ def compare_engines(
     radius = geometry.radius
     x0, probe_x = place(scenario, geometry, d)
     solved = solve_scenario(geometry, film, n, dipole_x=x0, moment=moment, probe_x=probe_x)
-    near = solved.grid.region[solved.line] != REGION_EXTERIOR  # h_z_at folds no exterior row
-    xs = solved.grid.x[near]
-    hz = solved.solution.h_z_at(solved.line[near])
-
-    rho = np.hypot(xs, EVAL_Y)
+    rho = np.hypot(solved.grid.x, EVAL_Y)
     in_band = (rho > band[0] * radius) & (rho < band[1] * radius)
     if not in_band.any():
         raise ConfigurationError(f"the comparison band ({band[0]} to {band[1]} R on the line) "
                                  "holds no grid points; refine the grid")
+    xs = solved.grid.x[in_band]
 
-    numeric_bz = MU0 * hz[in_band]
-    analytic_bz = closed_form_line(moment, radius, x0, xs[in_band])
+    numeric_bz = MU0 * solved.solution.h_z_at(solved.line[in_band])
+    analytic_bz = closed_form_line(moment, radius, x0, xs)
 
     delta_db = 20.0 * np.log10(np.abs(numeric_bz / analytic_bz))
     sign_agreement = float(np.mean(np.sign(numeric_bz) == np.sign(analytic_bz)))
 
-    peak_inside = np.abs(hz[rho < radius]).max()
-    exterior_peak_ratio = float(np.abs(hz[rho > radius]).max() / peak_inside)
-
     return DeviationReport(
         scenario=scenario,
-        x_positions=xs[in_band],
+        x_positions=xs,
         numeric_bz=numeric_bz,
         analytic_bz=analytic_bz,
         delta_db=delta_db,
@@ -72,5 +64,4 @@ def compare_engines(
             q: float(np.quantile(np.abs(delta_db), q)) for q in (0.25, 0.5, 0.75, 0.9)
         },
         sign_agreement=sign_agreement,
-        exterior_peak_ratio=exterior_peak_ratio,
     )

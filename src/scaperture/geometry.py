@@ -1,4 +1,4 @@
-"""Aperture geometries, film parameters and the dipole source."""
+"""Aperture geometries, film parameters, the dipole source and the error classes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,14 @@ from scaperture.constants import (
     DEFAULT_LONDON_DEPTH,
     DEFAULT_THICKNESS,
 )
-from scaperture.errors import ConfigurationError, SolverError  # noqa: F401  (re-exported)
+
+
+class ConfigurationError(ValueError):
+    """Inconsistent geometry, film or scenario parameters."""
+
+
+class SolverError(RuntimeError):
+    """Linear system could not be solved reliably."""
 
 
 def _vec3(v) -> np.ndarray:

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from ctypes import CDLL, POINTER, c_char_p, c_double, c_int64, c_size_t, c_void_p
+from ctypes import POINTER, c_char_p, c_double, c_int64, c_size_t, c_void_p
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from numpy._core import _multiarray_umath
 
 from scaperture.geometry import ApertureGeometry, ConfigurationError, Dipole, FilmSpec, SolverError
 from scaperture.grid import REGION_APERTURE, REGION_EXTERIOR, REGION_FILM, FieldMap, Grid
+from scaperture.openblas import _routine
 from scaperture.solver.kernel import _inverse_offsets, folded_kernel_rows
 from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
 
@@ -43,25 +43,10 @@ from scaperture.solver.laplacian import STENCIL, apply_stencil, div_lambda_grad
 # 64-bit integers, and a trailing length (c_size_t) for each character argument
 _C, _I, _D, _L = c_char_p, POINTER(c_int64), POINTER(c_double), c_size_t
 _A, _P = (np.ctypeslib.ndpointer(dtype, flags="F_CONTIGUOUS") for dtype in (np.float64, np.int64))
-
-
-def _routine(lib, name: str, restype, *argtypes):
-    """LAPACK routine `name` of numpy's OpenBLAS `lib`, typed."""
-    symbol = f"scipy_{name}_64_"
-    try:
-        routine = getattr(lib, symbol)
-    except AttributeError:
-        raise ImportError(f"{lib._name} resolves no LAPACK symbol {symbol}") from None
-    routine.restype, routine.argtypes = restype, argtypes
-    return routine
-
-
-# numpy's core extension links its OpenBLAS: one BLAS and one thread pool per process
-_openblas = CDLL(_multiarray_umath.__file__)
-_dgetrf = _routine(_openblas, "dgetrf", None, _I, _I, _A, _I, _P, _I)
-_dgetrs = _routine(_openblas, "dgetrs", None, _C, _I, _I, _A, _I, _P, _A, _I, _I, _L)
-_dgecon = _routine(_openblas, "dgecon", None, _C, _I, _A, _I, _D, _D, _A, _P, _I, _L)
-_dlange = _routine(_openblas, "dlange", c_double, _C, _I, _I, _A, _I, c_void_p, _L)
+_dgetrf = _routine("dgetrf", None, _I, _I, _A, _I, _P, _I)
+_dgetrs = _routine("dgetrs", None, _C, _I, _I, _A, _I, _P, _A, _I, _I, _L)
+_dgecon = _routine("dgecon", None, _C, _I, _A, _I, _D, _D, _A, _P, _I, _L)
+_dlange = _routine("dlange", c_double, _C, _I, _I, _A, _I, c_void_p, _L)
 
 
 def _z_moment(dipole: Dipole) -> float:

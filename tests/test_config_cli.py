@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scaperture
+from scaperture import openblas
 from scaperture.analytic.centered import field_centered
 from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
 from scaperture.constants import EVAL_Y
@@ -679,7 +680,7 @@ def test_cli_analytic_map_matches_pointwise_loop(tmp_path):
     assert on_film.sum() == 12 and np.all(data[on_film, 2:] == 0.0)
 
 
-def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, capsys):
+def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "o")
     # a count that is not an integer is an argparse usage error, exit code 2
     for option in ("--grid", "--threads"):
@@ -690,8 +691,9 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, monkeypatch, ca
     # --grid 0 is a count, so it reaches the grid's own check
     assert main(["solve", "--preset", "fig7a", "--grid", "0", "--out", out]) == EXIT_CONFIG
     assert "at least 16 points" in capsys.readouterr().err
-    # a rejected count must not reach the backend's environment either
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # a rejected count must not reach the thread pool either
+    pool = openblas._lib.scipy_openblas_get_num_threads64_
+    threads = pool()
     assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert pool() == threads
     assert "configuration error" in capsys.readouterr().err

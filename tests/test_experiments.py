@@ -273,7 +273,6 @@ def test_compare_engines_centered_smoke():
     rep = compare_engines("centered", Circle(1e-6), 100e-9, n=40)
     assert rep.median_abs_db < 3.0
     assert rep.sign_agreement > 0.95
-    assert rep.exterior_peak_ratio < 0.01
 
 
 def test_coupling_estimate_zero_field():

@@ -17,6 +17,7 @@ import scipy.linalg.lapack as lapack
 from numpy.fft import _pocketfft_umath
 
 import scaperture
+from scaperture import openblas
 from scaperture.geometry import SolverError
 from scaperture.solver import system as system_module
 
@@ -77,29 +78,38 @@ def test_info_values_match_scipy_lapack():
 def test_missing_symbol_is_an_import_error_that_names_it():
     # numpy's FFT extension links no BLAS
     with pytest.raises(ImportError, match="scipy_dgetrf_64_"):
-        system_module._routine(CDLL(_pocketfft_umath.__file__), "dgetrf", None)
+        openblas._routine("dgetrf", None, lib=CDLL(_pocketfft_umath.__file__))
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists() or _CPUS < 2,
+                    reason="needs /proc/self/maps and 2 CPUs for a 2-thread pool")
 def test_a_sweep_maps_one_openblas_and_threads_reach_it(tmp_path):
-    # --threads must be the only source of the thread count
+    # numpy loads first and starts a 2-thread pool; --threads 1 must still
+    # size it, and the manifest must record what ran
     script = (
         "import json, sys\n"
+        "from ctypes import CDLL\n"
+        "from numpy._core import _multiarray_umath\n"
+        "pool = CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_\n"
+        "before = pool()\n"
         "from scaperture.cli import main\n"
         "out = sys.argv[1]\n"
-        "assert main(['sweep', '--preset', 'fig5c', '--grid', '20', '--threads', '1', '--out', out]) == 0\n"
-        "from scaperture.solver import system\n"
+        "assert main(['sweep', '--preset', 'fig5c', '--grid', '20', '--threads', '1',\n"
+        "             '--out', out]) == 0\n"
         "paths = {line.split()[-1] for line in open('/proc/self/maps') if '/' in line}\n"
-        "print(json.dumps({'paths': sorted(paths),\n"
-        "                  'threads': system._openblas.scipy_openblas_get_num_threads64_()}))\n"
+        "print(json.dumps({'paths': sorted(paths), 'threads': [before, pool()]}))\n"
     )
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(scaperture.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep")],
                          capture_output=True, text=True, env=env, timeout=300, check=True)
     report = json.loads(run.stdout.splitlines()[-1])
     names = [Path(path).name for path in report["paths"]]
     assert len([name for name in names if "openblas" in name]) == 1
     assert not [name for name in names if "_flapack" in name]
-    assert report["threads"] == 1
+    assert report["threads"] == [2, 1]
+    assert json.loads((tmp_path / "sweep" / "manifest.json").read_text())["threads"] == 1

@@ -23,21 +23,7 @@ def test_constants_equal_scipy_codata():
     assert constants.ELECTRON_G == abs(scipy.constants.physical_constants["electron g factor"][0])
 
 
-def test_cli_import_loads_no_numpy():
-    # --threads is applied after the import and must precede numpy's BLAS
-    script = (
-        "import sys\n"
-        "import scaperture.cli\n"
-        "assert scaperture.cli.EXIT_OK == 0\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(scaperture.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    assert run.stdout.strip() == "[]"
-
-
-def test_package_names_load_on_access():
+def test_package_root_names_its_library_classes():
     from scaperture import Circle, ConfigurationError
 
     assert Circle is geometry.Circle
@@ -79,12 +65,13 @@ def test_numeric_commands_load_no_scipy_linalg_or_sparse(tmp_path):
 
 
 def test_each_command_loads_only_the_library_modules_it_calls(tmp_path):
-    # the analytic and experiments packages re-export nothing, so a command
-    # loads the modules it imports from and no sibling
+    # the analytic and experiments packages re-export nothing and the package
+    # root names no grid or solver class, so a command loads the modules it
+    # imports from and no sibling: the closed forms load no grid or solver
     analytic = _modules_after(tmp_path, [["analytic", "--preset", preset]
                                          for preset in ("fig4", "fig3")], "scaperture")
     assert "scaperture.analytic.centered" in analytic
-    assert [m for m in analytic if m == "scaperture.analytic.shifted"
+    assert [m for m in analytic if m in ("scaperture.analytic.shifted", "scaperture.grid")
             or m.startswith(("scaperture.solver", "scaperture.experiments"))] == []
     sweep = _modules_after(tmp_path, [["sweep", "--preset", "fig5c", "--grid", "20"]], "scaperture")
     assert "scaperture.experiments.sweeps" in sweep
