@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from scaperture.analytic.green import SQRT2, SingularityError
 from scaperture.constants import MU0
+from scaperture.geometry import SingularityError
+
+SQRT2 = np.sqrt(2.0)
 
 
 def _alpha_parts(r, radius):

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from scaperture.analytic.green import SingularityError
 from scaperture.constants import MU0
+from scaperture.geometry import SingularityError
 
 
 def field_inplane(m: float, x: np.ndarray, radius: float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Each command handler imports only the library modules it calls.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 solver failure.
+Exit codes: 0 success, 2 usage, configuration or output error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -253,15 +253,18 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"{out}: cannot create the output directory: "
                                      f"{exc.strerror}") from exc
         _HANDLERS[args.command](cfg, out)
+        from scaperture.io.writers import write_manifest
+
+        write_manifest(out / "manifest.json", args.command, cfg.raw, args.threads)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a failed output write, its temp file removed
+        print(f"output error: {exc.filename}: cannot write: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    from scaperture.io.writers import write_manifest
-
-    write_manifest(out / "manifest.json", args.command, cfg.raw, args.threads)
     return EXIT_OK
 
 

@@ -16,7 +16,8 @@ from scaperture.analytic.shifted import field_shifted_bz_plane
 from scaperture.constants import DEFAULT_MOMENT, EVAL_Y, MIN_FIT_RADII
 from scaperture.experiments.fitting import PowerLawFit, fit_power_law
 from scaperture.experiments.grids import place, solve_scenario
-from scaperture.geometry import ApertureGeometry, Circle, ConfigurationError, Ellipse, FilmSpec
+from scaperture.geometry import (ApertureGeometry, Circle, ConfigurationError, Ellipse,
+                                 FilmSpec, SolverError)
 
 ENGINES = ("analytic", "numeric")
 
@@ -63,7 +64,8 @@ def sweep(
     the left edge (shifted, L = 2 (r - d)), every radius before any solve.
     The analytic engine needs circles; the numeric one sizes each radius's
     film and grid by `film.half_extents`.  Both read the probe on y = EVAL_Y.
-    The power-law fit needs at least MIN_FIT_RADII distinct radii.
+    The power-law fit needs at least MIN_FIT_RADII distinct radii and B_z
+    of one sign at all of them (SolverError otherwise).
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}")
@@ -91,6 +93,12 @@ def sweep(
             fields[i] = solve_scenario(aperture, film, n, dipole_x=dipole_x, moment=moment,
                                        probe_x=probe_x).b_probe
 
+    signs = np.sign(fields)
+    odd = radii[signs != (1.0 if signs.sum() >= 0 else -1.0)]  # against the majority's sign
+    if odd.size:
+        raise SolverError(f"B_z at the probe is zero or of the other sign at radius "
+                          f"{', '.join(f'{r:.6g}' for r in odd)} m, so no power law fits; "
+                          "an under-resolved grid can do this")
     fit = fit_power_law(lengths, fields)
     meta = {"engine": engine}
     if engine == "numeric":

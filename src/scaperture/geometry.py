@@ -22,6 +22,10 @@ class SolverError(RuntimeError):
     """Linear system could not be solved reliably."""
 
 
+class SingularityError(ValueError):
+    """Evaluation requested at a singular point of a closed form."""
+
+
 def _vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):

@@ -19,13 +19,19 @@ FLOAT_FMT = "%.17g"
 
 @contextmanager
 def _atomic_open(path):
-    """A text file that replaces `path` once it is written in full."""
+    """A text file that replaces `path` once it is written in full; a failed
+    write or rename leaves no temp file and raises an OSError naming `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after the rename
 
 
 def write_csv_atomic(path, columns: dict, header_comments=()) -> None:

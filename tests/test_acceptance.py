@@ -221,7 +221,7 @@ def test_criterion_11_coupling_order_of_magnitude():
     #   numeric ellipse n = 40/60/80                     47.0 / 41.1 / 39.7
     # The moment convention (DEFAULT_MOMENT = 2 g mu_B ~ 4.0 mu_B) cancels in
     # every ratio checked here, since coupling scales as m^2.
-    from scaperture.analytic.shifted import field_shifted
+    from scaperture.analytic.shifted import field_shifted_bz_plane
     from scaperture.constants import PLANCK
 
     radius = 250e-9
@@ -234,7 +234,7 @@ def test_criterion_11_coupling_order_of_magnitude():
         return DEFAULT_MOMENT * abs(b_z) / PLANCK
 
     free_hz = hz(free_dipole_field(moment, [2 * inset, 0.0, 0.0])[2])
-    exact_hz = hz(field_shifted(moment, -inset, [inset, 0.0, 0.0], radius)[2])
+    exact_hz = hz(field_shifted_bz_plane(DEFAULT_MOMENT, -inset, [inset], 0.0, radius)[0])
     ellipse_hz = numeric_coupling(Ellipse(a=radius, b=100e-9), D_EDGE, n=60).coupling
     circle_hz = numeric_coupling(Circle(radius), D_EDGE, n=60).coupling
 

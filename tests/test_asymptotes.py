@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scaperture.analytic.green import SingularityError
 from scaperture.analytic.inplane import field_inplane
 from scaperture.constants import MU0
+from scaperture.geometry import SingularityError
 
 from analytic_oracles import edge_asymptote, free_dipole_field
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scaperture.analytic.centered import _field_block, field_centered
-from scaperture.analytic.green import SingularityError
 from scaperture.constants import MU0
+from scaperture.geometry import SingularityError
 
 from analytic_oracles import free_dipole_field, n_vector, vector_potential_centered
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import scaperture
 from scaperture import openblas
 from scaperture.analytic.centered import field_centered
-from scaperture.cli import EXIT_CONFIG, EXIT_OK, main
+from scaperture.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from scaperture.constants import EVAL_Y
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
@@ -198,6 +199,32 @@ def test_cli_out_that_is_a_file_is_config_error(tmp_path, capsys):
     assert main(["analytic", "--preset", "fig4", "--out", str(out)]) == EXIT_CONFIG
     assert f"configuration error: {out}: cannot create" in capsys.readouterr().err
     assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("preset, name", [("fig3", "map.csv"), ("fig4", "manifest.json")])
+def test_cli_failed_write_is_config_error(tmp_path, capsys, preset, name):
+    # a target that is a directory made os.replace raise: a traceback with
+    # exit code 1 that left the temp file behind
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(["analytic", "--preset", preset, "--out", str(out)]) == EXIT_CONFIG
+    assert f"output error: {out / name}: cannot write" in capsys.readouterr().err
+    assert not list(out.glob(".*.tmp*"))
+    assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("fields", [[1.0, 2.0, -3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+                                    [-1.0, -2.0, 0.0, -4.0, -5.0, -6.0, -7.0, -8.0]])
+def test_cli_sweep_of_mixed_sign_is_solver_failure(tmp_path, capsys, monkeypatch, fields):
+    # fit_power_law's ValueError was a traceback with exit code 1
+    values = iter(fields)
+    monkeypatch.setattr("scaperture.experiments.sweeps.solve_scenario",
+                        lambda *args, **kwargs: SimpleNamespace(b_probe=next(values)))
+    out = tmp_path / "o"
+    assert main(["sweep", "--preset", "fig5c", "--out", str(out)]) == EXIT_SOLVER
+    radius = preset_config("fig5c", "sweep").sweep_radii[2]
+    assert f"of the other sign at radius {radius:.6g} m" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "coupling"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scaperture.analytic.green import SingularityError, green_source_gradient
+from scaperture.geometry import SingularityError
 
-from analytic_oracles import GreenEval, green_circular
+from analytic_oracles import GreenEval, green_circular, green_source_gradient
 
 
 def random_same_side(rng, n, spread=1.5):

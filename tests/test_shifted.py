@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scaperture.analytic.centered import field_centered
-from scaperture.analytic.green import SingularityError, green_source_gradient
 from scaperture.analytic.inplane import field_inplane
-from scaperture.analytic.shifted import field_shifted, field_shifted_bz_plane
+from scaperture.analytic.shifted import _source_gradient, field_shifted_bz_plane
 from scaperture.constants import MU0
-from scaperture.geometry import ConfigurationError
+from scaperture.geometry import ConfigurationError, SingularityError
 
-from analytic_oracles import green_circular
+from analytic_oracles import field_shifted, green_circular, green_source_gradient
 
 R = 1.0
 
@@ -77,13 +77,41 @@ def test_edge_to_edge_asymptote_in_separation_form():
         assert b[2] == pytest.approx(want, rel=tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.99, 0.99), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_inplane_gradient_is_the_3d_gradient_at_z_zero(x0, x, y):
+    # the in-plane G is the 3-D kernel at z = z' = 0 with a source in the hole
+    rho = np.hypot(x, y)
+    assume(np.hypot(x - x0, y) > 1e-6 and abs(rho - R) > 1e-6)
+    got = _source_gradient(np.array([x, y]), x0, R)
+    want = green_source_gradient(np.array([x, y, 0.0]), np.array([x0, 0.0, 0.0]), R)
+    assert want[2] == 0.0
+    assert np.linalg.norm(got - want[:2]) <= 1e-13 * np.linalg.norm(want)
+    if rho > R:
+        assert np.all(got == 0.0)
+
+
 def test_inplane_fast_path_matches_general():
-    x0 = -0.6
-    xs = np.array([0.3, 0.7])
-    fast = field_shifted_bz_plane(1.0, x0, xs, 0.01, R)
-    for xv, bz in zip(xs, fast):
-        full = field_shifted([0, 0, 1.0], x0, [xv, 0.01, 0.0], R)
-        assert bz == pytest.approx(full[2], rel=1e-9)
+    # in the hole within 1e-12 of the general form's z component, and
+    # exactly 0 on the film
+    rng = np.random.default_rng(7)
+    for x0 in (-0.9, -0.6, 0.0, 0.35, 0.8):
+        for y in (0.0, 0.01, -0.45):
+            xs = rng.uniform(-3, 3, 40)
+            xs = xs[(np.abs(xs - x0) > 1e-2) & (np.abs(np.hypot(xs, y) - R) > 1e-2)]
+            fast = field_shifted_bz_plane(1.0, x0, xs, y, R)
+            film = np.hypot(xs, y) > R
+            assert film.any() and not film.all()
+            assert np.all(fast[film] == 0.0)
+            full = np.array([field_shifted([0, 0, 1.0], x0, [xv, y, 0.0], R)[2]
+                             for xv in xs[~film]])
+            assert np.all(np.abs(fast[~film] - full) <= 1e-12 * np.abs(full))
+
+
+@pytest.mark.parametrize("x0", [R, 1.2 * R, -R])
+def test_bz_plane_rejects_dipole_outside_aperture(x0):
+    with pytest.raises(ConfigurationError):
+        field_shifted_bz_plane(1.0, x0, [0.2, 0.5], 0.0, R)
 
 
 def test_against_plain_fd_oracle():
@@ -117,29 +145,28 @@ C8 = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])  # eighth-order central weight
 
 
 def _bz_plane_loop(m, x0, x, y, radius, rel_step=1e-2):
-    """Per-point reference for field_shifted_bz_plane: one stencil call per
-    point and axis, the step from the single-point norm."""
-    src = np.array([x0, 0.0, 0.0])
+    """Per-point reference for field_shifted_bz_plane: one in-plane
+    gradient call per point and axis."""
     out = np.empty(len(x))
     for i, xv in enumerate(x):
-        r = np.array([xv, y, 0.0])
-        scale = min(np.linalg.norm(r - src), np.hypot(np.hypot(r[0], r[1]) - radius, r[2]))
+        r = np.array([xv, y])
+        scale = min(np.hypot(xv - x0, y), abs(np.hypot(xv, y) - radius))
         if scale == 0.0:
             raise SingularityError("field evaluation at the dipole or on the edge ring")
         h = rel_step * scale
         acc = 0.0
         for axis in (0, 1):
-            e = np.zeros(3)
+            e = np.zeros(2)
             e[axis] = 1.0
             pts = []
             for k in (1, 2, 3, 4):
                 pts.append(r + k * h * e)
                 pts.append(r - k * h * e)
-            grads = green_source_gradient(np.array(pts), src, radius)
-            der = np.zeros(3)
+            grads = _source_gradient(np.array(pts), x0, radius)
+            der = 0.0
             for kidx in range(4):
-                der += C8[kidx] * (grads[2 * kidx] - grads[2 * kidx + 1])
-            acc += der[axis] / h
+                der += C8[kidx] * (grads[2 * kidx, axis] - grads[2 * kidx + 1, axis])
+            acc += der / h
         out[i] = MU0 * m * acc
     return out
 
