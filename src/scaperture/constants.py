@@ -13,9 +13,9 @@ GAUSS = 1e-4  # tesla
 MIN_FIT_RADII = 5  # fewest sweep radii the power-law fit is made from
 EVAL_Y = 5e-9  # height of the evaluation line y = EVAL_Y of every scenario, m
 
-# thin-film material defaults: clean Nb layer
-DEFAULT_LONDON_DEPTH = 50e-9
-DEFAULT_THICKNESS = 80e-9
+# Pearl length lambda^2 / d of a clean Nb layer, lambda = 50 nm and d = 80 nm,
+# written as the config converts its 31.25 nm, so the two defaults agree to the bit
+DEFAULT_PEARL_LENGTH = 31.25 * 1e-9
 DEFAULT_FILM_FACTOR = 90.0   # film half-extent in scale radii; > 1 covers the aperture
 DEFAULT_GRID_FACTOR = 100.0  # grid half-extent in scale radii; > the film's
 DEFAULT_RATIO = 125.0  # scenario grid: far spacing over the spacing at the refined positions

@@ -63,7 +63,6 @@ class ScenarioSolution:
     grid: Grid
     system: solver.BrandtSystem
     solution: solver.StreamSolution
-    dipole: Dipole
     line: np.ndarray    # flat grid indices of the line y = EVAL_Y, by increasing x
     probe: int          # index of the probe on the line
 
@@ -92,7 +91,6 @@ def solve_scenario(
         grid=grid,
         system=system,
         solution=system.solve(dipole),
-        dipole=dipole,
         line=grid.x_line(EVAL_Y),
         probe=int(np.argmin(np.abs(grid.x - probe_x))),
     )

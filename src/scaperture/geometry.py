@@ -9,8 +9,7 @@ import numpy as np
 from scaperture.constants import (
     DEFAULT_FILM_FACTOR,
     DEFAULT_GRID_FACTOR,
-    DEFAULT_LONDON_DEPTH,
-    DEFAULT_THICKNESS,
+    DEFAULT_PEARL_LENGTH,
 )
 
 
@@ -137,19 +136,13 @@ ApertureGeometry = Circle | Ellipse | DogBone
 
 @dataclass(frozen=True)
 class FilmSpec:
-    """Material of the superconducting film."""
+    """Material of the superconducting film: its Pearl length lambda^2 / thickness, m."""
 
-    london_depth: float = DEFAULT_LONDON_DEPTH
-    thickness: float = DEFAULT_THICKNESS
+    pearl_length: float = DEFAULT_PEARL_LENGTH
 
     def __post_init__(self):
-        if not (self.london_depth > 0 and self.thickness > 0):
-            raise ConfigurationError("london_depth and thickness must be positive")
-
-    @property
-    def pearl_length(self) -> float:
-        """Two-dimensional screening length, lambda^2 / thickness."""
-        return self.london_depth**2 / self.thickness
+        if not 0 < self.pearl_length < float("inf"):
+            raise ConfigurationError("pearl_length must be positive and finite")
 
     def half_extents(self, geometry: ApertureGeometry) -> tuple[float, float]:
         """(film, grid) half-extents around `geometry`, m: DEFAULT_FILM_FACTOR and

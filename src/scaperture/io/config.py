@@ -48,7 +48,7 @@ _GEOMETRIES = {
 }
 # the keys of each config section but the geometry, whose keys follow its kind
 _SECTIONS = {
-    "film": ("london_depth_nm", "thickness_nm"),
+    "film": ("pearl_length_nm",),
     "dipole": ("moment",),
     "grid": ("n",),
     "sweep": ("d_nm", "radii_nm"),
@@ -93,8 +93,7 @@ def parse_config(doc: dict, command: str) -> ScenarioConfig:
         radii = sweep_doc.get("radii_nm", [])
         cfg = ScenarioConfig(
             geometry=geometry,
-            film=FilmSpec(london_depth=_number(film_doc, "film", "london_depth_nm", 50) * _NM,
-                          thickness=_number(film_doc, "film", "thickness_nm", 80) * _NM),
+            film=FilmSpec(pearl_length=_number(film_doc, "film", "pearl_length_nm", 31.25) * _NM),
             moment=_number(dipole_doc, "dipole", "moment", DEFAULT_MOMENT),
             n=_number(grid_doc, "grid", "n", 60, (int,)),
             engine=doc.get("engine", "numeric"),
@@ -148,7 +147,7 @@ def load_config(path: str | Path, command: str) -> ScenarioConfig:
 def _doc(**over):
     doc = {
         "geometry": {"kind": "circle", "radius_nm": 1000},
-        "film": {"london_depth_nm": 50, "thickness_nm": 80},
+        "film": {"pearl_length_nm": 31.25},  # lambda = 50 nm, d = 80 nm
         "grid": {"n": 60},
     }
     doc.update(over)

@@ -8,6 +8,8 @@ from ctypes import CDLL
 
 from numpy._core import _multiarray_umath
 
+from scaperture.geometry import ConfigurationError
+
 _lib = CDLL(_multiarray_umath.__file__)
 
 
@@ -24,5 +26,11 @@ def _routine(name: str, restype, *argtypes, lib=_lib):
 
 def set_threads(count: int) -> None:
     """Size the thread pool of numpy's OpenBLAS to `count` threads from its
-    next call on, however long ago numpy was loaded."""
+    next call on, however long ago numpy was loaded. A count the pool does not
+    take (ctypes wraps it as a C int, OpenBLAS caps it) leaves the pool as it was."""
+    previous = _lib.scipy_openblas_get_num_threads64_()
     _lib.scipy_openblas_set_num_threads64_(count)
+    taken = _lib.scipy_openblas_get_num_threads64_()
+    if taken != count:
+        _lib.scipy_openblas_set_num_threads64_(previous)
+        raise ConfigurationError(f"thread count {count} is out of range: the pool took {taken}")

@@ -229,8 +229,6 @@ class BrandtSystem:
     def __init__(self, geometry: ApertureGeometry, film: FilmSpec, grid: Grid):
         _check_grid(grid)
         lam_film = film.pearl_length
-        if lam_film <= 0:
-            raise ConfigurationError("pearl length must be positive")
         self.geometry = geometry
         self.film = film
         self.grid = grid

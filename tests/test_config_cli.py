@@ -17,7 +17,7 @@ from scaperture.constants import EVAL_Y
 from scaperture.experiments.compare import compare_engines
 from scaperture.experiments.coupling import numeric_coupling
 from scaperture.experiments.grids import place, solve_scenario
-from scaperture.geometry import Circle, ConfigurationError, Ellipse
+from scaperture.geometry import Circle, ConfigurationError, Ellipse, FilmSpec
 from scaperture.io.config import PRESETS, load_config, parse_config, preset_config
 
 
@@ -28,14 +28,23 @@ def test_presets_cover_paper_parameters():
     cfg = preset_config("fig5c", "sweep")
     assert isinstance(cfg.geometry, Circle)
     assert cfg.geometry.radius == pytest.approx(1000e-9)
-    assert cfg.film.london_depth == pytest.approx(50e-9)
-    assert cfg.film.thickness == pytest.approx(80e-9)
+    assert cfg.film.pearl_length == pytest.approx(50e-9**2 / 80e-9)
     assert cfg.film.half_extents(cfg.geometry) == pytest.approx((90e-6, 100e-6))
     assert cfg.sweep_d == pytest.approx(100e-9)
     e = preset_config("fig6b", "sweep")
     assert isinstance(e.geometry, Ellipse)
     assert e.geometry.a == pytest.approx(1000e-9)
     assert e.geometry.b == pytest.approx(100e-9)
+
+
+@pytest.mark.parametrize("name, command", [
+    ("fig3", "analytic"), ("fig4", "analytic"), ("fig5a", "compare"), ("fig5b", "compare"),
+    ("fig5c", "sweep"), ("fig5d", "sweep"), ("fig6a", "solve"), ("fig6b", "sweep"),
+    ("fig7a", "solve"), ("fig7b", "solve"), ("coupling300", "coupling"),
+])
+def test_default_film_is_every_presets_film(name, command):
+    # one default, to the bit: the library's film is the config's 31.25 nm
+    assert FilmSpec() == preset_config(name, command).film
 
 
 def test_config_validation_errors():
@@ -137,8 +146,9 @@ _RADII = {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, 8000]}
      "geometry.radius_nm must be a finite real number"),
     ("sweep", {"sweep": {"d_nm": 100, "radii_nm": [500, 1000, 2000, 4000, math.inf]}},
      "sweep.radii_nm.4 must be a finite real number"),
-    ("solve", {"film": {"london_depth_nm": math.inf}}, "film.london_depth_nm must be a finite"),
-    ("solve", {"film": {"thickness_nm": True}}, "film.thickness_nm must be a finite real number"),
+    ("solve", {"film": {"pearl_length_nm": math.inf}}, "film.pearl_length_nm must be a finite"),
+    ("solve", {"film": {"pearl_length_nm": True}},
+     "film.pearl_length_nm must be a finite real number"),
     ("coupling", {"geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": math.inf}},
      "geometry.b_nm must be a finite real number"),
     ("compare", {"dipole": {"moment": math.nan}}, "dipole.moment must be a finite real number"),
@@ -154,7 +164,7 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, do
 
 
 @pytest.mark.parametrize("doc, key", [
-    ({"film": {"london_depth": 80}}, "'london_depth'"),  # ran at the default 50 nm
+    ({"film": {"london_depth": 80}}, "'london_depth'"),  # a misspelt key ran at the default
     ({"db_convention": "amplitude20"}, "'db_convention'"),
     ({"grid": {"nx": 40}}, "'nx'"),
     ({"geometry": {"kind": "circle", "radius_nm": 1000, "a_nm": 500}}, "'a_nm'"),
@@ -167,6 +177,9 @@ def test_cli_mistyped_config_value_is_config_error(tmp_path, capsys, command, do
     ({"dipole": {"x_nm": -900.0}}, "'x_nm'"),
     ({"dipole": {"y_nm": 0.0}}, "'y_nm'"),
     ({"y_offset_nm": 5.0}, "'y_offset_nm'"),
+    # the film is its Pearl length alone; these keys used to be read
+    ({"film": {"london_depth_nm": 50}}, "'london_depth_nm'"),
+    ({"film": {"thickness_nm": 80}}, "'thickness_nm'"),
 ])
 def test_cli_unknown_config_key_is_config_error(tmp_path, capsys, doc, key):
     cfgfile = tmp_path / "cfg.json"
@@ -724,3 +737,12 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, capsys):
     assert main(["solve", "--preset", "fig7a", "--threads", "-3", "--out", out]) == EXIT_CONFIG
     assert pool() == threads
     assert "configuration error" in capsys.readouterr().err
+    # a count that wraps as a C int: 2**31 read as -2**31 left the pool as it
+    # was, 2**32 + 1 set it to 1, and each run wrote its outputs and exited 0
+    for count in (2**31, 2**32 + 1):
+        wrapped = tmp_path / str(count)
+        assert main(["analytic", "--preset", "fig4", "--threads", str(count),
+                     "--out", str(wrapped)]) == EXIT_CONFIG
+        assert pool() == threads
+        assert f"thread count {count} is out of range" in capsys.readouterr().err
+        assert not wrapped.exists()

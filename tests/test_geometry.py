@@ -84,8 +84,11 @@ def test_dogbone_union_matches_predicate():
 
 
 def test_pearl_length():
-    film = FilmSpec(london_depth=50e-9, thickness=80e-9)
-    assert film.pearl_length == pytest.approx(50e-9**2 / 80e-9, rel=1e-15)
+    # the default is lambda^2 / d of the Nb layer, lambda = 50 nm and d = 80 nm
+    assert FilmSpec().pearl_length == pytest.approx(50e-9**2 / 80e-9, rel=1e-15)
+    for bad in (0.0, -31.25e-9, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="pearl_length must be positive and finite"):
+            FilmSpec(pearl_length=bad)
 
 
 def test_extent_factors_put_the_film_around_the_aperture_and_the_grid_beyond_it():

@@ -469,7 +469,7 @@ def test_pearl_length_trend():
     geom = Circle(R)
     positions = []
     for lam in (100e-9, 50e-9, 25e-9):
-        film = FilmSpec(london_depth=lam, thickness=80e-9)
+        film = FilmSpec(pearl_length=lam**2 / 80e-9)
         grid = make_grid(
             geom, film, 40, 125.0,
             refine_x=[0.0],
