@@ -8,6 +8,7 @@ scenario; sweeps carry explicit radius lists so runs stay reproducible.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,6 +126,17 @@ def _validate(cfg: ScenarioConfig, command: str) -> None:
             raise ConfigurationError(f"analytic.kind: unknown value {cfg.analytic_kind!r}")
         if cfg.analytic_samples < 2:
             raise ConfigurationError("analytic.samples must be at least 2")
+        # the largest array in doubles: the map's (samples^2, 3) field, or the curve
+        k = float(cfg.analytic_samples)
+        name, doubles = "analytic.samples", 3 * k * k if cfg.analytic_kind == "map" else k
+    else:
+        # the solver's even-even block of (n^2 / 4)^2 kernel entries
+        k = float(cfg.n) * cfg.n / 4
+        name, doubles = "grid.n", k * k
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * doubles > memory:
+        raise ConfigurationError(f"{name} needs an array of {8 * doubles:.3g} bytes, more than "
+                                 f"this machine's {memory / 2**30:.1f} GiB of memory")
 
 
 def load_config(path: str | Path, command: str) -> ScenarioConfig:

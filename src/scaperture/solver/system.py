@@ -84,7 +84,8 @@ def _point_field(dipole: Dipole, grid: Grid) -> np.ndarray:
 
 
 def _check_grid(grid: Grid) -> None:
-    """The solver's grid assumptions: mirror symmetry, and no film on the edge ring."""
+    """The solver's grid assumptions: mirror symmetry, no film on the edge ring
+    and at least one point in the aperture."""
     for name, axis in (("x", grid.x), ("y", grid.y)):
         if not (np.array_equal(axis, -axis[::-1]) and np.all(axis != 0.0)):
             raise ConfigurationError(
@@ -97,6 +98,9 @@ def _check_grid(grid: Grid) -> None:
     if REGION_FILM in region[[0, -1]] or REGION_FILM in region[:, [0, -1]]:
         raise ConfigurationError("the film reaches the grid edge, where the London stencil has "
                                  "no row; raise n so that the grid extends beyond the film")
+    if REGION_APERTURE not in region:
+        raise ConfigurationError("no grid point lies inside the aperture, which is narrower "
+                                 "than the grid spacing there; raise n")
 
 
 def _mirror_views(a: np.ndarray):

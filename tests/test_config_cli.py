@@ -501,6 +501,10 @@ def test_cli_solve_with_crossed_sites_is_config_error(tmp_path, capsys, d_nm):
     ({"analytic": {"kind": "cruve"}}, "analytic.kind"),  # silently wrote map.csv
     ({"analytic": {"samples": -1}}, "analytic.samples"),  # a ValueError traceback
     ({"analytic": {"kind": "map", "samples": 1}}, "analytic.samples"),
+    # numpy's "Maximum allowed size exceeded", a traceback (exit code 1)
+    ({"analytic": {"samples": 10**20}}, "analytic.samples needs an array of 8e+20 bytes"),
+    ({"analytic": {"kind": "map", "samples": 10**20}},
+     "analytic.samples needs an array of 2.4e+41 bytes"),
 ])
 def test_cli_analytic_validates_its_inputs(tmp_path, capsys, doc, message):
     cfgfile = tmp_path / "cfg.json"
@@ -731,6 +735,13 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, capsys):
     # --grid 0 is a count, so it reaches the grid's own check
     assert main(["solve", "--preset", "fig7a", "--grid", "0", "--out", out]) == EXIT_CONFIG
     assert "at least 16 points" in capsys.readouterr().err
+    # a count whose kernel block cannot be allocated is refused before any
+    # output; numpy raised "Maximum allowed size exceeded" (exit code 1)
+    huge = tmp_path / "huge"
+    assert main(["solve", "--preset", "fig7a", "--grid", str(10**20),
+                 "--out", str(huge)]) == EXIT_CONFIG
+    assert "grid.n needs an array of 5e+79 bytes" in capsys.readouterr().err
+    assert not huge.exists()
     # a rejected count must not reach the thread pool either
     pool = openblas._lib.scipy_openblas_get_num_threads64_
     threads = pool()
@@ -746,3 +757,15 @@ def test_cli_bad_thread_and_grid_input_is_config_error(tmp_path, capsys):
         assert pool() == threads
         assert f"thread count {count} is out of range" in capsys.readouterr().err
         assert not wrapped.exists()
+
+
+def test_cli_aperture_without_a_grid_point_is_config_error(tmp_path, capsys):
+    # at n = 60 the +-5 nm anchor pair is the innermost y pair, so a 4 nm slot
+    # holds no grid point: the system had an empty row, a solver failure (exit 3)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"geometry": {"kind": "ellipse", "a_nm": 250, "b_nm": 4},
+                                   "sweep": {"d_nm": 100}}))
+    out = tmp_path / "o"
+    assert main(["coupling", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert "no grid point lies inside the aperture" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
